@@ -434,8 +434,22 @@ def make_dist(pairs) -> tuple:
     return tuple(sorted(acc.items()))
 
 
+def _pure_terminal(dist):
+    """The terminal a dist reaches with probability exactly 1, else None.
+
+    Every dist of a perfect-information solve is one such terminal; the
+    helpers below then return its value as is instead of weighting it by 1.
+    """
+    if len(dist) == 1 and dist[0][1] == 1:
+        return dist[0][0]
+    return None
+
+
 def dist_payoffs(dist, tree: GameTree) -> tuple:
     """Expected payoff vector of a terminal distribution."""
+    pure = _pure_terminal(dist)
+    if pure is not None:
+        return tree.nodes[pure].payoffs
     totals = [Fraction(0)] * tree.n_players
     for terminal, p in dist:
         payoffs = tree.nodes[terminal].payoffs
@@ -445,10 +459,16 @@ def dist_payoffs(dist, tree: GameTree) -> tuple:
 
 
 def expected_coalition_value(members, dist, utils, tree) -> Fraction:
+    pure = _pure_terminal(dist)
+    if pure is not None:
+        return utils.coalition_value(members, pure, tree)
     return sum(p * utils.coalition_value(members, z, tree) for z, p in dist)
 
 
 def expected_individual_value(i, dist, partition, utils, tree) -> Fraction:
+    pure = _pure_terminal(dist)
+    if pure is not None:
+        return utils.individual_value(i, pure, partition, tree)
     return sum(p * utils.individual_value(i, z, partition, tree)
                for z, p in dist)
 
@@ -489,8 +509,6 @@ def build_supergame(tree: GameTree, utils: UtilitySystem, C) -> SupergameView:
 
 
 # -- validation ---------------------------------------------------------------
-
-_CHANCE_TOL = 1e-9
 
 
 def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
@@ -574,9 +592,9 @@ def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
                         "chance distribution keys must be exactly the root's children"))
         if any(p < 0 for p in chance.values()):
             bad.append(("BadChanceDistribution", "chance probabilities must be nonnegative"))
-        elif abs(float(sum(chance.values())) - 1.0) > _CHANCE_TOL:
+        elif sum(chance.values()) != 1:
             bad.append(("BadChanceDistribution",
-                        f"chance probabilities sum to {float(sum(chance.values()))}, not 1"))
+                        f"chance probabilities sum to {sum(chance.values())}, not 1"))
 
     info_sets = None
     if spec.info_sets:

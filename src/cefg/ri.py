@@ -192,6 +192,7 @@ class _Solver:
         self.use_memo = use_memo
         self.memo: dict = {}
         self.audit: list[SolveStep] = []
+        self.movers = _movers(tree)
 
     # -- public driver -------------------------------------------------------
 
@@ -261,21 +262,18 @@ class _Solver:
         adopted: dict = {}
         entry = nu
         for sid in _layer_bottom_up(self.tree, layer):
-            if not self._has_decisions_below(sid):
+            if not any(self.movers[child] for m in self.tree.info_sets[sid]
+                       for _, child in self.tree.nodes[m].actions):
                 adopted[sid] = nu  # terminal layer: equilibrium play as is
                 continue
             r0 = self._layer_index_point(g, view, kids, layer, sid, nu, adopted)
             block = block_containing(view, self.tree.info_set_player(sid))
             entry = self._adopt(g, view, block, r0, step_node=sid)
-            adopted[sid] = entry
+            # An index point that kept the equilibrium leaves `nu` in place,
+            # so the sets above it are not pinned to a copy of it.
+            kept = r0 is nu and entry.coalition is None
+            adopted[sid] = nu if kept else entry
         return entry
-
-    def _has_decisions_below(self, sid: str) -> bool:
-        for member in self.tree.info_sets[sid]:
-            for below in self.tree.subtree_nodes(member):
-                if below != member and not self.tree.nodes[below].is_terminal:
-                    return True
-        return False
 
     def _layer_index_point(self, g, view, kids, layer, sid, nu, adopted):
         """SPNE extension of the adopted successor solutions at `sid`."""
@@ -333,8 +331,10 @@ class _Solver:
         steps.append(SolveStep(at, "index-point", None, r0.outcome,
                                "best-response", view, active_value=r0_value))
         accepted, accepted_value, accepted_coalition = r0, r0_value, None
+        held_values: dict = {}  # agent -> value under `accepted`
+        movers = self.movers[g]
         for value, union, entry in self._candidates(g, view, block):
-            idle = [i for i in union if not self._moves_in(i, g)]
+            idle = [i for i in union if i not in movers]
             note = "idle:" + ",".join(map(str, idle)) if idle else ""
             steps.append(SolveStep(at, "supergame-solved", union, entry.outcome,
                                    note, view, active_value=value))
@@ -343,8 +343,11 @@ class _Solver:
             for agent in adopting:
                 cand = expected_individual_value(
                     agent, entry.dist, entry.partition, self.utils, self.tree)
-                held = expected_individual_value(
-                    agent, accepted.dist, accepted.partition, self.utils, self.tree)
+                held = held_values.get(agent)
+                if held is None:
+                    held = held_values[agent] = expected_individual_value(
+                        agent, accepted.dist, accepted.partition, self.utils,
+                        self.tree)
                 comparisons.append((agent, cand, held))
                 if failing is None and not cand > held:
                     failing = agent
@@ -354,6 +357,7 @@ class _Solver:
                                        active_value=value,
                                        comparisons=tuple(comparisons)))
                 accepted, accepted_value, accepted_coalition = entry, value, union
+                held_values.clear()
             else:
                 steps.append(SolveStep(at, "ir-rejected", union, entry.outcome,
                                        f"blocked-by:{failing}", view,
@@ -367,13 +371,6 @@ class _Solver:
         return Entry(g, view, accepted.actions, accepted.dist, accepted.outcome,
                      accepted.partition, accepted_coalition, accepted.children,
                      tuple(steps))
-
-    def _moves_in(self, player: int, g: str) -> bool:
-        for nid in self.tree.subtree_nodes(g):
-            node = self.tree.nodes[nid]
-            if not node.is_terminal and node.player == player:
-                return True
-        return False
 
 
 class _FixedLayerGame(LayerGame):
@@ -424,6 +421,16 @@ def _playout_mixed(tree, g, continuation, assignment):
 
     rec(g, Fraction(1))
     return make_dist(acc)
+
+
+def _movers(tree) -> dict:
+    """Node id -> frozenset of the players who move in its subtree."""
+    movers: dict = {}
+    for nid in reversed(tree.preorder):
+        node = tree.nodes[nid]
+        below = frozenset().union(*(movers[c] for _, c in node.actions))
+        movers[nid] = below if node.player is None else below | {node.player}
+    return movers
 
 
 def _set_below(tree, sid_a, sid_b) -> bool:

@@ -9,6 +9,7 @@ import pytest
 from cefg import (
     MixedEquilibriumUnsupported,
     load_game_text,
+    solve_game,
     solve_ri,
     solve_ri_imperfect,
     spne_in_subgame,
@@ -183,3 +184,24 @@ def test_fixed_layer_resolve():
     assignment, dist = game.solve()
     assert assignment == {"r": "D"}  # 3 expected beats 1.5
     assert dict(dist) == {"z3": Fraction(1, 2), "z4": Fraction(1, 2)}
+
+
+def test_singletons_only_cyclic_layer_above_decision_matches_spne():
+    # A matching-pennies-like 2x2 layer whose (U, L) cell continues into a
+    # decision node. The column set keeps the layer's mixed equilibrium,
+    # so the row set above it must not be re-solved against that play.
+    text = make_game_text({
+        "r": {"player": 1, "actions": {"U": "ru", "D": "rd"}},
+        "ru": {"player": 2, "actions": {"L": "c", "R": "z01"}},
+        "rd": {"player": 2, "actions": {"L": "z10", "R": "z11"}},
+        "c": {"player": 1, "actions": {"x": "zc1", "y": "zc2"}},
+        "zc1": [2, 0], "zc2": [0, 5],
+        "z01": [0, 1], "z10": [0, 3], "z11": [1, 0],
+    }, players=2, info_sets={"h2": ["ru", "rd"]})
+    tree, utils = load_game_text(text)
+    spne = spne_in_subgame(tree, utils)
+    prof = solve_game(tree, utils, singletons_only=True)
+    assert spne.outcome == (Fraction(2, 3), Fraction(3, 4))
+    assert prof.outcome == spne.outcome
+    for sid in ("r", "h2"):
+        assert prof.root_entry.actions[sid] == spne.actions[sid]

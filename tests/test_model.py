@@ -1,5 +1,7 @@
 """Model layer: validation, utilities, views, subgame structure."""
 
+from fractions import Fraction
+
 import pytest
 
 from cefg import (
@@ -17,6 +19,7 @@ from cefg import (
     subtree_at,
     validate_game,
 )
+from cefg.model import dist_payoffs, expected_coalition_value, expected_individual_value
 from conftest import make_game_text
 
 
@@ -85,6 +88,24 @@ def test_bad_chance_distribution():
     with pytest.raises(GameValidationError) as err:
         load_game_text(text)
     assert "BadChanceDistribution" in err.value.codes()
+
+
+def test_chance_sum_is_exact():
+    text = make_game_text({
+        "r": {"actions": {"a": "z1", "b": "z2"}},
+        "z1": [1, 2, 3], "z2": [3, 2, 1],
+    }, chance={"z1": 0.5, "z2": 0.4999999999})
+    with pytest.raises(GameValidationError) as err:
+        load_game_text(text)
+    assert "BadChanceDistribution" in err.value.codes()
+
+    # 0.1 + 0.2 + 0.7 is 1 in decimal, though not in binary floats.
+    text = make_game_text({
+        "r": {"actions": {"a": "z1", "b": "z2", "c": "z3"}},
+        "z1": [1, 2, 3], "z2": [3, 2, 1], "z3": [2, 2, 2],
+    }, chance={"z1": 0.1, "z2": 0.2, "z3": 0.7})
+    tree, _ = load_game_text(text)
+    assert sum(tree.chance_at_root.values()) == 1
 
 
 def test_missing_coalition_utility_in_table_mode():
@@ -166,6 +187,61 @@ def test_individual_utility_default_and_synergy(example2):
     assert individual_utility(1, "z1", [[1, 2], [3]], utils_s, tree_s) == 7
     assert individual_utility(1, "z1", [[1], [2], [3]], utils_s, tree_s) == 1
     assert individual_utility(2, "z1", [[1, 2], [3]], utils_s, tree_s) == 2
+
+
+# -- expected values over terminal distributions -------------------------------
+
+UTILITY_KINDS = {
+    "min": {"combinator": "min"},
+    "sum": {"combinator": "sum"},
+    "weighted": {"combinator": "weighted", "weights": {"1": 2, "2": 0.5}},
+    "table": {"table": {"1,2": {"z1": 0.25, "z2": -4}}},
+}
+
+
+def _dist_game(utility):
+    text = make_game_text({
+        "r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},
+        "z1": [1.5, 2], "z2": [3, -1],
+    }, players=2, utility=utility,
+        synergies=[{"player": 1, "block": [1, 2], "terminal": "z1", "value": 7}])
+    return load_game_text(text)
+
+
+def _weighted_sum(dist, value):
+    return sum((p * value(z) for z, p in dist), Fraction(0))
+
+
+@pytest.mark.parametrize("kind", sorted(UTILITY_KINDS))
+@pytest.mark.parametrize("dist", [
+    (("z1", Fraction(1)),),
+    (("z2", Fraction(1)),),
+    (("z1", Fraction(1, 2)),),  # length 1 but not pure
+    (("z1", Fraction(1, 3)), ("z2", Fraction(2, 3))),  # two chance branches
+])
+def test_expected_values_equal_weighted_sums(kind, dist):
+    tree, utils = _dist_game(UTILITY_KINDS[kind])
+    grand, singles = ((1, 2),), ((1,), (2,))
+    payoffs = {z: tree.nodes[z].payoffs for z in tree.terminal_ids}
+
+    got = dist_payoffs(dist, tree)
+    assert all(isinstance(v, Fraction) for v in got)
+    assert got == tuple(_weighted_sum(dist, lambda z: payoffs[z][k])
+                        for k in range(2))
+
+    got = expected_coalition_value((1, 2), dist, utils, tree)
+    assert isinstance(got, Fraction)
+    assert got == _weighted_sum(
+        dist, lambda z: utils.coalition_value((1, 2), z, tree))
+
+    for partition in (grand, singles):  # z1 carries a synergy under grand
+        for i in (1, 2):
+            got = expected_individual_value(i, dist, partition, utils, tree)
+            assert isinstance(got, Fraction)
+            assert got == _weighted_sum(
+                dist, lambda z: utils.individual_value(i, z, partition, tree))
+    assert expected_individual_value(1, (("z1", Fraction(1)),), grand,
+                                     utils, tree) == 7
 
 
 # -- subgames, subtrees, supergames ---------------------------------------------
