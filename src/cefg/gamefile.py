@@ -62,6 +62,25 @@ def _fail(code, message, line=None, column=None):
     raise GameFormatError(code, message, line, column)
 
 
+def _number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail("SyntaxError", f"{where} must be a number, not {value!r}")
+    return value
+
+
+def _object(value, where) -> dict:
+    if not isinstance(value, dict):
+        _fail("SyntaxError", f"{where} must be an object")
+    return value
+
+
+def _players_list(value, where) -> list:
+    if not isinstance(value, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in value):
+        _fail("SyntaxError", f"{where} must be a list of player numbers")
+    return list(value)
+
+
 class _DupCheckingDict(dict):
     pass
 
@@ -94,6 +113,8 @@ def parse_game(text: str) -> GameSpec:
             _fail("MissingField", f"required field {key!r} missing")
     if raw["format_version"] != FORMAT_VERSION:
         _fail("UnknownField", f"unsupported format_version {raw['format_version']!r}")
+    if not isinstance(raw["root"], str):
+        _fail("SyntaxError", "root must be a node id")
     players = raw["players"]
     if (not isinstance(players, list) or not players
             or not all(isinstance(p, str) for p in players)):
@@ -117,9 +138,16 @@ def parse_game(text: str) -> GameSpec:
             if isinstance(actions, dict):
                 pairs = list(actions.items())
             elif isinstance(actions, list):
+                if not all(isinstance(a, list) and len(a) == 2 for a in actions):
+                    _fail("SyntaxError",
+                          f"node {nid}: each action must be a [label, child] pair")
                 pairs = [tuple(a) for a in actions]
             else:
                 _fail("SyntaxError", f"node {nid}: actions must be an object or list")
+            if not all(isinstance(label, str) and isinstance(child, str)
+                       for label, child in pairs):
+                _fail("SyntaxError",
+                      f"node {nid}: action labels and children must be strings")
             nodes[nid] = {"player": body.get("player"), "actions": pairs}
         else:
             payoffs = body["payoffs"]
@@ -128,43 +156,69 @@ def parse_game(text: str) -> GameSpec:
                 _fail("SyntaxError", f"node {nid}: payoffs must be a list of numbers")
             nodes[nid] = {"payoffs": list(payoffs)}
 
-    coalitions = raw.get("coalitions") or {}
+    coalitions = _object(raw.get("coalitions") or {}, "coalitions")
     feasible = coalitions.get("feasible", "all")
     if feasible != "all":
         if not isinstance(feasible, list):
             _fail("SyntaxError", "coalitions.feasible must be \"all\" or a list")
-        feasible = [list(c) for c in feasible]
-    utility = coalitions.get("utility") or {"combinator": "min"}
+        feasible = [_players_list(c, "each feasible coalition") for c in feasible]
+    utility = _object(coalitions.get("utility") or {"combinator": "min"},
+                      "coalitions.utility")
     if "table" in utility:
         table = {}
-        for key, per_terminal in utility["table"].items():
-            members = tuple(int(part) for part in str(key).split(","))
-            table[members] = dict(per_terminal)
+        for key, per_terminal in _object(utility["table"],
+                                         "coalitions.utility.table").items():
+            try:
+                members = tuple(int(part) for part in str(key).split(","))
+            except ValueError:
+                _fail("SyntaxError", f"table key {key!r} must list player "
+                                     f"numbers separated by commas")
+            table[members] = {
+                z: _number(v, f"table value for {key!r} at {z!r}")
+                for z, v in _object(per_terminal, f"table entry {key!r}").items()}
         utility = {"table": table}
     elif "combinator" not in utility:
         _fail("SyntaxError", "coalitions.utility needs a combinator or a table")
+    elif utility.get("weights") is not None:
+        for i, w in _object(utility["weights"], "coalitions.utility.weights").items():
+            _number(w, f"weight of player {i}")
 
     synergies = []
-    for entry in raw.get("synergies") or []:
-        for key in entry:
+    raw_synergies = raw.get("synergies") or []
+    if not isinstance(raw_synergies, list):
+        _fail("SyntaxError", "synergies must be a list")
+    for entry in raw_synergies:
+        for key in _object(entry, "each synergy entry"):
             if key not in _SYNERGY_KEYS:
                 _fail("UnknownField", f"synergy entry: unknown field {key!r}")
         try:
-            synergies.append((entry["player"], tuple(entry["block"]),
-                              entry["terminal"], entry["value"]))
+            synergies.append((entry["player"],
+                              tuple(_players_list(entry["block"], "synergy block")),
+                              entry["terminal"],
+                              _number(entry["value"], "synergy value")))
         except KeyError as exc:
             _fail("MissingField", f"synergy entry missing {exc.args[0]!r}")
 
     info_sets = raw.get("info_sets")
     if info_sets is not None:
+        info_sets = _object(info_sets, "info_sets")
+        if not all(isinstance(members, list)
+                   and all(isinstance(m, str) for m in members)
+                   for members in info_sets.values()):
+            _fail("SyntaxError", "info_sets must map names to lists of node ids")
         info_sets = {sid: list(members) for sid, members in info_sets.items()}
+
+    chance = raw.get("chance")
+    if chance:
+        chance = {child: _number(p, f"chance probability of {child!r}")
+                  for child, p in _object(chance, "chance").items()}
 
     return GameSpec(
         format_version=raw["format_version"],
         players=list(players),
         root=raw["root"],
         nodes=nodes,
-        chance=dict(raw["chance"]) if raw.get("chance") else None,
+        chance=chance or None,
         info_sets=info_sets,
         feasible=feasible,
         utility=utility,

@@ -524,6 +524,10 @@ def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
         raise GameValidationError([("MissingRoot", f"root {spec.root!r} is not a node")])
 
     n = len(spec.players)
+    repeated = sorted({p for p in spec.players if spec.players.count(p) > 1})
+    if repeated:
+        bad.append(("DuplicatePlayer",
+                    f"player names repeated: {', '.join(repeated)}"))
     referenced: dict[str, str] = {}
     for nid, raw in nodes_raw.items():
         if raw.get("actions") is not None:
@@ -670,6 +674,8 @@ def _build_utils(spec, tree: GameTree):
             m = canon_block(members)
             if not m or any(i < 1 or i > n for i in m):
                 bad.append(("BadCoalition", f"coalition {members} is not a subset of 1..{n}"))
+            elif len(set(m)) != len(m):
+                bad.append(("BadCoalition", f"coalition {members} repeats a member"))
             else:
                 blocks.add(m)
         blocks.update((i,) for i in range(1, n + 1))

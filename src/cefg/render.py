@@ -104,8 +104,9 @@ def bracket_entry(tree, entry: Entry) -> str:
     if entry.coalition is not None:
         pairs = _on_path_pairs(tree, entry)
     else:
+        subtree = tree.subtree_nodes(entry.node)
         inside = {sid for sid in entry.actions
-                  if tree.info_sets[sid][0] in tree.subtree_nodes(entry.node)}
+                  if tree.info_sets[sid][0] in subtree}
         pairs = [(sid, entry.actions[sid]) for sid in inside]
     groups = _grouped_actions(tree, pairs)
     blocks = ",".join(block_str(b) for b in _acting_blocks(tree, entry))
@@ -221,30 +222,50 @@ def render_trace(profile: SolutionProfile, verbosity: str = "summary") -> str:
 # -- complete solution (nested per-subgame listing) -----------------------------
 
 
-def _render_family(tree, entry: Entry, indent: int, lines, top_line=None):
-    pad = "  " * indent
-    line = top_line if top_line is not None else bracket_entry(tree, entry)
-    lines.append(f"{pad}{entry.node}: {line} -> {outcome_str(entry.outcome)}")
+def _entry_line(entry: Entry, bracket: str) -> str:
+    return f"{entry.node}: {bracket} -> {outcome_str(entry.outcome)}"
+
+
+def _family_block(tree, entry: Entry, cache: dict) -> list:
+    """`entry`'s own line, then its nested subgames indented below it.
+
+    Memo hits put one Entry object under many contexts, and its block does
+    not depend on the context, so `cache` (keyed by `id(entry)`; the profile
+    keeps every entry alive for the whole call) builds each block once.
+    """
+    block = cache.get(id(entry))
+    if block is None:
+        block = [_entry_line(entry, bracket_entry(tree, entry))]
+        block.extend(_nested_lines(tree, entry, cache))
+        cache[id(entry)] = block
+    return block
+
+
+def _nested_lines(tree, entry: Entry, cache: dict) -> list:
+    lines = []
     for child in sorted(entry.children.values(),
                         key=lambda e: tree._pre_index[e.node]):
         if not tree.nodes[child.node].is_terminal:
-            _render_family(tree, child, indent + 1, lines)
+            lines.extend("  " + line
+                         for line in _family_block(tree, child, cache))
+    return lines
 
 
 def render_solution(profile: SolutionProfile) -> str:
     """Nested complete solution: the root context, then each subgame standalone."""
     tree = profile.tree
-    lines: list[str] = []
-    lines.append(f"=== solution at {profile.root_entry.node} (root) ===")
-    _render_family(tree, profile.root_entry, 0, lines,
-                   top_line=bracket_summary(profile))
+    root = profile.root_entry
+    cache: dict = {}
+    lines = [f"=== solution at {root.node} (root) ===",
+             _entry_line(root, bracket_summary(profile))]
+    lines.extend(_nested_lines(tree, root, cache))
     standalone = sorted(
         (nid for nid in tree.subgame_roots
-         if nid in tree.decision_ids and nid != profile.root_entry.node),
+         if nid in tree.decision_ids and nid != root.node),
         key=lambda nid: (tree.depth_of(nid), tree._pre_index[nid]))
     for nid in standalone:
         lines.append(f"=== standalone solution at {nid} ===")
-        _render_family(tree, profile.standalone_entry(nid), 0, lines)
+        lines.extend(_family_block(tree, profile.standalone_entry(nid), cache))
     return "\n".join(lines)
 
 
@@ -336,20 +357,37 @@ def _entry_json(entry: Entry):
     }
 
 
+def _json_at(value, level: int) -> str:
+    """The text `json.dumps(..., sort_keys=True, indent=2)` gives `value`
+    `level` containers deep; indentation is its only raw newline."""
+    return json.dumps(value, sort_keys=True, indent=2).replace(
+        "\n", "\n" + "  " * level)
+
+
 def profile_to_json(profile: SolutionProfile) -> str:
     """Deterministic JSON of the whole solution profile.
 
     The entry map is keyed "context/subgame" so downstream tools can see
     that a nested solution need not restrict the enclosing one. Numbers are
-    ints when integral, exact fraction strings otherwise.
+    ints when integral, exact fraction strings otherwise. The text is that
+    of `json.dumps(body, sort_keys=True, indent=2)`; each distinct Entry
+    object is encoded once and its text reused under every context.
     """
-    body = {
+    keyed = {f"{ctx}/{g}": entry
+             for (ctx, g), entry in profile.entries().items()}
+    encoded: dict = {}
+    items = []
+    for key in sorted(keyed):
+        entry = keyed[key]
+        text = encoded.get(id(entry))
+        if text is None:
+            text = encoded[id(entry)] = _json_at(_entry_json(entry), 2)
+        items.append(f"    {json.dumps(key)}: {text}")
+    fields = {
         "outcome": [_num_json(v) for v in profile.outcome],
         "partition": [list(b) for b in profile.partition],
         "coalition": list(profile.coalition) if profile.coalition else None,
         "summary": bracket_summary(profile),
-        "entries": {f"{ctx}/{g}": _entry_json(entry)
-                    for (ctx, g), entry in profile.entries().items()},
         "trace": [
             {
                 "node": s.node,
@@ -363,4 +401,7 @@ def profile_to_json(profile: SolutionProfile) -> str:
             for s in profile.trace_steps()
         ],
     }
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    parts = {key: _json_at(value, 1) for key, value in fields.items()}
+    parts["entries"] = "{\n" + ",\n".join(items) + "\n  }"
+    return ("{\n" + ",\n".join(f"  {json.dumps(key)}: {parts[key]}"
+                                for key in sorted(parts)) + "\n}\n")

@@ -586,11 +586,22 @@ def ir_chain(tree, utils, points) -> ReferencePoint:
 
 
 def check_ir_invariants(profile: SolutionProfile):
-    """Re-assert chain monotonicity and coalition stability from the trace.
+    """Re-assert from the trace what the acceptance rule implies.
+
+    A point is accepted only when every member of the adopting block
+    strictly improves on the accepted point, so every accepted step must
+    show a strict gain for each compared agent, among them every member of
+    the active block, and every rejected step must show an agent that does
+    not gain. Only when the active block is a single player is its value
+    that player's individual value, so only then must the chain strictly
+    increase the active value; a merged block's coalition value (a table,
+    or a sum over payoffs that synergies override) can fall while each
+    member gains.
 
     Returns (groups checked, acceptances seen); raises CefgError on the
     first violated invariant.
     """
+    tree = profile.tree
     groups: list[list[SolveStep]] = []
     current_key = None
     for step in profile.audit:
@@ -601,19 +612,29 @@ def check_ir_invariants(profile: SolutionProfile):
         groups[-1].append(step)
     accepted_total = 0
     for group in groups:
+        at = group[0].node
+        player = (tree.info_set_player(at) if at in tree.info_sets
+                  else tree.nodes[at].player)
+        block = block_containing(group[0].view, player)
         value = None
         for step in group:
             if step.kind == "index-point":
                 value = step.active_value
             elif step.kind == "ir-accepted":
                 accepted_total += 1
-                if value is not None and not step.active_value > value:
+                if (len(block) == 1 and value is not None
+                        and not step.active_value > value):
                     raise CefgError(
                         f"accepted point at {step.node} does not increase the "
                         f"active player's value ({step.active_value} <= {value})")
                 value = step.active_value
                 if not step.comparisons:
                     raise CefgError(f"accepted step at {step.node} lacks comparisons")
+                compared = {agent for agent, _, _ in step.comparisons}
+                if not compared.issuperset(block):
+                    raise CefgError(
+                        f"accepted step at {step.node} does not compare every "
+                        f"member of the active block {block}")
                 for agent, cand, held in step.comparisons:
                     if not cand > held:
                         raise CefgError(

@@ -169,8 +169,9 @@ def test_criterion_08_ir_chain_invariants():
     for prof in profiles:
         check_ir_invariants(prof)
     assert accepted_total > 0
-    _report(8, f"IR chains strictly increase the active value and adopted "
-               f"blocks strictly improve ({accepted_total} acceptances checked)")
+    _report(8, f"IR chains strictly increase a singleton active block's "
+               f"value and adopted blocks strictly improve "
+               f"({accepted_total} acceptances checked)")
 
 
 PD_TEXT = make_game_text({

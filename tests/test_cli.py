@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cefg import GameFormatError, GameValidationError, load_game_text
 from cefg.cli import main
 from cefg.oracle import OracleReport
 from conftest import game_path, make_game_text
@@ -138,3 +139,47 @@ def test_solver_error_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(game))
     assert code == 3
     assert "solver error" in err
+
+
+def _malformed(edit, **kw):
+    doc = json.loads(make_game_text({
+        "r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},
+        "z1": [1, 2, 0], "z2": [2, 1, 0],
+    }, **kw))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _set_utility(utility):
+    return lambda doc: doc["coalitions"].update(utility=utility)
+
+
+@pytest.mark.parametrize("text,code", [
+    pytest.param(_malformed(_set_utility(
+        {"table": {"1,x": {"z1": 1, "z2": 1}}})), "SyntaxError",
+        id="non-integer-table-key"),
+    pytest.param(_malformed(_set_utility({"table": [1, 2]})), "SyntaxError",
+                 id="non-dict-table"),
+    pytest.param(_malformed(lambda doc: doc.update(synergies=[5])),
+                 "SyntaxError", id="non-dict-synergy"),
+    pytest.param(_malformed(lambda doc: doc.update(info_sets=["r"])),
+                 "SyntaxError", id="info-sets-list"),
+    pytest.param(_malformed(_set_utility(
+        {"combinator": "weighted", "weights": {"1": "abc"}})), "SyntaxError",
+        id="non-numeric-weight"),
+    pytest.param(_malformed(lambda doc: doc["nodes"]["r"].update(
+        actions=[["a", "z1"], ["b"]])), "SyntaxError", id="one-element-action"),
+    pytest.param(_malformed(lambda doc: doc.update(
+        players=["P1", "P1", "P3"])), "DuplicatePlayer",
+        id="duplicate-player-names"),
+    pytest.param(_malformed(lambda doc: None, feasible=[[1, 1, 2]]),
+                 "BadCoalition", id="repeated-coalition-member"),
+])
+def test_malformed_input_is_a_typed_error(tmp_path, capsys, text, code):
+    with pytest.raises((GameFormatError, GameValidationError), match=code):
+        load_game_text(text)
+    bad = tmp_path / "bad.game"
+    bad.write_text(text)
+    exit_code, _, err = run(capsys, "solve", str(bad))
+    assert exit_code == 2
+    assert code in err

@@ -1,12 +1,18 @@
 """Rendering: bracket notation, trace narrative, DOT export, JSON."""
 
 import json
+import random
 
-from cefg import load_game_text, solve_ri
+import pytest
+
+from cefg import load_game_text, solve_ri, solve_ri_imperfect
 from cefg.render import (
+    _entry_json,
+    _num_json,
     bracket_entry,
     bracket_summary,
     export_dot,
+    outcome_str,
     profile_to_json,
     render_solution,
     render_trace,
@@ -167,7 +173,142 @@ def test_json_handles_mixed_profiles():
         "z1": [1, -1], "z2": [-1, 1], "z3": [-1, 1], "z4": [1, -1],
     }, players=2, info_sets={"h2": ["rh", "rt"]})
     tree, utils = load_game_text(text)
-    from cefg import solve_ri_imperfect
     body = json.loads(profile_to_json(solve_ri_imperfect(tree, utils)))
     assert body["outcome"] == [0, 0]
     assert body["entries"]["r/r"]["actions"]["h2"] == {"h": "1/2", "t": "1/2"}
+
+
+# -- memoized renderers against the naive per-context reference ----------------
+
+
+def _naive_render_solution(profile):
+    """Every (context, subgame) entry rendered from scratch."""
+    tree = profile.tree
+    lines = []
+
+    def family(entry, indent, top_line=None):
+        line = top_line if top_line is not None else bracket_entry(tree, entry)
+        lines.append(f"{'  ' * indent}{entry.node}: {line} -> "
+                     f"{outcome_str(entry.outcome)}")
+        for child in sorted(entry.children.values(),
+                            key=lambda e: tree._pre_index[e.node]):
+            if not tree.nodes[child.node].is_terminal:
+                family(child, indent + 1)
+
+    root = profile.root_entry
+    lines.append(f"=== solution at {root.node} (root) ===")
+    family(root, 0, top_line=bracket_summary(profile))
+    standalone = sorted(
+        (nid for nid in tree.subgame_roots
+         if nid in tree.decision_ids and nid != root.node),
+        key=lambda nid: (tree.depth_of(nid), tree._pre_index[nid]))
+    for nid in standalone:
+        lines.append(f"=== standalone solution at {nid} ===")
+        family(profile.standalone_entry(nid), 0)
+    return "\n".join(lines)
+
+
+def _naive_profile_json(profile):
+    """One `json.dumps` over the full entry map."""
+    body = {
+        "outcome": [_num_json(v) for v in profile.outcome],
+        "partition": [list(b) for b in profile.partition],
+        "coalition": list(profile.coalition) if profile.coalition else None,
+        "summary": bracket_summary(profile),
+        "entries": {f"{ctx}/{g}": _entry_json(entry)
+                    for (ctx, g), entry in profile.entries().items()},
+        "trace": [
+            {
+                "node": s.node,
+                "kind": s.kind,
+                "coalition": list(s.coalition) if s.coalition else None,
+                "outcome": [_num_json(v) for v in s.outcome],
+                "reason": s.reason,
+                "comparisons": [[i, _num_json(c), _num_json(h)]
+                                for i, c, h in s.comparisons],
+            }
+            for s in profile.trace_steps()
+        ],
+    }
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+
+
+def _assert_matches_naive(profile):
+    entries = profile.entries()
+    # The memo must actually share entries across contexts for the check
+    # to exercise the renderers' caches.
+    assert len({id(e) for e in entries.values()}) < len(entries)
+    assert render_solution(profile) == _naive_render_solution(profile)
+    assert profile_to_json(profile) == _naive_profile_json(profile)
+
+
+def _centipede_nodes(depth, prefix="c", first=1):
+    nodes = {}
+    big, small = 2, 1
+    for k in range(depth):
+        mover = 1 + (first - 1 + k) % 2
+        nxt = f"{prefix}{k + 1}" if k + 1 < depth else f"{prefix}t{depth}"
+        nodes[f"{prefix}{k}"] = {"player": mover, "actions": {
+            "take": f"{prefix}t{k}", "pass": nxt}}
+        nodes[f"{prefix}t{k}"] = [big, small] if mover == 1 else [small, big]
+        big, small = big + 2 + k % 3, small + 1 + k % 2
+    nodes[f"{prefix}t{depth}"] = [small + 1, small + 1]
+    return nodes
+
+
+@pytest.mark.parametrize("depth,utility", [
+    (40, {"combinator": "min"}),
+    (44, {"combinator": "sum"}),
+    (48, {"combinator": "weighted", "weights": {"1": 3, "2": 1}}),
+])
+def test_memoized_renderers_match_naive_on_centipedes(depth, utility):
+    text = make_game_text(_centipede_nodes(depth), players=2, utility=utility)
+    prof = solve_ri(*load_game_text(text))
+    assert any(e.coalition for e in prof.entries().values())
+    _assert_matches_naive(prof)
+
+
+def test_memoized_renderers_match_naive_with_chance_root():
+    nodes = {"root": {"actions": {"L": "a0", "R": "b0"}}}
+    nodes.update(_centipede_nodes(14, prefix="a"))
+    nodes.update(_centipede_nodes(17, prefix="b", first=2))
+    text = make_game_text(nodes, players=2, root="root",
+                          chance={"a0": 0.25, "b0": 0.75},
+                          utility={"combinator": "sum"})
+    prof = solve_ri(*load_game_text(text))
+    _assert_matches_naive(prof)
+
+
+def test_memoized_renderers_match_naive_with_mixed_layer():
+    nodes = {
+        "top": {"player": 1, "actions": {"out": "d0", "in": "y"}},
+        "y": {"player": 2, "actions": {"H": "yh", "T": "yt"}},
+        "yh": {"player": 1, "actions": {"h": "z1", "t": "z2"}},
+        "yt": {"player": 1, "actions": {"h": "z3", "t": "z4"}},
+        "z1": [1, -1], "z2": [-1, 1], "z3": [-1, 1], "z4": [1, -1],
+    }
+    nodes.update(_centipede_nodes(12, prefix="d"))
+    text = make_game_text(nodes, players=2, root="top",
+                          info_sets={"h1": ["yh", "yt"]})
+    prof = solve_ri_imperfect(*load_game_text(text))
+    assert any(isinstance(a, tuple) for e in prof.entries().values()
+               for a in e.actions.values())
+    _assert_matches_naive(prof)
+
+
+def test_memoized_renderers_match_naive_with_adopted_coalitions():
+    rng = random.Random(11)
+    nodes, frontier, count = {}, ["x0"], 1
+    while count < 40:
+        nid = frontier.pop(rng.randrange(len(frontier)))
+        kids = [f"x{count}", f"x{count + 1}"]
+        count += 2
+        nodes[nid] = {"player": rng.randint(1, 3),
+                      "actions": {"a": kids[0], "b": kids[1]}}
+        frontier.extend(kids)
+    for z in frontier:
+        nodes[z] = [rng.randint(0, 9) for _ in range(3)]
+    text = make_game_text(nodes, players=3, root="x0")
+    prof = solve_ri(*load_game_text(text))
+    assert sum(1 for e in prof.entries().values() if e.coalition) > 5
+    _assert_matches_naive(prof)

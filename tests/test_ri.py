@@ -1,9 +1,13 @@
 """Recursive-induction solver: fixtures, reference points, IR chains, properties."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
+import pytest
+
 from cefg import (
+    CefgError,
     backward_induction,
     check_ir_invariants,
     combine_chance_root,
@@ -11,6 +15,7 @@ from cefg import (
     index_reference_point,
     ir_chain,
     load_game_text,
+    oracle_solve,
     solve_ri,
 )
 from cefg.noncoop import LocalSolution
@@ -383,3 +388,81 @@ def test_four_player_games_solve_and_satisfy_invariants():
         prof = solve_ri(tree, utils)
         check_ir_invariants(prof)
         assert len(prof.outcome) == 4
+
+
+# Game 1/14 of the `coalitions` benchmark workload at seed 1: 4 players,
+# `sum` with synergies. At x0 under the view 1,2,{3,4} the adopting block
+# {2,3,4} is accepted because each member strictly gains, while the value
+# of the active block {3,4} falls from 177 to 133.
+SUM_SYNERGY_GAME = """\
+{"format_version": 1, "players": ["P1", "P2", "P3", "P4"], "root": "x0",
+ "nodes": {
+  "x0": {"player": 3, "actions": {"a": "x1", "b": "x2", "c": "x3"}},
+  "x2": {"player": 4, "actions": {"a": "x4", "b": "x5"}},
+  "x3": {"player": 4, "actions": {"a": "x6", "b": "x7", "c": "x8"}},
+  "x5": {"player": 2, "actions": {"a": "x9", "b": "x10"}},
+  "x9": {"player": 2, "actions": {"a": "x11", "b": "x12"}},
+  "x1": {"player": 1, "actions": {"a": "x13", "b": "x14"}},
+  "x12": {"player": 1, "actions": {"a": "x15", "b": "x16"}},
+  "x13": {"player": 2, "actions": {"a": "x17", "b": "x18"}},
+  "x16": {"player": 3, "actions": {"a": "x19", "b": "x20", "c": "x21"}},
+  "x8": {"player": 4, "actions": {"a": "x22", "b": "x23"}},
+  "x6": {"player": 1, "actions": {"a": "x24", "b": "x25", "c": "x26"}},
+  "x10": {"player": 1, "actions": {"a": "x27", "b": "x28"}},
+  "x15": {"player": 2, "actions": {"a": "x29", "b": "x30"}},
+  "x26": {"player": 3, "actions": {"a": "x31", "b": "x32"}},
+  "x28": {"player": 4, "actions": {"a": "x33", "b": "x34"}},
+  "x4": {"payoffs": [18, 31, 8, 12]},
+  "x7": {"payoffs": [36, 5, 45, 92]},
+  "x11": {"payoffs": [64, 61, 83, 63]},
+  "x14": {"payoffs": [78, 36, 38, 77]},
+  "x17": {"payoffs": [89, 81, 37, 76]},
+  "x18": {"payoffs": [80, 93, 90, 43]},
+  "x19": {"payoffs": [59, 30, 27, 7]},
+  "x20": {"payoffs": [66, 23, 60, 43]},
+  "x21": {"payoffs": [76, 31, 58, 47]},
+  "x22": {"payoffs": [52, 18, 73, 77]},
+  "x23": {"payoffs": [28, 4, 72, 8]},
+  "x24": {"payoffs": [53, 20, 89, 88]},
+  "x25": {"payoffs": [18, 41, 20, 29]},
+  "x27": {"payoffs": [5, 28, 84, 51]},
+  "x29": {"payoffs": [7, 25, 85, 42]},
+  "x30": {"payoffs": [83, 8, 14, 80]},
+  "x31": {"payoffs": [26, 65, 70, 53]},
+  "x32": {"payoffs": [5, 10, 83, 99]},
+  "x33": {"payoffs": [76, 71, 99, 42]},
+  "x34": {"payoffs": [86, 84, 72, 44]}
+ },
+ "synergies": [
+  {"player": 4, "block": [1, 4], "terminal": "x32", "value": 7},
+  {"player": 4, "block": [3, 4], "terminal": "x24", "value": 15},
+  {"player": 3, "block": [1, 2, 3, 4], "terminal": "x29", "value": 1}
+ ],
+ "coalitions": {"feasible": "all", "utility": {"combinator": "sum"}}}
+"""
+
+
+def test_ir_invariants_allow_merged_block_value_to_fall():
+    tree, utils = load_game_text(SUM_SYNERGY_GAME)
+    prof = solve_ri(tree, utils)
+    falls = [s for s in prof.audit
+             if s.node == "x0" and s.view == ((1,), (2,), (3, 4))
+             and s.kind in ("index-point", "ir-accepted")]
+    assert [s.active_value for s in falls] == [177, 133]
+    assert all(cand > held for _, cand, held in falls[1].comparisons)
+    check_ir_invariants(prof)
+    reference = oracle_solve(tree, utils, max_nodes=len(tree.nodes),
+                             max_players=tree.n_players)
+    assert (prof.outcome, prof.partition) == (reference.outcome,
+                                              reference.partition)
+
+
+def test_ir_invariants_catch_a_falling_singleton_value(example2):
+    tree, utils = example2
+    prof = solve_ri(tree, utils)
+    step = next(s for s in prof.audit if s.kind == "ir-accepted"
+                and all(len(b) == 1 for b in s.view))
+    bad = dataclasses.replace(step, active_value=step.active_value - 100)
+    prof.audit = tuple(bad if s is step else s for s in prof.audit)
+    with pytest.raises(CefgError, match="does not increase"):
+        check_ir_invariants(prof)
