@@ -6,7 +6,7 @@ Commands::
                     [--singletons-only] [-o OUT]
     cefg bi GAME [--format text|json] [-o OUT]
     cefg trace GAME [-o OUT]
-    cefg export GAME [-o OUT]
+    cefg export GAME [-o OUT]          (solve --format dot)
     cefg oracle-check [GAME] [--random N] [--seed S] [--max-nodes M]
 
 Exit codes: 0 success, 1 oracle mismatch, 2 parse/validation error,
@@ -19,14 +19,7 @@ import argparse
 import random
 import sys
 
-from .errors import (
-    CefgError,
-    GameFormatError,
-    GameValidationError,
-    ImperfectInformation,
-    MixedEquilibriumUnsupported,
-    TooLarge,
-)
+from .errors import CefgError, GameFormatError, GameValidationError
 from .gamefile import load_game
 from .noncoop import backward_induction
 from .oracle import equivalence_check, random_game
@@ -38,6 +31,7 @@ from .render import (
     profile_to_json,
     render_solution,
     render_trace,
+    solution_to_json,
 )
 from .ri import solve_game
 
@@ -74,8 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="complete nested solution listing")
     add_common(p_trace, formats=None)
 
-    p_export = sub.add_parser("export", help="solved tree as Graphviz DOT")
+    p_export = sub.add_parser("export", help="solved tree as Graphviz DOT "
+                                             "(same as solve --format dot)")
     add_common(p_export, formats=None)
+    p_export.set_defaults(format="dot", singletons_only=False,
+                          trace_verbosity="summary")
 
     p_oracle = sub.add_parser("oracle-check",
                               help="compare the solver against the brute-force oracle")
@@ -121,14 +118,7 @@ def _cmd_bi(args) -> int:
     tree, utils = load_game(args.input)
     sol = backward_induction(tree, utils)
     if args.format == "json":
-        import json
-
-        from .render import _actions_json, _num_json
-        body = {
-            "outcome": [_num_json(v) for v in sol.outcome],
-            "actions": _actions_json(sol.actions),
-        }
-        _emit(json.dumps(body, sort_keys=True, indent=2) + "\n", args.output)
+        _emit(solution_to_json(sol), args.output)
         return EXIT_OK
     order = sorted(sol.actions, key=lambda s: tree._pre_index[tree.info_sets[s][0]])
     path = ", ".join(f"{sid}:{sol.actions[sid]}" for sid in order)
@@ -140,13 +130,6 @@ def _cmd_trace(args) -> int:
     tree, utils = load_game(args.input)
     profile = solve_game(tree, utils)
     _emit(render_solution(profile) + "\n", args.output)
-    return EXIT_OK
-
-
-def _cmd_export(args) -> int:
-    tree, utils = load_game(args.input)
-    profile = solve_game(tree, utils)
-    _emit(export_dot(tree, profile), args.output)
     return EXIT_OK
 
 
@@ -183,20 +166,14 @@ def main(argv=None) -> int:
         "solve": _cmd_solve,
         "bi": _cmd_bi,
         "trace": _cmd_trace,
-        "export": _cmd_export,
+        "export": _cmd_solve,
         "oracle-check": _cmd_oracle_check,
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, GameFormatError, GameValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (GameFormatError, GameValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (MixedEquilibriumUnsupported, ImperfectInformation, TooLarge) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except CefgError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -198,6 +198,12 @@ class GameTree:
     def info_set_player(self, set_id: str) -> int:
         return self.nodes[self.info_sets[set_id][0]].player
 
+    def owner(self, unit: str) -> int:
+        """The player who moves at an information-set id or a node id."""
+        if unit in self.info_sets:
+            return self.info_set_player(unit)
+        return self.nodes[unit].player
+
     @property
     def is_perfect_information(self) -> bool:
         return all(len(m) == 1 for m in self.info_sets.values())
@@ -549,7 +555,7 @@ def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
             if player is None:
                 if nid != spec.root or spec.chance is None:
                     bad.append(("MissingPlayer", f"decision node {nid} has no player"))
-            elif not (isinstance(player, int) and 1 <= player <= n):
+            elif not _is_player(player, n):
                 bad.append(("BadPlayer", f"node {nid}: player {player!r} not in 1..{n}"))
         else:
             payoffs = raw.get("payoffs")
@@ -642,6 +648,11 @@ def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
     return tree, utils
 
 
+def _is_player(value, n: int) -> bool:
+    """True for a player number in 1..n; a JSON boolean is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= n
+
+
 def _check_perfect_recall(tree: GameTree):
     """No-forgetting: nodes sharing an info set share the owner's experience."""
     bad = []
@@ -707,8 +718,11 @@ def _build_utils(spec, tree: GameTree):
     synergies = []
     for entry in spec.synergies or ():
         player, block, terminal, value = entry
-        if not (isinstance(player, int) and 1 <= player <= n):
+        if not _is_player(player, n):
             bad.append(("BadSynergy", f"synergy player {player!r} not in 1..{n}"))
+            continue
+        if len(set(block)) != len(block):
+            bad.append(("BadSynergy", f"synergy block {list(block)} repeats a member"))
             continue
         if terminal not in tree.terminal_ids:
             bad.append(("BadSynergy", f"synergy terminal {terminal!r} is not a terminal"))

@@ -72,21 +72,46 @@ def choice_key(tree, utils, partition, block, dist):
         expected_individual_value(i, dist, partition, utils, tree) for i in block)
 
 
+def best_response(tree, utils, partition, block, node, dists):
+    """`block`'s best action at `node` given each child's continuation dist.
+
+    `dists` maps child id -> terminal distribution. Returns (action label,
+    choice key). Ties go to the first action in declaration order (after
+    the merged-owner member preference of `choice_key`).
+    """
+    best_label, best_key = None, None
+    for label, child in node.actions:
+        key = choice_key(tree, utils, partition, block, dists[child])
+        if best_key is None or key > best_key:
+            best_label, best_key = label, key
+    return best_label, best_key
+
+
 def best_response_at(tree, utils, x, successor_solutions, owner, partition=None):
     """The owner's utility-maximizing action at node `x` given solved children.
 
-    Returns (action label, owner's value). Ties go to the first action in
-    declaration order (after the merged-owner member preference above).
+    Returns (action label, owner's value).
     """
     partition = (canon_partition(partition) if partition
                  else singleton_partition(tree.n_players))
     block = (owner,) if isinstance(owner, int) else tuple(sorted(owner))
-    best_label, best_key = None, None
-    for label, child in tree.nodes[x].actions:
-        key = choice_key(tree, utils, partition, block, successor_solutions[child].dist)
-        if best_key is None or key > best_key:
-            best_label, best_key = label, key
-    return best_label, best_key[0]
+    dists = {child: sol.dist for child, sol in successor_solutions.items()}
+    label, key = best_response(tree, utils, partition, block, tree.nodes[x], dists)
+    return label, key[0]
+
+
+def combine_chance(branches) -> tuple:
+    """Mix chance branches, given as (probability, solution) pairs.
+
+    Returns (actions, dist): every branch's actions in one map, and the
+    probability-weighted terminal distribution.
+    """
+    actions: dict = {}
+    pairs = []
+    for p, sol in branches:
+        actions.update(sol.actions)
+        pairs.extend((z, p * q) for z, q in sol.dist)
+    return actions, make_dist(pairs)
 
 
 def backward_induction(game, utils=None) -> LocalSolution:
@@ -106,32 +131,19 @@ def backward_induction(game, utils=None) -> LocalSolution:
             return LocalSolution({}, dist, dist_payoffs(dist, tree), partition)
         children = {c: solve(c) for _, c in node.actions}
         if x == tree.root and tree.chance_at_root:
-            return _combine_chance(tree, partition, children)
-        block = block_containing(partition, node.player)
-        best_label, best_key = None, None
-        for label, child in node.actions:
-            key = choice_key(tree, utils, partition, block, children[child].dist)
-            if best_key is None or key > best_key:
-                best_label, best_key = label, key
-        actions = {tree.info_set_of(x): best_label}
-        for sol in children.values():
-            actions.update(sol.actions)
-        dist = children[node.child(best_label)].dist
+            actions, dist = combine_chance(
+                (tree.chance_at_root[c], children[c]) for _, c in node.actions)
+        else:
+            block = block_containing(partition, node.player)
+            label, _ = best_response(tree, utils, partition, block, node,
+                                     {c: sol.dist for c, sol in children.items()})
+            actions = {tree.info_set_of(x): label}
+            for sol in children.values():
+                actions.update(sol.actions)
+            dist = children[node.child(label)].dist
         return LocalSolution(actions, dist, dist_payoffs(dist, tree), partition)
 
     return solve(tree.root)
-
-
-def _combine_chance(tree, partition, children) -> LocalSolution:
-    actions: dict = {}
-    pairs = []
-    for _, child in tree.nodes[tree.root].actions:
-        sol = children[child]
-        actions.update(sol.actions)
-        p = tree.chance_at_root[child]
-        pairs.extend((z, p * q) for z, q in sol.dist)
-    dist = make_dist(pairs)
-    return LocalSolution(actions, dist, dist_payoffs(dist, tree), partition)
 
 
 # -- one layer as a normal-form game ------------------------------------------
@@ -142,14 +154,19 @@ class LayerGame:
 
     The layer of subgame `g` is everything between its root and its maximal
     proper subgames; `continuation` maps each frontier node to the terminal
-    distribution of its already-solved subgame.
+    distribution of its already-solved subgame. `fixed` pins some of the
+    layer's information sets to given (pure or mixed) actions; the game is
+    played over the others.
     """
 
-    def __init__(self, tree: GameTree, utils, partition, g, continuation):
+    def __init__(self, tree: GameTree, utils, partition, g, continuation,
+                 fixed=None):
         self.tree, self.utils, self.partition = tree, utils, partition
         self.g = g
         self.continuation = dict(continuation)
-        self.info_sets = tree.layer_info_sets(g)
+        self.fixed = dict(fixed or {})
+        self.info_sets = tuple(s for s in tree.layer_info_sets(g)
+                               if s not in self.fixed)
         owners = {}
         for sid in self.info_sets:
             owners[sid] = block_containing(partition, tree.info_set_player(sid))
@@ -164,24 +181,46 @@ class LayerGame:
                                   for combo in product(*label_ranges)]
 
     def playout(self, assignment) -> tuple:
-        """Terminal distribution reached from g under a pure assignment."""
-        nid = self.g
-        while True:
-            node = self.tree.nodes[nid]
-            if node.is_terminal:
-                return ((nid, Fraction(1)),)
-            if nid != self.g and nid in self.continuation:
-                return self.continuation[nid]
-            nid = node.child(assignment[self.tree.info_set_of(nid)])
+        """Terminal distribution reached from g under `assignment`.
+
+        `assignment` maps the free information sets to a label or a mix of
+        (label, probability) pairs; the fixed sets play their pinned actions.
+        """
+        if self.fixed:
+            assignment = {**self.fixed, **assignment}
+        nodes, continuation = self.tree.nodes, self.continuation
+        pairs, stack = [], [(self.g, 1)]
+        while stack:
+            nid, prob = stack.pop()
+            node = nodes[nid]
+            # Follow pure actions down to an end (a terminal or a frontier
+            # node); a mixed action stacks its branches instead.
+            while not node.is_terminal and (nid == self.g or nid not in continuation):
+                act = assignment[self.tree.info_set_of(nid)]
+                if isinstance(act, tuple):
+                    stack.extend((node.child(label), prob * p) for label, p in act if p)
+                    break
+                nid = node.child(act)
+                node = nodes[nid]
+            else:
+                dist = ((nid, Fraction(1)),) if node.is_terminal else continuation[nid]
+                if prob == 1 and not stack and not pairs:
+                    return dist  # pure play: the only end, kept as is
+                pairs.extend((z, prob * q) for z, q in dist)
+        return make_dist(pairs)
 
     def value(self, block, dist):
         return choice_key(self.tree, self.utils, self.partition, block, dist)[0]
 
-    def profile_dist(self, strategy_ix) -> tuple:
-        assignment = {}
+    def pure_assignment(self, strategy_ix) -> dict:
+        """{info set -> label} of one pure strategy index per player."""
+        out = {}
         for b, ix in zip(self.players, strategy_ix):
-            assignment.update(self.strategies[b][ix])
-        return self.playout(assignment)
+            out.update(self.strategies[b][ix])
+        return out
+
+    def profile_dist(self, strategy_ix) -> tuple:
+        return self.playout(self.pure_assignment(strategy_ix))
 
     def pure_nash(self):
         """First pure equilibrium in row-major order, or None."""
@@ -222,10 +261,8 @@ class LayerGame:
         """Equilibrium profile: {info set -> action | ((label, prob), ...)}."""
         pure = self.pure_nash()
         if pure is not None:
-            assignment = {}
-            for b, ix in zip(self.players, pure):
-                assignment.update(self.strategies[b][ix])
-            return assignment, self.profile_dist(pure)
+            assignment = self.pure_assignment(pure)
+            return assignment, self.playout(assignment)
         if len(self.players) != 2:
             raise MixedEquilibriumUnsupported(
                 f"no pure equilibrium in the layer at {self.g} and "
@@ -239,23 +276,12 @@ class LayerGame:
         if found is None:
             raise MixedEquilibriumUnsupported(
                 f"support enumeration found no equilibrium at {self.g}")
-        x, y = found
-        rows, cols = self.players
-        row_set, col_set = self.sets_of[rows][0], self.sets_of[cols][0]
-        row_labels = self.tree.nodes[self.tree.info_sets[row_set][0]].action_labels()
-        col_labels = self.tree.nodes[self.tree.info_sets[col_set][0]].action_labels()
-        assignment = {
-            row_set: tuple((lab, p) for lab, p in zip(row_labels, x)),
-            col_set: tuple((lab, p) for lab, p in zip(col_labels, y)),
-        }
-        pairs = []
-        for i, pi in enumerate(x):
-            for j, pj in enumerate(y):
-                if pi and pj:
-                    strat = dict(self.strategies[rows][i])
-                    strat.update(self.strategies[cols][j])
-                    pairs.extend((z, pi * pj * q) for z, q in self.playout(strat))
-        return assignment, make_dist(pairs)
+        assignment = {}
+        for b, probs in zip(self.players, found):
+            (sid,) = self.sets_of[b]
+            assignment[sid] = tuple((strategy[sid], p) for strategy, p
+                                    in zip(self.strategies[b], probs))
+        return assignment, self.playout(assignment)
 
 
 def support_enumeration(A, B):
@@ -348,9 +374,10 @@ def spne_in_subgame(game, utils=None, root=None) -> LocalSolution:
     tree, utils, partition = _unpack(game, utils)
     g = root if root is not None else tree.root
     if g == tree.root and tree.chance_at_root:
-        children = {c: _spne(tree, utils, partition, c)
-                    for _, c in tree.nodes[g].actions}
-        return _combine_chance(tree, partition, children)
+        actions, dist = combine_chance(
+            (tree.chance_at_root[c], _spne(tree, utils, partition, c))
+            for _, c in tree.nodes[g].actions)
+        return LocalSolution(actions, dist, dist_payoffs(dist, tree), partition)
     return _spne(tree, utils, partition, g)
 
 

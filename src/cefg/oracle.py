@@ -200,16 +200,25 @@ def _ri_literal(tree, utils, partition, x) -> LocalSolution:
 
 
 def game_digest(tree: GameTree, utils: UtilitySystem) -> str:
+    """Short hash of everything that defines the game: the tree with its
+    owners, payoffs, information sets and chance, and the utility system."""
     payload = {
         "players": list(tree.players),
         "root": tree.root,
         "nodes": {
-            nid: ([[a, c] for a, c in n.actions] if not n.is_terminal
+            nid: ([n.player, [[a, c] for a, c in n.actions]] if not n.is_terminal
                   else [str(v) for v in n.payoffs])
             for nid, n in sorted(tree.nodes.items())
         },
+        "info_sets": {sid: list(m) for sid, m in tree.info_sets.items()},
+        "chance": {c: str(p) for c, p in (tree.chance_at_root or {}).items()},
         "feasible": "all" if utils.feasible_is_all else sorted(utils.feasible),
         "combinator": utils.combinator,
+        "weights": [str(w) for w in utils.weights or ()],
+        "table": {",".join(map(str, m)): {z: str(v) for z, v in row.items()}
+                  for m, row in (utils.table or {}).items()},
+        "synergies": [[s.player, list(s.block), s.terminal, str(s.value)]
+                      for s in utils.synergies],
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]

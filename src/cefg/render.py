@@ -22,7 +22,8 @@ import json
 from fractions import Fraction
 
 from .model import block_containing, expected_individual_value
-from .ri import Entry, SolutionProfile
+from .noncoop import LocalSolution
+from .ri import Entry, SolutionProfile, reach_nodes
 
 
 def fmt_value(v) -> str:
@@ -62,8 +63,9 @@ def _acting_blocks(tree, entry):
     return order
 
 
-def _grouped_actions(tree, pairs):
-    """Group (info set, action) pairs by owner, players in id order."""
+def _bracket(tree, entry, pairs) -> str:
+    """Bracket of (info set, action) pairs grouped by owner, players in id
+    order, then `entry`'s partition blocks."""
     per_player: dict = {}
     for sid, act in pairs:
         per_player.setdefault(tree.info_set_player(sid), []).append((sid, act))
@@ -72,45 +74,20 @@ def _grouped_actions(tree, pairs):
         sets = sorted(per_player[player],
                       key=lambda item: tree._pre_index[tree.info_sets[item[0]][0]])
         groups.append("{" + ",".join(_action_str(a) for _, a in sets) + "}")
-    return groups
-
-
-def _on_path_pairs(tree, entry):
-    pairs, seen = [], set()
-    stack = [entry.node]
-    while stack:
-        nid = stack.pop()
-        node = tree.nodes[nid]
-        if node.is_terminal:
-            continue
-        if node.player is None:
-            stack.extend(c for _, c in node.actions
-                         if tree.chance_at_root.get(c))
-            continue
-        sid = tree.info_set_of(nid)
-        act = entry.actions[sid]
-        if sid not in seen:
-            seen.add(sid)
-            pairs.append((sid, act))
-        if isinstance(act, tuple):
-            stack.extend(node.child(label) for label, p in act if p)
-        else:
-            stack.append(node.child(act))
-    return pairs
+    blocks = ",".join(block_str(b) for b in _acting_blocks(tree, entry))
+    return "[" + ",".join(groups) + "; " + blocks + "]"
 
 
 def bracket_entry(tree, entry: Entry) -> str:
     """Bracket line for one solved subgame entry."""
     if entry.coalition is not None:
-        pairs = _on_path_pairs(tree, entry)
+        sids = {tree.info_set_of(nid) for nid in reach_nodes(tree, entry)
+                if tree.nodes[nid].player is not None}
     else:
         subtree = tree.subtree_nodes(entry.node)
-        inside = {sid for sid in entry.actions
-                  if tree.info_sets[sid][0] in subtree}
-        pairs = [(sid, entry.actions[sid]) for sid in inside]
-    groups = _grouped_actions(tree, pairs)
-    blocks = ",".join(block_str(b) for b in _acting_blocks(tree, entry))
-    return "[" + ",".join(groups) + "; " + blocks + "]"
+        sids = {sid for sid in entry.actions
+                if tree.info_sets[sid][0] in subtree}
+    return _bracket(tree, entry, [(sid, entry.actions[sid]) for sid in sids])
 
 
 def _family_map(profile: SolutionProfile) -> dict:
@@ -155,9 +132,7 @@ def bracket_summary(profile: SolutionProfile) -> str:
             if best_value is None or value > best_value:
                 best_label, best_value = label, value
         pairs.append((sid, best_label))
-    groups = _grouped_actions(tree, pairs)
-    blocks = ",".join(block_str(b) for b in _acting_blocks(tree, top))
-    return "[" + ",".join(groups) + "; " + blocks + "]"
+    return _bracket(tree, top, pairs)
 
 
 def partition_str(partition) -> str:
@@ -167,8 +142,8 @@ def partition_str(partition) -> str:
 # -- solve narrative -----------------------------------------------------------
 
 
-def _unit_name(tree, view, set_id) -> str:
-    block = block_containing(view, tree.info_set_player(set_id))
+def _unit_name(tree, view, unit) -> str:
+    block = block_containing(view, tree.owner(unit))
     if len(block) == 1:
         return tree.player_name(block[0])
     return block_str(block)
@@ -279,54 +254,41 @@ def export_dot(tree, profile: SolutionProfile | None = None) -> str:
     a coalition; decision nodes are annotated with the acting unit.
     """
     family = _family_map(profile) if profile is not None else {}
-    lines = ["digraph game {", '  node [fontname="Helvetica"];']
+    nodes, edges = [], []
     for nid in tree.preorder:
         node = tree.nodes[nid]
         if node.is_terminal:
-            lines.append(f'  "{nid}" [shape=box, label="{outcome_str(node.payoffs)}"];')
+            nodes.append(f'  "{nid}" [shape=box, label="{outcome_str(node.payoffs)}"];')
             continue
         if node.player is None:
-            lines.append(f'  "{nid}" [shape=diamond, label="chance"];')
+            nodes.append(f'  "{nid}" [shape=diamond, label="chance"];')
+            edges.extend(f'  "{nid}" -> "{child}" '
+                         f'[label="{label} ({fmt_value(tree.chance_at_root[child])})"];'
+                         for label, child in node.actions)
             continue
         entry = family.get(nid)
+        unit, style, other, chosen = str(node.player), "dashed", "", {}
         if entry is not None:
             block = block_containing(entry.partition, node.player)
             unit = ",".join(str(i) for i in block)
-        else:
-            unit = str(node.player)
-        lines.append(f'  "{nid}" [shape=circle, label="{unit}"];')
-    for nid in tree.preorder:
-        node = tree.nodes[nid]
-        if node.is_terminal:
-            continue
-        if node.player is None:
-            for label, child in node.actions:
-                p = tree.chance_at_root[child]
-                lines.append(f'  "{nid}" -> "{child}" '
-                             f'[label="{label} ({fmt_value(p)})"];')
-            continue
-        entry = family.get(nid)
-        chosen: dict = {}
-        style = "dashed"
-        if entry is not None:
-            block = block_containing(entry.partition, node.player)
             style = "bold" if len(block) > 1 else "dashed"
+            other = ", color=gray"
             act = entry.actions[tree.info_set_of(nid)]
             if isinstance(act, tuple):
                 chosen = {label: p for label, p in act if p}
             else:
                 chosen = {act: None}
+        nodes.append(f'  "{nid}" [shape=circle, label="{unit}"];')
         for label, child in node.actions:
             if label in chosen:
                 prob = chosen[label]
                 text = label if prob is None else f"{label} ({fmt_value(prob)})"
-                lines.append(f'  "{nid}" -> "{child}" '
+                edges.append(f'  "{nid}" -> "{child}" '
                              f'[label="{text}", style={style}];')
             else:
-                attrs = ', color=gray' if entry is not None else ""
-                lines.append(f'  "{nid}" -> "{child}" [label="{label}"{attrs}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                edges.append(f'  "{nid}" -> "{child}" [label="{label}"{other}];')
+    lines = ["digraph game {", '  node [fontname="Helvetica"];']
+    return "\n".join(lines + nodes + edges + ["}"]) + "\n"
 
 
 # -- JSON -----------------------------------------------------------------------
@@ -355,6 +317,15 @@ def _entry_json(entry: Entry):
         "actions": _actions_json(entry.actions),
         "terminals": {z: _num_json(p) for z, p in entry.dist},
     }
+
+
+def solution_to_json(sol: LocalSolution) -> str:
+    """Deterministic JSON of one solution: its outcome and its actions."""
+    body = {
+        "outcome": [_num_json(v) for v in sol.outcome],
+        "actions": _actions_json(sol.actions),
+    }
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
 def _json_at(value, level: int) -> str:

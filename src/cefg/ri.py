@@ -40,11 +40,10 @@ from .model import (
     dist_payoffs,
     expected_coalition_value,
     expected_individual_value,
-    make_dist,
     merge_into,
     singleton_partition,
 )
-from .noncoop import LayerGame, LocalSolution, choice_key
+from .noncoop import LayerGame, LocalSolution, best_response, combine_chance
 
 
 @dataclass(frozen=True)
@@ -161,10 +160,12 @@ class SolutionProfile:
 
     def on_path_nodes(self) -> tuple:
         """Nodes reached with positive probability under the root profile."""
-        return _reach_nodes(self.tree, self.root_entry)
+        return reach_nodes(self.tree, self.root_entry)
 
 
-def _reach_nodes(tree: GameTree, entry: Entry) -> tuple:
+def reach_nodes(tree: GameTree, entry: Entry) -> tuple:
+    """Nodes of `entry`'s subgame reached with positive probability under
+    its actions, in preorder."""
     reached = []
     stack = [entry.node]
     while stack:
@@ -198,14 +199,19 @@ class _Solver:
 
     def run(self) -> Entry:
         base = singleton_partition(self.tree.n_players)
-        if self.tree.chance_at_root:
-            root = self.tree.nodes[self.tree.root]
-            branches = [(self.tree.chance_at_root[c], self.solve(c, base))
-                        for _, c in root.actions]
-            entry = _combine_branches(self.tree, self.tree.root, base, branches)
-            self.memo[(self.tree.root, base)] = entry
-            return entry
-        return self.solve(self.tree.root, base)
+        if not self.tree.chance_at_root:
+            return self.solve(self.tree.root, base)
+        root = self.tree.nodes[self.tree.root]
+        branches = [(self.tree.chance_at_root[c], self.solve(c, base))
+                    for _, c in root.actions]
+        entry = branches[0][1]
+        if len(branches) > 1:
+            actions, dist = combine_chance(branches)
+            entry = Entry(root.id, base, actions, dist,
+                          dist_payoffs(dist, self.tree), base, None,
+                          {e.node: e for _, e in branches}, ())
+        self.memo[(root.id, base)] = entry
+        return entry
 
     def solve(self, g: str, view: tuple) -> Entry:
         key = (g, view)
@@ -221,43 +227,39 @@ class _Solver:
         node = self.tree.nodes[g]
         if node.is_terminal:
             dist = ((g, Fraction(1)),)
-            return Entry(g, view, {}, dist, dist_payoffs(dist, self.tree),
-                         view, None, {}, ())
+            return Entry(g, view, {}, dist, node.payoffs, view, None, {}, ())
         kids = {y: self.solve(y, view) for y in self.tree.frontier_of(g)}
         layer = self.tree.layer_info_sets(g)
         if layer == (self.tree.info_set_of(g),) and \
                 self.tree.info_sets[layer[0]] == (g,):
-            return self._solve_node(g, view, kids)
+            block = block_containing(view, node.player)
+            return self._adopt(g, view, block, self._index_point(g, view, kids))
         return self._solve_layer(g, view, kids, layer)
 
-    def _solve_node(self, g: str, view: tuple, kids: dict) -> Entry:
-        """Perfect-information step: one singleton information set at `g`."""
-        node = self.tree.nodes[g]
-        block = block_containing(view, node.player)
-        best_label, best_key = None, None
-        for label, child in node.actions:
-            key = choice_key(self.tree, self.utils, view, block,
-                             kids[child].dist)
-            if best_key is None or key > best_key:
-                best_label, best_key = label, key
-        actions = {self.tree.info_set_of(g): best_label}
+    def _point(self, g: str, view: tuple, kids: dict, own: dict, dist) -> Entry:
+        """The unadopted solution at `g` whose own information sets play
+        `own`, reaching `dist`, over the solved subgames `kids`."""
+        actions = dict(own)
         for kid in kids.values():
             actions.update(kid.actions)
-        dist = kids[node.child(best_label)].dist
-        r0 = Entry(g, view, actions, dist, dist_payoffs(dist, self.tree),
-                   view, None, dict(kids), ())
-        return self._adopt(g, view, block, r0)
+        return Entry(g, view, actions, dist, dist_payoffs(dist, self.tree),
+                     view, None, dict(kids), ())
+
+    def _index_point(self, g: str, view: tuple, kids: dict) -> Entry:
+        """Perfect-information step at `g`: its owner best-responds to the
+        solved subgames `kids`."""
+        node = self.tree.nodes[g]
+        block = block_containing(view, node.player)
+        label, _ = best_response(self.tree, self.utils, view, block, node,
+                                 {y: kid.dist for y, kid in kids.items()})
+        return self._point(g, view, kids, {self.tree.info_set_of(g): label},
+                           kids[node.child(label)].dist)
 
     def _solve_layer(self, g: str, view: tuple, kids: dict, layer) -> Entry:
         """Imperfect-information step over the layer of subgame `g`."""
         continuation = {y: kid.dist for y, kid in kids.items()}
         game = LayerGame(self.tree, self.utils, view, g, continuation)
-        assignment, dist = game.solve()
-        actions = dict(assignment)
-        for kid in kids.values():
-            actions.update(kid.actions)
-        nu = Entry(g, view, actions, dist, dist_payoffs(dist, self.tree),
-                   view, None, dict(kids), ())
+        nu = self._point(g, view, kids, *game.solve())
 
         adopted: dict = {}
         entry = nu
@@ -266,7 +268,8 @@ class _Solver:
                        for _, child in self.tree.nodes[m].actions):
                 adopted[sid] = nu  # terminal layer: equilibrium play as is
                 continue
-            r0 = self._layer_index_point(g, view, kids, layer, sid, nu, adopted)
+            r0 = self._layer_index_point(g, view, kids, continuation, layer,
+                                         sid, nu, adopted)
             block = block_containing(view, self.tree.info_set_player(sid))
             entry = self._adopt(g, view, block, r0, step_node=sid)
             # An index point that kept the equilibrium leaves `nu` in place,
@@ -275,24 +278,20 @@ class _Solver:
             adopted[sid] = nu if kept else entry
         return entry
 
-    def _layer_index_point(self, g, view, kids, layer, sid, nu, adopted):
+    def _layer_index_point(self, g, view, kids, continuation, layer, sid, nu,
+                           adopted):
         """SPNE extension of the adopted successor solutions at `sid`."""
         succ = [other for other in layer if other != sid
                 and _set_below(self.tree, other, sid)]
-        if all(adopted.get(other, nu) is nu for other in succ):
-            return nu
         fixed = {other: adopted[other].actions[other] for other in succ
                  if adopted.get(other, nu) is not nu}
-        free = [other for other in layer if other not in fixed]
-        continuation = {y: kid.dist for y, kid in kids.items()}
-        game = _FixedLayerGame(self.tree, self.utils, view, g, continuation,
-                               fixed, free)
+        if not fixed:
+            return nu
+        game = LayerGame(self.tree, self.utils, view, g, continuation,
+                         fixed=fixed)
         assignment, dist = game.solve()
-        actions = dict(nu.actions)
-        actions.update(fixed)
-        actions.update(assignment)
-        return Entry(g, view, actions, dist, dist_payoffs(dist, self.tree),
-                     view, None, dict(kids), ())
+        return self._point(g, view, kids, {**nu.actions, **fixed, **assignment},
+                           dist)
 
     # -- reference points and the IR chain ------------------------------------
 
@@ -338,19 +337,8 @@ class _Solver:
             note = "idle:" + ",".join(map(str, idle)) if idle else ""
             steps.append(SolveStep(at, "supergame-solved", union, entry.outcome,
                                    note, view, active_value=value))
-            adopting = block_containing(entry.partition, union[0])
-            comparisons, failing = [], None
-            for agent in adopting:
-                cand = expected_individual_value(
-                    agent, entry.dist, entry.partition, self.utils, self.tree)
-                held = held_values.get(agent)
-                if held is None:
-                    held = held_values[agent] = expected_individual_value(
-                        agent, accepted.dist, accepted.partition, self.utils,
-                        self.tree)
-                comparisons.append((agent, cand, held))
-                if failing is None and not cand > held:
-                    failing = agent
+            comparisons, failing = _ir_test(self.tree, self.utils, union, entry,
+                                            accepted, held_values)
             if failing is None:
                 steps.append(SolveStep(at, "ir-accepted", union, entry.outcome,
                                        "strict-improvement", view,
@@ -373,54 +361,28 @@ class _Solver:
                      tuple(steps))
 
 
-class _FixedLayerGame(LayerGame):
-    """Layer game with some information sets pinned to given actions."""
+def _ir_test(tree, utils, coalition, candidate: Entry, incumbent: Entry,
+             held_values: dict):
+    """The strict-improvement test of `candidate` against `incumbent`.
 
-    def __init__(self, tree, utils, partition, g, continuation, fixed, free):
-        self._fixed = dict(fixed)
-        self._free = tuple(free)
-        super().__init__(tree, utils, partition, g, continuation)
-        self.info_sets = self._free
-        owners = {s: block_containing(partition, tree.info_set_player(s))
-                  for s in self._free}
-        self.players = sorted({b for b in owners.values()}, key=lambda b: b[0])
-        self.sets_of = {b: tuple(s for s in self._free if owners[s] == b)
-                        for b in self.players}
-        from itertools import product as _product
-        self.strategies = {}
-        for b in self.players:
-            ranges = [tree.nodes[tree.info_sets[s][0]].action_labels()
-                      for s in self.sets_of[b]]
-            self.strategies[b] = [dict(zip(self.sets_of[b], combo))
-                                  for combo in _product(*ranges)]
-
-    def playout(self, assignment):
-        merged = dict(self._fixed)
-        merged.update(assignment)
-        return _playout_mixed(self.tree, self.g, self.continuation, merged)
-
-
-def _playout_mixed(tree, g, continuation, assignment):
-    acc: list = []
-
-    def rec(nid, prob):
-        node = tree.nodes[nid]
-        if node.is_terminal:
-            acc.append((nid, prob))
-            return
-        if nid != g and nid in continuation:
-            acc.extend((z, prob * q) for z, q in continuation[nid])
-            return
-        act = assignment[tree.info_set_of(nid)]
-        if isinstance(act, tuple):
-            for label, p in act:
-                if p:
-                    rec(node.child(label), prob * p)
-        else:
-            rec(node.child(act), prob)
-
-    rec(g, Fraction(1))
-    return make_dist(acc)
+    Every member of the block of `candidate.partition` that contains the
+    adopted `coalition` must gain individually. `held_values` caches each
+    agent's value under `incumbent`. Returns the ((agent, candidate value,
+    incumbent value), ...) comparisons and the first agent who does not
+    strictly gain, or None.
+    """
+    comparisons, failing = [], None
+    for agent in block_containing(candidate.partition, coalition[0]):
+        cand = expected_individual_value(agent, candidate.dist,
+                                         candidate.partition, utils, tree)
+        held = held_values.get(agent)
+        if held is None:
+            held = held_values[agent] = expected_individual_value(
+                agent, incumbent.dist, incumbent.partition, utils, tree)
+        comparisons.append((agent, cand, held))
+        if failing is None and not cand > held:
+            failing = agent
+    return comparisons, failing
 
 
 def _movers(tree) -> dict:
@@ -458,21 +420,6 @@ def _layer_bottom_up(tree, layer):
     return done
 
 
-def _combine_branches(tree, root, view, branches) -> Entry:
-    if len(branches) == 1:
-        return branches[0][1]
-    actions: dict = {}
-    pairs = []
-    children = {}
-    for p, entry in branches:
-        actions.update(entry.actions)
-        pairs.extend((z, p * q) for z, q in entry.dist)
-        children[entry.node] = entry
-    dist = make_dist(pairs)
-    return Entry(root, view, actions, dist, dist_payoffs(dist, tree),
-                 view, None, children, ())
-
-
 # -- public API ----------------------------------------------------------------
 
 
@@ -501,9 +448,7 @@ def solve_ri_imperfect(tree: GameTree, utils: UtilitySystem, *,
 
 
 def solve_game(tree: GameTree, utils: UtilitySystem, **kw) -> SolutionProfile:
-    """Dispatch on information structure; the CLI entry point."""
-    if tree.is_perfect_information:
-        return solve_ri(tree, utils, **kw)
+    """RI solution of any valid game; the CLI entry point."""
     return solve_ri_imperfect(tree, utils, **kw)
 
 
@@ -517,18 +462,21 @@ def combine_chance_root(branch_solutions) -> LocalSolution:
     """
     if len(branch_solutions) == 1:
         return branch_solutions[0][1]
-    actions: dict = {}
-    pairs = []
-    outcome = None
-    for p, sol in branch_solutions:
-        actions.update(sol.actions)
-        contrib = tuple(p * v for v in sol.outcome)
-        outcome = contrib if outcome is None else tuple(
-            a + b for a, b in zip(outcome, contrib))
-        pairs.extend((z, p * q) for z, q in sol.dist)
+    actions, dist = combine_chance(branch_solutions)
+    outcome = tuple(sum(p * sol.outcome[k] for p, sol in branch_solutions)
+                    for k in range(len(branch_solutions[0][1].outcome)))
     finest = sorted({(i,) for _, sol in branch_solutions
                      for block in sol.partition for i in block})
-    return LocalSolution(actions, make_dist(pairs), outcome, tuple(finest))
+    return LocalSolution(actions, dist, outcome, tuple(finest))
+
+
+def _index_reference_point(solver: _Solver, x, view) -> ReferencePoint:
+    if solver.tree.nodes[x].is_terminal:
+        return ReferencePoint(None, solver.solve(x, view), None, 0)
+    kids = {y: solver.solve(y, view) for y in solver.tree.frontier_of(x)}
+    entry = solver._index_point(x, view, kids)
+    block = block_containing(view, solver.tree.nodes[x].player)
+    return ReferencePoint(None, entry, solver._active_value(block, entry), 0)
 
 
 def index_reference_point(tree, utils, x, partition=None) -> ReferencePoint:
@@ -536,33 +484,16 @@ def index_reference_point(tree, utils, x, partition=None) -> ReferencePoint:
 
     At a terminal node this is the trivial base case (no choice to make).
     """
-    solver = _Solver(tree, utils)
     view = partition or singleton_partition(tree.n_players)
-    if tree.nodes[x].is_terminal:
-        return ReferencePoint(None, solver.solve(x, view), None, 0)
-    kids = {y: solver.solve(y, view) for y in tree.frontier_of(x)}
-    node = tree.nodes[x]
-    block = block_containing(view, node.player)
-    best_label, best_key = None, None
-    for label, child in node.actions:
-        key = choice_key(tree, utils, view, block, kids[child].dist)
-        if best_key is None or key > best_key:
-            best_label, best_key = label, key
-    actions = {tree.info_set_of(x): best_label}
-    for kid in kids.values():
-        actions.update(kid.actions)
-    dist = kids[node.child(best_label)].dist
-    entry = Entry(x, view, actions, dist, dist_payoffs(dist, tree), view,
-                  None, dict(kids), ())
-    return ReferencePoint(None, entry, solver._active_value(block, entry), 0)
+    return _index_reference_point(_Solver(tree, utils), x, view)
 
 
 def enumerate_reference_points(tree, utils, x, partition=None):
     """The full sequence at `x`: r0 first, then supergame points sorted
     by the active player's value (ties: subsets first, then canonical order)."""
     view = partition or singleton_partition(tree.n_players)
-    points = [index_reference_point(tree, utils, x, view)]
     solver = _Solver(tree, utils)
+    points = [_index_reference_point(solver, x, view)]
     block = block_containing(view, tree.nodes[x].player)
     for k, (value, union, entry) in enumerate(solver._candidates(x, view, block)):
         points.append(ReferencePoint(union, entry, value, k + 1))
@@ -571,17 +502,13 @@ def enumerate_reference_points(tree, utils, x, partition=None):
 
 def ir_chain(tree, utils, points) -> ReferencePoint:
     """Walk the sequence; return the greatest individually rational point."""
-    accepted = points[0]
+    accepted, held_values = points[0], {}
     for point in points[1:]:
-        adopting = block_containing(point.entry.partition, point.coalition[0])
-        ok = all(
-            expected_individual_value(i, point.entry.dist,
-                                      point.entry.partition, utils, tree)
-            > expected_individual_value(i, accepted.entry.dist,
-                                        accepted.entry.partition, utils, tree)
-            for i in adopting)
-        if ok:
+        _, failing = _ir_test(tree, utils, point.coalition, point.entry,
+                              accepted.entry, held_values)
+        if failing is None:
             accepted = point
+            held_values.clear()
     return accepted
 
 
@@ -612,10 +539,7 @@ def check_ir_invariants(profile: SolutionProfile):
         groups[-1].append(step)
     accepted_total = 0
     for group in groups:
-        at = group[0].node
-        player = (tree.info_set_player(at) if at in tree.info_sets
-                  else tree.nodes[at].player)
-        block = block_containing(group[0].view, player)
+        block = block_containing(group[0].view, tree.owner(group[0].node))
         value = None
         for step in group:
             if step.kind == "index-point":

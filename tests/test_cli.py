@@ -174,6 +174,14 @@ def _set_utility(utility):
         id="duplicate-player-names"),
     pytest.param(_malformed(lambda doc: None, feasible=[[1, 1, 2]]),
                  "BadCoalition", id="repeated-coalition-member"),
+    pytest.param(_malformed(lambda doc: doc["nodes"]["r"].update(player=True)),
+                 "BadPlayer", id="boolean-node-player"),
+    pytest.param(_malformed(lambda doc: doc.update(synergies=[
+        {"player": True, "block": [1, 2], "terminal": "z1", "value": 3}])),
+        "BadSynergy", id="boolean-synergy-player"),
+    pytest.param(_malformed(lambda doc: doc.update(synergies=[
+        {"player": 1, "block": [1, 1], "terminal": "z1", "value": 3}])),
+        "BadSynergy", id="repeated-synergy-block-member"),
 ])
 def test_malformed_input_is_a_typed_error(tmp_path, capsys, text, code):
     with pytest.raises((GameFormatError, GameValidationError), match=code):
@@ -183,3 +191,20 @@ def test_malformed_input_is_a_typed_error(tmp_path, capsys, text, code):
     exit_code, _, err = run(capsys, "solve", str(bad))
     assert exit_code == 2
     assert code in err
+
+
+def test_info_set_named_apart_from_its_node(tmp_path, capsys):
+    # A one-node information set under its own name is the same game as
+    # the undeclared set: the text outputs match, and nothing crashes.
+    doc = json.loads(game_path("example2.game").read_text())
+    doc["info_sets"] = {"h": ["x5"]}
+    game = tmp_path / "named.game"
+    game.write_text(json.dumps(doc))
+    for argv in (["solve"], ["trace"]):
+        code, out, _ = run(capsys, *argv, str(game))
+        assert code == 0
+        assert out == run(capsys, *argv, str(game_path("example2.game")))[1]
+    code, out, _ = run(capsys, "solve", str(game), "--format", "json")
+    assert code == 0
+    actions = json.loads(out)["entries"]["x7/x7"]["actions"]
+    assert "h" in actions and "x5" not in actions

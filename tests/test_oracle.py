@@ -1,5 +1,6 @@
 """Brute-force oracle: definitions re-derived, cross-checks, negative control."""
 
+import json
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from cefg.oracle import (
     oracle_solve,
     random_game,
 )
-from conftest import make_game_text
+from conftest import game_path, make_game_text
 
 
 def test_oracle_bi_abortion(abortion):
@@ -115,6 +116,63 @@ def test_digest_is_stable(example2):
     tree, utils = example2
     assert game_digest(tree, utils) == game_digest(tree, utils)
     assert len(game_digest(tree, utils)) == 12
+
+
+def _digest_game(edit=None):
+    """example2 under a chance root, with weights and a synergy."""
+    nodes = json.loads(game_path("example2.game").read_text())["nodes"]
+    nodes["c"] = {"actions": {"L": "x7", "R": "z9"}}
+    nodes["z9"] = {"payoffs": [1, 1, 1]}
+    doc = {
+        "format_version": 1, "players": ["P1", "P2", "P3"], "root": "c",
+        "nodes": nodes, "chance": {"x7": 0.5, "z9": 0.5},
+        "coalitions": {"feasible": "all", "utility": {
+            "combinator": "weighted", "weights": {"1": 1, "2": 1, "3": 1}}},
+        "synergies": [{"player": 1, "block": [1, 3], "terminal": "z8",
+                       "value": 7}],
+    }
+    if edit:
+        edit(doc)
+    return doc
+
+
+def _table_game(edit=None):
+    doc = json.loads(game_path("example2.game").read_text())
+    doc["coalitions"] = {"feasible": [[1, 3]], "utility": {"table": {"1,3": {
+        z: min(body["payoffs"][0], body["payoffs"][2])
+        for z, body in doc["nodes"].items() if "payoffs" in body}}}}
+    if edit:
+        edit(doc)
+    return doc
+
+
+def _digest(doc):
+    return game_digest(*load_game_text(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("base,edited", [
+    # Moving x5 of example2 from P2 to P3 moves its RI outcome from
+    # (6, 3, 5) to (4, 4, 5).
+    pytest.param(_digest_game(), _digest_game(
+        lambda d: d["nodes"]["x5"].update(player=3)), id="owner"),
+    pytest.param(_digest_game(), _digest_game(
+        lambda d: d.update(info_sets={"h": ["x5"]})), id="info-set"),
+    pytest.param(_digest_game(), _digest_game(
+        lambda d: d.update(chance={"x7": 0.25, "z9": 0.75})), id="chance"),
+    pytest.param(_digest_game(), _digest_game(
+        lambda d: d["coalitions"]["utility"]["weights"].update({"2": 2})),
+        id="weights"),
+    pytest.param(_digest_game(), _digest_game(
+        lambda d: d["synergies"][0].update(value=8)), id="synergy"),
+    pytest.param(_digest_game(), _digest_game(
+        lambda d: d["nodes"]["z1"].update(payoffs=[5, 5, 4])), id="payoffs"),
+    pytest.param(_table_game(), _table_game(
+        lambda d: d["coalitions"]["utility"]["table"]["1,3"].update(z8=6)),
+        id="table"),
+])
+def test_digest_sees_every_field(base, edited):
+    assert _digest(base) != _digest(edited)
+    assert _digest(base) == _digest(json.loads(json.dumps(base)))
 
 
 def test_oracle_never_reads_solver_internals():

@@ -164,6 +164,33 @@ def test_ir_chain_x5(example2):
     assert best.entry.outcome == (1, 6, 4)
 
 
+def test_piecewise_api_matches_the_solver_audit(abortion, example2,
+                                                example2_modified):
+    # At every decision subgame root, the sequence of reference points and
+    # the greatest IR point must be the ones the recursion itself records.
+    rng = random.Random(2718)
+    games = [abortion, example2, example2_modified] + [
+        random_game(rng, max_players=4, max_nodes=20) for _ in range(60)]
+    checked = 0
+    for tree, utils in games:
+        steps = solve_ri(tree, utils).trace_steps()
+        for x in tree.decision_ids:
+            if x not in tree.subgame_roots:
+                continue
+            at_x = [s for s in steps if s.node == x]
+            points = enumerate_reference_points(tree, utils, x)
+            assert [(p.coalition, p.active_value, p.entry.outcome)
+                    for p in points] == [
+                (s.coalition, s.active_value, s.outcome) for s in at_x
+                if s.kind in ("index-point", "supergame-solved")]
+            best = ir_chain(tree, utils, points)
+            (adopted,) = [s for s in at_x if s.kind == "adopted"]
+            assert (best.coalition, best.active_value, best.entry.outcome) == (
+                adopted.coalition, adopted.active_value, adopted.outcome)
+            checked += 1
+    assert checked == 428
+
+
 # -- chance at the root ------------------------------------------------------------
 
 
