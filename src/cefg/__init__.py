@@ -7,24 +7,17 @@ from .errors import (
     ImperfectInformation,
     InfeasibleCoalition,
     MixedEquilibriumUnsupported,
-    NotASubgameRoot,
     TooLarge,
 )
-from .gamefile import GameSpec, load_game, load_game_text, parse_game, serialize_game
-from .model import (
-    GameTree,
-    Node,
-    SupergameView,
-    UtilitySystem,
-    build_supergame,
-    coalition_utility,
-    feasible_coalitions_containing,
-    individual_utility,
-    root_of,
-    subgame_at,
-    subtree_at,
+from .gamefile import (
+    GameSpec,
+    load_game,
+    load_game_text,
+    parse_game,
+    serialize_game,
     validate_game,
 )
+from .model import GameTree, Node, UtilitySystem
 from .noncoop import LocalSolution, backward_induction, best_response_at, spne_in_subgame
 from .oracle import OracleReport, equivalence_check, oracle_bi, oracle_solve, random_game
 from .render import (

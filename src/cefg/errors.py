@@ -40,10 +40,6 @@ class InfeasibleCoalition(CefgError):
     """A coalition outside the declared feasible set was used."""
 
 
-class NotASubgameRoot(CefgError):
-    """The node does not root a well-formed subgame."""
-
-
 class ImperfectInformation(CefgError):
     """A perfect-information-only routine was given non-singleton info sets."""
 
@@ -53,4 +49,5 @@ class MixedEquilibriumUnsupported(CefgError):
 
 
 class TooLarge(CefgError):
-    """Input exceeds the brute-force oracle's size envelope."""
+    """Input exceeds the brute-force oracle's size envelope, or a tree is
+    deeper than the recursive solvers can walk on Python's stack."""

@@ -30,10 +30,14 @@ schema problems raise GameFormatError with a code.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
+from itertools import combinations
 
-from .errors import GameFormatError
-from .model import GameTree, UtilitySystem, validate_game
+from .errors import GameFormatError, GameValidationError
+from .model import GameTree, Node, Synergy, UtilitySystem, canon_block
 
 FORMAT_VERSION = 1
 
@@ -62,8 +66,16 @@ def _fail(code, message, line=None, column=None):
     raise GameFormatError(code, message, line, column)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: not a boolean, and finite (Python's JSON reader takes
+    NaN, Infinity and out-of-range literals such as 1e400)."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _number(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         _fail("SyntaxError", f"{where} must be a number, not {value!r}")
     return value
 
@@ -102,6 +114,9 @@ def parse_game(text: str) -> GameSpec:
         raw = json.loads(text, object_pairs_hook=_pairs_hook)
     except json.JSONDecodeError as exc:
         _fail("SyntaxError", exc.msg, exc.lineno, exc.colno)
+    except (ValueError, RecursionError) as exc:
+        # The reader's own limits: integer digits and nesting depth.
+        _fail("SyntaxError", f"input exceeds a JSON reader limit: {exc}")
 
     if not isinstance(raw, dict):
         _fail("SyntaxError", "top level must be an object")
@@ -111,7 +126,8 @@ def parse_game(text: str) -> GameSpec:
     for key in ("format_version", "players", "root", "nodes"):
         if key not in raw:
             _fail("MissingField", f"required field {key!r} missing")
-    if raw["format_version"] != FORMAT_VERSION:
+    if (isinstance(raw["format_version"], bool)
+            or raw["format_version"] != FORMAT_VERSION):
         _fail("UnknownField", f"unsupported format_version {raw['format_version']!r}")
     if not isinstance(raw["root"], str):
         _fail("SyntaxError", "root must be a node id")
@@ -151,8 +167,7 @@ def parse_game(text: str) -> GameSpec:
             nodes[nid] = {"player": body.get("player"), "actions": pairs}
         else:
             payoffs = body["payoffs"]
-            if not isinstance(payoffs, list) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in payoffs):
+            if not isinstance(payoffs, list) or not all(map(_is_number, payoffs)):
                 _fail("SyntaxError", f"node {nid}: payoffs must be a list of numbers")
             nodes[nid] = {"payoffs": list(payoffs)}
 
@@ -224,6 +239,254 @@ def parse_game(text: str) -> GameSpec:
         utility=utility,
         synergies=synergies,
     )
+
+
+# -- validation ---------------------------------------------------------------
+
+
+def to_number(value) -> Fraction:
+    """Convert a parsed JSON number to an exact Fraction.
+
+    Floats go through Decimal(str(...)) so that `0.1` means one tenth, not
+    the nearest binary float.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError("booleans are not valid payoffs")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        return Fraction(Decimal(str(value)))
+    raise TypeError(f"not a number: {value!r}")
+
+
+def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
+    """Validate a parsed game description and build the model objects.
+
+    Collects every detectable violation before raising GameValidationError.
+    `spec` is a `GameSpec` (or any object with the same fields).
+    """
+    bad: list[tuple[str, str]] = []
+    nodes_raw = spec.nodes
+
+    if spec.root not in nodes_raw:
+        raise GameValidationError([("MissingRoot", f"root {spec.root!r} is not a node")])
+
+    n = len(spec.players)
+    repeated = sorted({p for p in spec.players if spec.players.count(p) > 1})
+    if repeated:
+        bad.append(("DuplicatePlayer",
+                    f"player names repeated: {', '.join(repeated)}"))
+    referenced: dict[str, str] = {}
+    built: dict[str, Node] = {}
+    for nid, raw in nodes_raw.items():
+        if raw.get("actions") is not None:
+            labels = [a for a, _ in raw["actions"]]
+            if len(set(labels)) != len(labels):
+                bad.append(("DuplicateAction", f"node {nid} repeats an action label"))
+            if not labels:
+                bad.append(("NoActions", f"decision node {nid} has no actions"))
+            for label, child in raw["actions"]:
+                if child not in nodes_raw:
+                    bad.append(("UnknownChild", f"node {nid} action {label!r} -> missing node {child!r}"))
+                elif child in referenced:
+                    bad.append(("CycleDetected", f"node {child} has two parents ({referenced[child]} and {nid})"))
+                elif child == spec.root:
+                    bad.append(("CycleDetected", f"root {child} appears as a child of {nid}"))
+                else:
+                    referenced[child] = nid
+            player = raw.get("player")
+            if player is None:
+                if nid != spec.root or spec.chance is None:
+                    bad.append(("MissingPlayer", f"decision node {nid} has no player"))
+            elif not _is_player(player, n):
+                bad.append(("BadPlayer", f"node {nid}: player {player!r} not in 1..{n}"))
+            built[nid] = Node(id=nid, player=player, actions=tuple(raw["actions"]))
+        else:
+            payoffs = raw.get("payoffs")
+            if payoffs is None:
+                bad.append(("EmptyNode", f"node {nid} has neither actions nor payoffs"))
+                continue
+            if len(payoffs) != n:
+                bad.append(("PayoffLengthMismatch",
+                            f"terminal {nid} has {len(payoffs)} payoffs for {n} players"))
+            built[nid] = Node(id=nid, payoffs=tuple(to_number(v) for v in payoffs))
+
+    # Reachability plus cycle detection via a walk from the root.
+    if not any(code == "UnknownChild" for code, _ in bad):
+        seen: set[str] = set()
+        stack = [spec.root]
+        while stack:
+            nid = stack.pop()
+            if nid in seen:
+                bad.append(("CycleDetected", f"node {nid} reached twice from the root"))
+                break
+            seen.add(nid)
+            raw = nodes_raw[nid]
+            stack.extend(c for _, c in (raw.get("actions") or ()))
+        else:
+            unreachable = sorted(set(nodes_raw) - seen)
+            if unreachable:
+                bad.append(("UnreachableNode", f"nodes not reachable from root: {', '.join(unreachable)}"))
+
+    if bad:
+        raise GameValidationError(bad)
+
+    chance = None
+    if spec.chance is not None:
+        chance = {child: to_number(p) for child, p in spec.chance.items()}
+        root_children = [c for _, c in nodes_raw[spec.root].get("actions") or ()]
+        if sorted(chance) != sorted(root_children):
+            bad.append(("BadChanceDistribution",
+                        "chance distribution keys must be exactly the root's children"))
+        if built[spec.root].player is not None:
+            bad.append(("BadChanceDistribution",
+                        f"chance root {spec.root} also names a player"))
+        if any(p < 0 for p in chance.values()):
+            bad.append(("BadChanceDistribution", "chance probabilities must be nonnegative"))
+        elif sum(chance.values()) != 1:
+            bad.append(("BadChanceDistribution",
+                        f"chance probabilities sum to {sum(chance.values())}, not 1"))
+
+    info_sets = None
+    if spec.info_sets:
+        info_sets = {}
+        placed: set[str] = set()
+        for set_id, members in spec.info_sets.items():
+            if not members:
+                bad.append(("BadInfoSet", f"info set {set_id} has no members"))
+            # GameTree names the set of an undeclared decision node after
+            # the node, so no other set may take that name.
+            if (set_id not in members and set_id in built
+                    and built[set_id].player is not None):
+                bad.append(("BadInfoSet", f"info set {set_id} is named after "
+                                          f"decision node {set_id} but does not hold it"))
+            for m in members:
+                if m not in built or built[m].player is None:
+                    bad.append(("BadInfoSet", f"info set {set_id}: {m!r} is not a decision node"))
+                elif m in placed:
+                    bad.append(("BadInfoSet", f"node {m} appears in two info sets"))
+                placed.add(m)
+            info_sets[set_id] = tuple(members)
+        if bad:
+            raise GameValidationError(bad)
+
+    tree = GameTree(built, spec.root, spec.players,
+                    info_sets=info_sets, chance_at_root=chance)
+
+    for set_id, members in tree.info_sets.items():
+        owners = {tree.nodes[m].player for m in members}
+        if len(owners) != 1:
+            bad.append(("InfoSetActionMismatch",
+                        f"info set {set_id} mixes players {sorted(owners)}"))
+            continue
+        label_seqs = {tree.nodes[m].action_labels() for m in members}
+        if len(label_seqs) != 1:
+            bad.append(("InfoSetActionMismatch",
+                        f"info set {set_id} has differing action labels across nodes"))
+    bad.extend(_check_perfect_recall(tree))
+    if tree.chance_at_root:
+        for child in (c for _, c in tree.nodes[tree.root].actions):
+            if child not in tree.subgame_roots:
+                bad.append(("ChanceBranchNotSubgame",
+                            f"chance branch {child} does not root a subgame"))
+
+    utils, util_bad = _build_utils(spec, tree)
+    bad.extend(util_bad)
+    if bad:
+        raise GameValidationError(bad)
+    return tree, utils
+
+
+def _is_player(value, n: int) -> bool:
+    """True for a player number in 1..n; a JSON boolean is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= n
+
+
+def _check_perfect_recall(tree: GameTree):
+    """No-forgetting: nodes sharing an info set share the owner's experience."""
+    bad = []
+    for set_id, members in tree.info_sets.items():
+        if len(members) == 1:
+            continue
+        owner = tree.nodes[members[0]].player
+        experiences = set()
+        for m in members:
+            exp = []
+            for nid, label in tree.path_from_root(m):
+                node = tree.nodes[nid]
+                if node.player == owner:
+                    exp.append((tree.info_set_of(nid), label))
+            experiences.add(tuple(exp))
+        if len(experiences) != 1:
+            bad.append(("ImperfectRecall",
+                        f"info set {set_id} violates perfect recall for player {owner}"))
+    return bad
+
+
+def _build_utils(spec, tree: GameTree):
+    bad: list[tuple[str, str]] = []
+    n = tree.n_players
+    feasible_is_all = spec.feasible == "all"
+    feasible = frozenset()
+    if not feasible_is_all:
+        blocks = set()
+        for members in spec.feasible:
+            m = canon_block(members)
+            if not m or any(i < 1 or i > n for i in m):
+                bad.append(("BadCoalition", f"coalition {members} is not a subset of 1..{n}"))
+            elif len(set(m)) != len(m):
+                bad.append(("BadCoalition", f"coalition {members} repeats a member"))
+            else:
+                blocks.add(m)
+        blocks.update((i,) for i in range(1, n + 1))
+        feasible = frozenset(blocks)
+
+    combinator, weights, table = None, None, None
+    if spec.utility.get("table") is not None:
+        table = {}
+        for key, per_terminal in spec.utility["table"].items():
+            m = canon_block(key)
+            table[m] = {z: to_number(v) for z, v in per_terminal.items()}
+        non_singletons = ([m for m in feasible if len(m) > 1] if not feasible_is_all
+                          else [canon_block(c) for size in range(2, n + 1)
+                                for c in combinations(range(1, n + 1), size)])
+        for m in non_singletons:
+            have = table.get(m, {})
+            missing = [z for z in tree.terminal_ids if z not in have]
+            if missing:
+                bad.append(("MissingCoalitionUtility",
+                            f"coalition {m} lacks table values for terminals {', '.join(missing)}"))
+    else:
+        combinator = spec.utility.get("combinator", "min")
+        if combinator not in ("min", "sum", "weighted"):
+            bad.append(("BadCombinator", f"unknown combinator {combinator!r}"))
+        if combinator == "weighted":
+            raw = spec.utility.get("weights") or {}
+            keys = [str(i) for i in range(1, n + 1)]
+            unknown = [k for k in raw if k not in keys]
+            if unknown:
+                bad.append(("BadWeight", f"weights for {unknown} name no player in 1..{n}"))
+            weights = tuple(to_number(raw.get(k, 1)) for k in keys)
+
+    synergies = []
+    for entry in spec.synergies or ():
+        player, block, terminal, value = entry
+        if not _is_player(player, n):
+            bad.append(("BadSynergy", f"synergy player {player!r} not in 1..{n}"))
+            continue
+        if len(set(block)) != len(block):
+            bad.append(("BadSynergy", f"synergy block {list(block)} repeats a member"))
+            continue
+        if terminal not in tree.terminal_ids:
+            bad.append(("BadSynergy", f"synergy terminal {terminal!r} is not a terminal"))
+            continue
+        synergies.append(Synergy(player, canon_block(block), terminal, to_number(value)))
+
+    utils = UtilitySystem(n, feasible_is_all, feasible, combinator=combinator,
+                          weights=weights, table=table, synergies=tuple(synergies))
+    return utils, bad
 
 
 def serialize_game(spec: GameSpec) -> str:

@@ -14,32 +14,12 @@ comparison made by the solvers is exact and runs are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping
 
-from .errors import GameValidationError, InfeasibleCoalition, NotASubgameRoot
+from .errors import InfeasibleCoalition
 
-Block = frozenset
 PartitionKey = tuple  # tuple[tuple[int, ...], ...], blocks sorted by min member
-
-
-def to_number(value) -> Fraction:
-    """Convert a parsed JSON number to an exact Fraction.
-
-    Floats go through Decimal(str(...)) so that `0.1` means one tenth, not
-    the nearest binary float.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("booleans are not valid payoffs")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(Decimal(str(value)))
-    raise TypeError(f"not a number: {value!r}")
 
 
 def coalition_sort_key(members: Iterable[int]):
@@ -113,8 +93,8 @@ class Node:
 class GameTree:
     """The extensive form, with derived structure precomputed.
 
-    Construction assumes structural validity; use `validate_game` to build
-    one from an untrusted description.
+    Construction assumes structural validity; use `gamefile.validate_game`
+    to build one from an untrusted description.
     """
 
     def __init__(self, nodes: Mapping[str, Node], root: str, players,
@@ -167,10 +147,6 @@ class GameTree:
 
     def player_name(self, i: int) -> str:
         return self.players[i - 1]
-
-    def parent_of(self, nid: str):
-        """(parent id, action label) or None for the root."""
-        return self._parent.get(nid)
 
     def depth_of(self, nid: str) -> int:
         d = 0
@@ -271,60 +247,6 @@ class GameTree:
                 out.append(sid)
         return tuple(out)
 
-    def root_of_info_set(self, set_id: str) -> str:
-        """Root of the smallest subgame containing the information set."""
-        members = self.info_sets[set_id]
-        nid = members[0]
-        while True:
-            if nid in self.subgame_roots:
-                inside = self.subtree_nodes(nid)
-                if all(m in inside for m in members):
-                    return nid
-            edge = self._parent.get(nid)
-            if edge is None:
-                raise NotASubgameRoot(f"no subgame contains info set {set_id}")
-            nid = edge[0]
-
-
-@dataclass(frozen=True)
-class SubtreeView:
-    """A subtree T(h): an information set plus all successors."""
-
-    tree: GameTree
-    info_set: str
-    nodes: tuple
-    root_node: str  # root of the smallest subgame containing the info set
-
-
-def subgame_at(tree: GameTree, x: str) -> SubtreeView:
-    """The largest subgame rooted at node `x`.
-
-    Raises NotASubgameRoot when `x` does not root a well-formed subgame
-    (non-singleton information set, or the subtree would split one).
-    """
-    if x not in tree.subgame_roots:
-        raise NotASubgameRoot(f"{x} does not root a subgame")
-    members = sorted(tree.subtree_nodes(x), key=tree._pre_index.__getitem__)
-    set_id = tree.info_set_of(x) if x in tree.decision_ids else x
-    return SubtreeView(tree, set_id, tuple(members), x)
-
-
-def subtree_at(tree: GameTree, set_id: str) -> SubtreeView:
-    """The subtree T(h) at an information set, with root_of(h) attached."""
-    members = tree.info_sets[set_id]
-    acc = set()
-    for m in members:
-        acc |= tree.subtree_nodes(m)
-    nodes = tuple(sorted(acc, key=tree._pre_index.__getitem__))
-    return SubtreeView(tree, set_id, nodes, tree.root_of_info_set(set_id))
-
-
-def root_of(tree: GameTree, set_id_or_node: str) -> str:
-    sid = set_id_or_node
-    if sid not in tree.info_sets:
-        sid = tree.info_set_of(set_id_or_node)
-    return tree.root_of_info_set(sid)
-
 
 # -- utility system ---------------------------------------------------------
 
@@ -362,19 +284,6 @@ class UtilitySystem:
             return True
         return self.feasible_is_all or m in self.feasible
 
-    def feasible_containing(self, i: int):
-        """All feasible coalitions containing `i`, in canonical order."""
-        found = []
-        if self.feasible_is_all:
-            others = [j for j in range(1, self.n_players + 1) if j != i]
-            for size in range(len(others) + 1):
-                for extra in combinations(others, size):
-                    found.append(canon_block((i,) + extra))
-        else:
-            found.append((i,))
-            found.extend(m for m in self.feasible if i in m and len(m) > 1)
-        return sorted(set(found), key=coalition_sort_key)
-
     def restricted_to_singletons(self) -> "UtilitySystem":
         return UtilitySystem(
             n_players=self.n_players, feasible_is_all=False,
@@ -408,22 +317,6 @@ class UtilitySystem:
                     and entry.block in partition):
                 return entry.value
         return tree.nodes[terminal].payoffs[i - 1]
-
-
-def coalition_utility(members, terminal: str, utils: UtilitySystem,
-                      tree: GameTree) -> Fraction:
-    """u_C at a terminal; the singleton case is the player's own payoff."""
-    return utils.coalition_value(members, terminal, tree)
-
-
-def individual_utility(i: int, terminal: str, partition,
-                       utils: UtilitySystem, tree: GameTree) -> Fraction:
-    """A player's individual utility at a terminal, given a partition."""
-    return utils.individual_value(i, terminal, canon_partition(partition), tree)
-
-
-def feasible_coalitions_containing(i: int, utils: UtilitySystem):
-    return [frozenset(m) for m in utils.feasible_containing(i)]
 
 
 # -- expected values over terminal distributions -----------------------------
@@ -477,258 +370,3 @@ def expected_individual_value(i, dist, partition, utils, tree) -> Fraction:
         return utils.individual_value(i, pure, partition, tree)
     return sum(p * utils.individual_value(i, z, partition, tree)
                for z, p in dist)
-
-
-# -- supergame views ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SupergameView:
-    """The base game re-indexed so one coalition acts as a merged player.
-
-    Tree shape, actions and terminals are untouched; only node ownership
-    (via `partition`) and the utility applied at merged nodes change.
-    """
-
-    base: GameTree
-    utils: UtilitySystem
-    partition: PartitionKey
-
-    @property
-    def effective_players(self) -> tuple:
-        return self.partition
-
-    def merged_player_of(self, i: int) -> tuple:
-        return block_containing(self.partition, i)
-
-    def owner_block(self, nid: str) -> tuple:
-        return block_containing(self.partition, self.base.nodes[nid].player)
-
-
-def build_supergame(tree: GameTree, utils: UtilitySystem, C) -> SupergameView:
-    """The supergame for coalition C: P_C merges C, all others stay single."""
-    members = canon_block(C)
-    if len(members) < 2 or not utils.is_feasible(members):
-        raise InfeasibleCoalition(f"coalition {members} is not feasible")
-    singles = [(j,) for j in range(1, tree.n_players + 1) if j not in members]
-    return SupergameView(tree, utils, canon_partition(singles + [members]))
-
-
-# -- validation ---------------------------------------------------------------
-
-
-def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
-    """Validate a parsed game description and build the model objects.
-
-    Collects every detectable violation before raising GameValidationError.
-    `spec` is a `gamefile.GameSpec` (or any object with the same fields).
-    """
-    bad: list[tuple[str, str]] = []
-    nodes_raw = spec.nodes
-
-    if spec.root not in nodes_raw:
-        raise GameValidationError([("MissingRoot", f"root {spec.root!r} is not a node")])
-
-    n = len(spec.players)
-    repeated = sorted({p for p in spec.players if spec.players.count(p) > 1})
-    if repeated:
-        bad.append(("DuplicatePlayer",
-                    f"player names repeated: {', '.join(repeated)}"))
-    referenced: dict[str, str] = {}
-    for nid, raw in nodes_raw.items():
-        if raw.get("actions") is not None:
-            labels = [a for a, _ in raw["actions"]]
-            if len(set(labels)) != len(labels):
-                bad.append(("DuplicateAction", f"node {nid} repeats an action label"))
-            if not labels:
-                bad.append(("NoActions", f"decision node {nid} has no actions"))
-            for label, child in raw["actions"]:
-                if child not in nodes_raw:
-                    bad.append(("UnknownChild", f"node {nid} action {label!r} -> missing node {child!r}"))
-                elif child in referenced:
-                    bad.append(("CycleDetected", f"node {child} has two parents ({referenced[child]} and {nid})"))
-                elif child == spec.root:
-                    bad.append(("CycleDetected", f"root {child} appears as a child of {nid}"))
-                else:
-                    referenced[child] = nid
-            player = raw.get("player")
-            if player is None:
-                if nid != spec.root or spec.chance is None:
-                    bad.append(("MissingPlayer", f"decision node {nid} has no player"))
-            elif not _is_player(player, n):
-                bad.append(("BadPlayer", f"node {nid}: player {player!r} not in 1..{n}"))
-        else:
-            payoffs = raw.get("payoffs")
-            if payoffs is None:
-                bad.append(("EmptyNode", f"node {nid} has neither actions nor payoffs"))
-            elif len(payoffs) != n:
-                bad.append(("PayoffLengthMismatch",
-                            f"terminal {nid} has {len(payoffs)} payoffs for {n} players"))
-
-    # Reachability plus cycle detection via a walk from the root.
-    if not any(code == "UnknownChild" for code, _ in bad):
-        seen: set[str] = set()
-        stack = [spec.root]
-        while stack:
-            nid = stack.pop()
-            if nid in seen:
-                bad.append(("CycleDetected", f"node {nid} reached twice from the root"))
-                break
-            seen.add(nid)
-            raw = nodes_raw[nid]
-            stack.extend(c for _, c in (raw.get("actions") or ()))
-        else:
-            unreachable = sorted(set(nodes_raw) - seen)
-            if unreachable:
-                bad.append(("UnreachableNode", f"nodes not reachable from root: {', '.join(unreachable)}"))
-
-    if bad:
-        raise GameValidationError(bad)
-
-    built = {}
-    for nid, raw in nodes_raw.items():
-        if raw.get("actions") is not None:
-            built[nid] = Node(id=nid, player=raw.get("player"),
-                              actions=tuple(raw["actions"]))
-        else:
-            built[nid] = Node(id=nid, payoffs=tuple(to_number(v) for v in raw["payoffs"]))
-
-    chance = None
-    if spec.chance is not None:
-        chance = {child: to_number(p) for child, p in spec.chance.items()}
-        root_children = [c for _, c in nodes_raw[spec.root].get("actions") or ()]
-        if sorted(chance) != sorted(root_children):
-            bad.append(("BadChanceDistribution",
-                        "chance distribution keys must be exactly the root's children"))
-        if any(p < 0 for p in chance.values()):
-            bad.append(("BadChanceDistribution", "chance probabilities must be nonnegative"))
-        elif sum(chance.values()) != 1:
-            bad.append(("BadChanceDistribution",
-                        f"chance probabilities sum to {sum(chance.values())}, not 1"))
-
-    info_sets = None
-    if spec.info_sets:
-        info_sets = {}
-        placed: set[str] = set()
-        for set_id, members in spec.info_sets.items():
-            for m in members:
-                if m not in nodes_raw or nodes_raw[m].get("actions") is None:
-                    bad.append(("BadInfoSet", f"info set {set_id}: {m!r} is not a decision node"))
-                elif m in placed:
-                    bad.append(("BadInfoSet", f"node {m} appears in two info sets"))
-                placed.add(m)
-            info_sets[set_id] = tuple(members)
-        if bad:
-            raise GameValidationError(bad)
-
-    tree = GameTree(built, spec.root, spec.players,
-                    info_sets=info_sets, chance_at_root=chance)
-
-    for set_id, members in tree.info_sets.items():
-        owners = {tree.nodes[m].player for m in members}
-        if len(owners) != 1:
-            bad.append(("InfoSetActionMismatch",
-                        f"info set {set_id} mixes players {sorted(owners)}"))
-            continue
-        label_seqs = {tree.nodes[m].action_labels() for m in members}
-        if len(label_seqs) != 1:
-            bad.append(("InfoSetActionMismatch",
-                        f"info set {set_id} has differing action labels across nodes"))
-    bad.extend(_check_perfect_recall(tree))
-    if tree.chance_at_root:
-        for child in (c for _, c in tree.nodes[tree.root].actions):
-            if child not in tree.subgame_roots:
-                bad.append(("ChanceBranchNotSubgame",
-                            f"chance branch {child} does not root a subgame"))
-
-    utils, util_bad = _build_utils(spec, tree)
-    bad.extend(util_bad)
-    if bad:
-        raise GameValidationError(bad)
-    return tree, utils
-
-
-def _is_player(value, n: int) -> bool:
-    """True for a player number in 1..n; a JSON boolean is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= n
-
-
-def _check_perfect_recall(tree: GameTree):
-    """No-forgetting: nodes sharing an info set share the owner's experience."""
-    bad = []
-    for set_id, members in tree.info_sets.items():
-        if len(members) == 1:
-            continue
-        owner = tree.nodes[members[0]].player
-        experiences = set()
-        for m in members:
-            exp = []
-            for nid, label in tree.path_from_root(m):
-                node = tree.nodes[nid]
-                if node.player == owner:
-                    exp.append((tree.info_set_of(nid), label))
-            experiences.add(tuple(exp))
-        if len(experiences) != 1:
-            bad.append(("ImperfectRecall",
-                        f"info set {set_id} violates perfect recall for player {owner}"))
-    return bad
-
-
-def _build_utils(spec, tree: GameTree):
-    bad: list[tuple[str, str]] = []
-    n = tree.n_players
-    feasible_is_all = spec.feasible == "all"
-    feasible = frozenset()
-    if not feasible_is_all:
-        blocks = set()
-        for members in spec.feasible:
-            m = canon_block(members)
-            if not m or any(i < 1 or i > n for i in m):
-                bad.append(("BadCoalition", f"coalition {members} is not a subset of 1..{n}"))
-            elif len(set(m)) != len(m):
-                bad.append(("BadCoalition", f"coalition {members} repeats a member"))
-            else:
-                blocks.add(m)
-        blocks.update((i,) for i in range(1, n + 1))
-        feasible = frozenset(blocks)
-
-    combinator, weights, table = None, None, None
-    if spec.utility.get("table") is not None:
-        table = {}
-        for key, per_terminal in spec.utility["table"].items():
-            m = canon_block(key)
-            table[m] = {z: to_number(v) for z, v in per_terminal.items()}
-        non_singletons = ([m for m in feasible if len(m) > 1] if not feasible_is_all
-                          else [canon_block(c) for size in range(2, n + 1)
-                                for c in combinations(range(1, n + 1), size)])
-        for m in non_singletons:
-            have = table.get(m, {})
-            missing = [z for z in tree.terminal_ids if z not in have]
-            if missing:
-                bad.append(("MissingCoalitionUtility",
-                            f"coalition {m} lacks table values for terminals {', '.join(missing)}"))
-    else:
-        combinator = spec.utility.get("combinator", "min")
-        if combinator not in ("min", "sum", "weighted"):
-            bad.append(("BadCombinator", f"unknown combinator {combinator!r}"))
-        if combinator == "weighted":
-            raw = spec.utility.get("weights") or {}
-            weights = tuple(to_number(raw.get(i, raw.get(str(i), 1))) for i in range(1, n + 1))
-
-    synergies = []
-    for entry in spec.synergies or ():
-        player, block, terminal, value = entry
-        if not _is_player(player, n):
-            bad.append(("BadSynergy", f"synergy player {player!r} not in 1..{n}"))
-            continue
-        if len(set(block)) != len(block):
-            bad.append(("BadSynergy", f"synergy block {list(block)} repeats a member"))
-            continue
-        if terminal not in tree.terminal_ids:
-            bad.append(("BadSynergy", f"synergy terminal {terminal!r} is not a terminal"))
-            continue
-        synergies.append(Synergy(player, canon_block(block), terminal, to_number(value)))
-
-    utils = UtilitySystem(n, feasible_is_all, feasible, combinator=combinator,
-                          weights=weights, table=table, synergies=tuple(synergies))
-    return utils, bad

@@ -21,11 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import ImperfectInformation, MixedEquilibriumUnsupported
+from .errors import ImperfectInformation, MixedEquilibriumUnsupported, TooLarge
 from .model import (
     GameTree,
-    SupergameView,
-    UtilitySystem,
     block_containing,
     canon_partition,
     dist_payoffs,
@@ -48,14 +46,6 @@ class LocalSolution:
     dist: tuple
     outcome: tuple
     partition: tuple
-
-
-def _unpack(game, utils):
-    if isinstance(game, SupergameView):
-        return game.base, game.utils, game.partition
-    if utils is None:
-        utils = UtilitySystem(game.n_players, False, frozenset())
-    return game, utils, singleton_partition(game.n_players)
 
 
 def choice_key(tree, utils, partition, block, dist):
@@ -114,15 +104,15 @@ def combine_chance(branches) -> tuple:
     return actions, make_dist(pairs)
 
 
-def backward_induction(game, utils=None) -> LocalSolution:
-    """Standard backward induction over a perfect-information view.
+def backward_induction(tree, utils) -> LocalSolution:
+    """Standard backward induction over a perfect-information game, with
+    every player independent.
 
-    Works on a bare GameTree (all players independent) or a SupergameView
-    (the merged coalition maximizes its coalition utility at its nodes).
+    Raises TooLarge when the tree is deeper than the recursion can walk.
     """
-    tree, utils, partition = _unpack(game, utils)
     if not tree.is_perfect_information:
         raise ImperfectInformation("backward induction needs singleton info sets")
+    partition = singleton_partition(tree.n_players)
 
     def solve(x: str) -> LocalSolution:
         node = tree.nodes[x]
@@ -143,7 +133,10 @@ def backward_induction(game, utils=None) -> LocalSolution:
             dist = children[node.child(label)].dist
         return LocalSolution(actions, dist, dist_payoffs(dist, tree), partition)
 
-    return solve(tree.root)
+    try:
+        return solve(tree.root)
+    except RecursionError:
+        raise TooLarge("the tree is too deep for backward induction") from None
 
 
 # -- one layer as a normal-form game ------------------------------------------
@@ -363,22 +356,26 @@ def _gauss(rows, unknowns):
 # -- subgame-perfect equilibrium ----------------------------------------------
 
 
-def spne_in_subgame(game, utils=None, root=None) -> LocalSolution:
+def spne_in_subgame(tree, utils, root=None) -> LocalSolution:
     """A subgame-perfect equilibrium with deterministic selection.
 
     Solves innermost subgames first; every layer containing contested
     information sets becomes a reduced normal-form game solved by the
     selection rules in the module docstring. For perfect information this
-    reproduces `backward_induction` exactly.
+    reproduces `backward_induction` exactly. Raises TooLarge when the tree
+    is deeper than the recursion can walk.
     """
-    tree, utils, partition = _unpack(game, utils)
+    partition = singleton_partition(tree.n_players)
     g = root if root is not None else tree.root
-    if g == tree.root and tree.chance_at_root:
-        actions, dist = combine_chance(
-            (tree.chance_at_root[c], _spne(tree, utils, partition, c))
-            for _, c in tree.nodes[g].actions)
-        return LocalSolution(actions, dist, dist_payoffs(dist, tree), partition)
-    return _spne(tree, utils, partition, g)
+    try:
+        if g == tree.root and tree.chance_at_root:
+            actions, dist = combine_chance(
+                (tree.chance_at_root[c], _spne(tree, utils, partition, c))
+                for _, c in tree.nodes[g].actions)
+            return LocalSolution(actions, dist, dist_payoffs(dist, tree), partition)
+        return _spne(tree, utils, partition, g)
+    except RecursionError:
+        raise TooLarge("the tree is too deep for the equilibrium search") from None
 
 
 def _spne(tree, utils, partition, g) -> LocalSolution:

@@ -27,7 +27,6 @@ from .errors import TooLarge
 from .model import (
     GameTree,
     Node,
-    SupergameView,
     UtilitySystem,
     block_containing,
     canon_block,
@@ -62,20 +61,14 @@ def _block_value(tree, utils, partition, block, terminal):
     return utils.coalition_value(block, terminal, tree)
 
 
-def oracle_bi(game, utils=None, max_profiles=1_000_000) -> LocalSolution:
+def oracle_bi(tree, utils, max_profiles=1_000_000) -> LocalSolution:
     """Backward induction by brute force over pure strategy profiles.
 
     Keeps the first profile (in enumeration order) that prescribes a
     node-local argmax for its owner at every decision node. With generic
     payoffs the survivor is unique and equals `backward_induction`.
     """
-    if isinstance(game, SupergameView):
-        tree, utils, partition = game.base, game.utils, game.partition
-    else:
-        tree = game
-        if utils is None:
-            utils = UtilitySystem(tree.n_players, False, frozenset())
-        partition = singleton_partition(tree.n_players)
+    partition = singleton_partition(tree.n_players)
     if not tree.is_perfect_information:
         raise TooLarge("oracle_bi handles perfect information only")
     if tree.chance_at_root:

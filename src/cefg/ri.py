@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import CefgError, ImperfectInformation
+from .errors import CefgError, ImperfectInformation, TooLarge
 from .model import (
     GameTree,
     UtilitySystem,
@@ -437,12 +437,16 @@ def solve_ri_imperfect(tree: GameTree, utils: UtilitySystem, *,
     """RI solution with the information-set machinery enabled.
 
     On perfect-information input this produces exactly the same profile as
-    `solve_ri`; both run the same recursion.
+    `solve_ri`; both run the same recursion. Raises TooLarge when the tree
+    is deeper than the recursion can walk.
     """
     if singletons_only:
         utils = utils.restricted_to_singletons()
     solver = _Solver(tree, utils, use_memo=use_memo)
-    root_entry = solver.run()
+    try:
+        root_entry = solver.run()
+    except RecursionError:
+        raise TooLarge("the tree is too deep for the recursive solver") from None
     return SolutionProfile(tree, utils, root_entry, solver.memo, solver.audit,
                            singletons_only=singletons_only)
 

@@ -154,6 +154,11 @@ def _set_utility(utility):
     return lambda doc: doc["coalitions"].update(utility=utility)
 
 
+def _chance_root_in_a_set(doc):
+    del doc["nodes"]["r"]["player"]
+    doc["info_sets"] = {"h": ["r"]}
+
+
 @pytest.mark.parametrize("text,code", [
     pytest.param(_malformed(_set_utility(
         {"table": {"1,x": {"z1": 1, "z2": 1}}})), "SyntaxError",
@@ -182,6 +187,25 @@ def _set_utility(utility):
     pytest.param(_malformed(lambda doc: doc.update(synergies=[
         {"player": 1, "block": [1, 1], "terminal": "z1", "value": 3}])),
         "BadSynergy", id="repeated-synergy-block-member"),
+    pytest.param(json.dumps({**json.loads(game_path("example2.game").read_text()),
+                             "info_sets": {"x6": ["x5"]}}),
+                 "BadInfoSet", id="info-set-named-after-another-node"),
+    pytest.param(_malformed(_set_utility(
+        {"combinator": "weighted", "weights": {"1": 2, "9": 2, "P1": 2}})),
+        "BadWeight", id="weight-of-no-player"),
+    pytest.param(_malformed(lambda doc: doc.update(format_version=True)),
+                 "UnknownField", id="boolean-format-version"),
+    pytest.param(_malformed(lambda doc: doc["nodes"]["z1"].update(
+        payoffs=[float("nan"), 2, 0])), "SyntaxError", id="nan-payoff"),
+    pytest.param(_malformed(lambda doc: None, chance={"z1": 0.5, "z2": 0.5}),
+                 "BadChanceDistribution", id="chance-root-with-a-player"),
+    pytest.param(_malformed(_chance_root_in_a_set, chance={"z1": 0.5, "z2": 0.5}),
+                 "BadInfoSet", id="chance-root-in-an-info-set"),
+    pytest.param(_malformed(lambda doc: None, chance={"z1": 1e400, "z2": 0}),
+                 "SyntaxError", id="infinite-probability"),
+    pytest.param(_malformed(lambda doc: None).replace(
+        "[1, 2, 0]", f"[{'9' * 5000}, 2, 0]"), "SyntaxError", id="overlong-integer"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "SyntaxError", id="deep-nesting"),
 ])
 def test_malformed_input_is_a_typed_error(tmp_path, capsys, text, code):
     with pytest.raises((GameFormatError, GameValidationError), match=code):
@@ -208,3 +232,24 @@ def test_info_set_named_apart_from_its_node(tmp_path, capsys):
     assert code == 0
     actions = json.loads(out)["entries"]["x7/x7"]["actions"]
     assert "h" in actions and "x5" not in actions
+
+
+def _chain_text(depth):
+    """A 2-player centipede `depth` decision nodes deep."""
+    nodes = {}
+    for k in range(depth):
+        nodes[f"c{k}"] = {"player": k % 2 + 1,
+                          "actions": {"take": f"t{k}", "pass": f"c{k + 1}"}}
+        nodes[f"t{k}"] = [k + 2, k] if k % 2 == 0 else [k, k + 2]
+    nodes[f"c{depth}"] = [depth + 1, depth + 1]
+    return make_game_text(nodes, players=2, root="c0")
+
+
+@pytest.mark.parametrize("command,depth", [("solve", 400), ("bi", 1200)])
+def test_too_deep_tree_is_a_solver_error(tmp_path, capsys, command, depth):
+    game = tmp_path / "chain.game"
+    game.write_text(_chain_text(depth))
+    code, out, err = run(capsys, command, str(game))
+    assert code == 3
+    assert out == ""
+    assert "solver error" in err and "too deep" in err

@@ -1,9 +1,27 @@
 """Parser and serializer for the game description format."""
 
-import pytest
+import json
 
-from cefg import GameFormatError, parse_game, serialize_game
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cefg import (
+    CefgError,
+    GameFormatError,
+    GameValidationError,
+    export_dot,
+    load_game_text,
+    parse_game,
+    profile_to_json,
+    render_solution,
+    render_trace,
+    serialize_game,
+    solve_game,
+)
 from conftest import game_path, make_game_text
+
+BUNDLED = ("abortion.game", "example2.game", "example2-modified.game")
 
 
 def test_parse_abortion_fixture():
@@ -88,3 +106,78 @@ def test_table_and_weighted_utilities_round_trip():
     }, players=2, utility={"combinator": "weighted", "weights": {"1": 2, "2": 1}})
     spec = parse_game(text)
     assert parse_game(serialize_game(spec)) == spec
+
+
+# -- parser totality ---------------------------------------------------------
+
+# Fields the bundled games leave out; a mutation may create them.
+OPTIONAL_PATHS = (("chance",), ("info_sets",), ("synergies",),
+                  ("coalitions", "utility", "weights"),
+                  ("coalitions", "utility", "table"))
+
+
+def _paths(value, prefix=()):
+    """Every key path into a JSON document, the document itself excluded."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _put(doc, path, value):
+    """Set `path` in `doc` to `value` where the path's parent exists."""
+    parent = doc
+    for key in path[:-1]:
+        if isinstance(parent, dict) and key in parent:
+            parent = parent[key]
+        elif isinstance(parent, list) and isinstance(key, int) and key < len(parent):
+            parent = parent[key]
+        else:
+            return
+    if isinstance(parent, dict):
+        parent[path[-1]] = value
+    elif isinstance(parent, list) and isinstance(path[-1], int) and path[-1] < len(parent):
+        parent[path[-1]] = value
+
+
+@st.composite
+def mutated_games(draw):
+    """A bundled game with one to three of its values replaced."""
+    doc = json.loads(game_path(draw(st.sampled_from(BUNDLED))).read_text())
+    ids = st.sampled_from(sorted(doc["nodes"]))
+    scalars = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats()
+               | st.text(max_size=3) | ids)
+    values = st.recursive(
+        scalars, lambda inner: (st.lists(inner, max_size=3)
+                                | st.dictionaries(st.text(max_size=2) | ids,
+                                                  inner, max_size=3)),
+        max_leaves=6)
+    info_sets = st.dictionaries(ids, st.lists(ids, max_size=3), max_size=3)
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            _put(doc, ("info_sets",), draw(info_sets))
+        else:
+            paths = sorted(set(_paths(doc)) | set(OPTIONAL_PATHS), key=repr)
+            _put(doc, draw(st.sampled_from(paths)), draw(values))
+    return json.dumps(doc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_games())
+def test_parser_is_total(text):
+    # Every input loads or raises a typed input error; a game that loads
+    # solves and renders, or raises a typed solver error.
+    try:
+        tree, utils = load_game_text(text)
+    except (GameFormatError, GameValidationError):
+        return
+    try:
+        profile = solve_game(tree, utils)
+    except CefgError:
+        return
+    render_trace(profile, "full")
+    render_solution(profile)
+    profile_to_json(profile)
+    export_dot(tree, profile)

@@ -1,25 +1,25 @@
-"""Model layer: validation, utilities, views, subgame structure."""
+"""Model layer: validation, utilities, merged views, subgame structure."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cefg import (
     GameValidationError,
     InfeasibleCoalition,
-    NotASubgameRoot,
-    build_supergame,
-    coalition_utility,
-    feasible_coalitions_containing,
-    individual_utility,
     load_game_text,
     parse_game,
-    root_of,
-    subgame_at,
-    subtree_at,
     validate_game,
 )
-from cefg.model import dist_payoffs, expected_coalition_value, expected_individual_value
+from cefg.model import (
+    block_containing,
+    dist_payoffs,
+    expected_coalition_value,
+    expected_individual_value,
+    merge_into,
+    singleton_partition,
+)
 from conftest import make_game_text
 
 
@@ -137,29 +137,28 @@ def test_imperfect_recall_detected():
 def test_min_coalition_utility_known_values(abortion, example2):
     tree_a, utils_a = abortion
     # (1,3,2) and (3,2,1) for coalition {2,3}
-    assert coalition_utility({2, 3}, "z1", utils_a, tree_a) == 2
-    assert coalition_utility({2, 3}, "z2", utils_a, tree_a) == 1
+    assert utils_a.coalition_value({2, 3}, "z1", tree_a) == 2
+    assert utils_a.coalition_value({2, 3}, "z2", tree_a) == 1
     tree_e, utils_e = example2
     # (6,3,5) and (1,1,6) for coalition {1,3}
-    assert coalition_utility({1, 3}, "z8", utils_e, tree_e) == 5
-    assert coalition_utility({1, 3}, "z7", utils_e, tree_e) == 1
+    assert utils_e.coalition_value({1, 3}, "z8", tree_e) == 5
+    assert utils_e.coalition_value({1, 3}, "z7", tree_e) == 1
 
 
 def test_singleton_utility_is_own_payoff(example2):
     tree, utils = example2
     for z in tree.terminal_ids:
         for i in (1, 2, 3):
-            assert coalition_utility({i}, z, utils, tree) == tree.nodes[z].payoffs[i - 1]
+            assert utils.coalition_value({i}, z, tree) == tree.nodes[z].payoffs[i - 1]
 
 
 def test_min_combinator_exhaustive(example2):
     tree, utils = example2
-    from itertools import combinations
     for size in (2, 3):
         for members in combinations((1, 2, 3), size):
             for z in tree.terminal_ids:
                 expected = min(tree.nodes[z].payoffs[i - 1] for i in members)
-                assert coalition_utility(members, z, utils, tree) == expected
+                assert utils.coalition_value(members, z, tree) == expected
 
 
 def test_infeasible_coalition_rejected():
@@ -168,25 +167,25 @@ def test_infeasible_coalition_rejected():
         "z1": [1, 2, 3], "z2": [3, 2, 1],
     }, feasible=[[2, 3]])
     tree, utils = load_game_text(text)
-    assert coalition_utility({2, 3}, "z1", utils, tree) == 2
+    assert utils.coalition_value({2, 3}, "z1", tree) == 2
     with pytest.raises(InfeasibleCoalition):
-        coalition_utility({1, 2}, "z1", utils, tree)
+        utils.coalition_value({1, 2}, "z1", tree)
 
 
 def test_individual_utility_default_and_synergy(example2):
     tree, utils = example2
     # No synergies: identity, whatever the partition.
-    assert individual_utility(3, "z8", [[1, 3], [2]], utils, tree) == 5
-    assert individual_utility(1, "z8", [[1], [2], [3]], utils, tree) == 6
+    assert utils.individual_value(3, "z8", ((1, 3), (2,)), tree) == 5
+    assert utils.individual_value(1, "z8", ((1,), (2,), (3,)), tree) == 6
 
     text = make_game_text({
         "r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},
         "z1": [1, 2, 3], "z2": [3, 2, 1],
     }, synergies=[{"player": 1, "block": [1, 2], "terminal": "z1", "value": 7}])
     tree_s, utils_s = load_game_text(text)
-    assert individual_utility(1, "z1", [[1, 2], [3]], utils_s, tree_s) == 7
-    assert individual_utility(1, "z1", [[1], [2], [3]], utils_s, tree_s) == 1
-    assert individual_utility(2, "z1", [[1, 2], [3]], utils_s, tree_s) == 2
+    assert utils_s.individual_value(1, "z1", ((1, 2), (3,)), tree_s) == 7
+    assert utils_s.individual_value(1, "z1", ((1,), (2,), (3,)), tree_s) == 1
+    assert utils_s.individual_value(2, "z1", ((1, 2), (3,)), tree_s) == 2
 
 
 # -- expected values over terminal distributions -------------------------------
@@ -249,9 +248,10 @@ def test_expected_values_equal_weighted_sums(kind, dist):
 
 def test_subgame_at_x5(example2):
     tree, _ = example2
-    view = subgame_at(tree, "x5")
-    decisions = [n for n in view.nodes if n in tree.decision_ids]
-    terminals = [n for n in view.nodes if tree.nodes[n].is_terminal]
+    assert "x5" in tree.subgame_roots
+    nodes = tree.subtree_nodes("x5")
+    decisions = [n for n in nodes if n in tree.decision_ids]
+    terminals = [n for n in nodes if tree.nodes[n].is_terminal]
     p3_nodes = [n for n in decisions if tree.nodes[n].player == 3]
     p2_nodes = [n for n in decisions if tree.nodes[n].player == 2]
     assert len(p3_nodes) == 2 and len(p2_nodes) == 1 and len(terminals) == 4
@@ -259,14 +259,17 @@ def test_subgame_at_x5(example2):
 
 def test_subgame_at_root_and_terminal(example2):
     tree, _ = example2
-    assert len(subgame_at(tree, "x7").nodes) == len(tree.nodes)
-    assert subgame_at(tree, "z1").nodes == ("z1",)
+    assert {"x7", "z1"} <= tree.subgame_roots
+    assert len(tree.subtree_nodes("x7")) == len(tree.nodes)
+    assert tree.subtree_nodes("z1") == {"z1"}
 
 
 def test_root_of_in_perfect_information(example2):
     tree, _ = example2
+    # Each decision node roots the smallest subgame holding its info set.
     for nid in tree.decision_ids:
-        assert root_of(tree, nid) == nid
+        assert nid in tree.subgame_roots
+        assert tree.layer_info_sets(nid) == (tree.info_set_of(nid),)
 
 
 def test_subtree_and_root_of_in_simultaneous_gadget():
@@ -279,65 +282,59 @@ def test_subtree_and_root_of_in_simultaneous_gadget():
         "z3": [3, 1, 2], "z4": [1, 3, 2],
     }, info_sets={"h3": ["yl", "yr"]})
     tree, _ = load_game_text(text)
-    assert root_of(tree, "h3") == "y"  # last singleton ancestor
-    view = subtree_at(tree, "h3")
-    assert set(view.nodes) == {"yl", "yr", "z1", "z2", "z3", "z4"}
-    with pytest.raises(NotASubgameRoot):
-        subgame_at(tree, "yl")
+    # y is the last singleton ancestor: h3 lies in the layer of y's subgame.
+    assert "y" in tree.subgame_roots and "h3" in tree.layer_info_sets("y")
+    assert "h3" not in tree.layer_info_sets("top")
+    nodes = tree.subtree_nodes("yl") | tree.subtree_nodes("yr")
+    assert nodes == {"yl", "yr", "z1", "z2", "z3", "z4"}
+    assert "yl" not in tree.subgame_roots
 
 
-def test_build_supergame_player_counts(example2):
-    tree, utils = example2
-    view = build_supergame(tree, utils, {1, 3})
-    assert len(view.effective_players) == 2  # 3 - 2 + 1
-    assert view.merged_player_of(1) == (1, 3)
-    assert view.merged_player_of(2) == (2,)
+def test_build_supergame_player_counts():
+    view = merge_into(singleton_partition(3), (1, 3))
+    assert len(view) == 2  # 3 - 2 + 1
+    assert block_containing(view, 1) == (1, 3)
+    assert block_containing(view, 2) == (2,)
 
-    grand = build_supergame(tree, utils, {1, 2, 3})
-    assert len(grand.effective_players) == 1
+    grand = merge_into(singleton_partition(3), (1, 2, 3))
+    assert len(grand) == 1
 
-    text = make_game_text({
-        "r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},
-        "z1": [1, 2, 3, 4, 5, 6], "z2": [6, 5, 4, 3, 2, 1],
-    }, players=6)
-    tree6, utils6 = load_game_text(text)
-    view6 = build_supergame(tree6, utils6, {1, 2, 4})
-    assert view6.effective_players == ((1, 2, 4), (3,), (5,), (6,))
-
-
-def test_build_supergame_preserves_shape(example2):
-    tree, utils = example2
-    view = build_supergame(tree, utils, {2, 3})
-    assert view.base is tree  # same nodes, actions, terminals
+    view6 = merge_into(singleton_partition(6), (1, 2, 4))
+    assert view6 == ((1, 2, 4), (3,), (5,), (6,))
 
 
 def test_subgame_partition_of_terminals(example2):
     tree, _ = example2
-    whole = subgame_at(tree, "x7")
-    assert len(whole.nodes) == len(set(whole.nodes))
-    left = set(subgame_at(tree, "x5").nodes) & set(tree.terminal_ids)
-    right = set(subgame_at(tree, "x6").nodes) & set(tree.terminal_ids)
+    whole = tree.subtree_nodes("x7")
+    assert len(whole) == len(tree.nodes)
+    left = tree.subtree_nodes("x5") & set(tree.terminal_ids)
+    right = tree.subtree_nodes("x6") & set(tree.terminal_ids)
     assert left | right == set(tree.terminal_ids)
     assert not left & right
 
 
+def _coalitions_with(utils, i):
+    """Feasible coalitions containing `i`: size ascending, then lexicographic."""
+    players = range(1, utils.n_players + 1)
+    return [m for size in players for m in combinations(players, size)
+            if i in m and utils.is_feasible(m)]
+
+
 def test_feasible_coalitions_containing(example2):
     tree, utils = example2
-    assert feasible_coalitions_containing(1, utils) == [
-        frozenset({1}), frozenset({1, 2}), frozenset({1, 3}), frozenset({1, 2, 3})]
+    assert _coalitions_with(utils, 1) == [(1,), (1, 2), (1, 3), (1, 2, 3)]
 
     singles = utils.restricted_to_singletons()
     for i in (1, 2, 3):
-        assert feasible_coalitions_containing(i, singles) == [frozenset({i})]
+        assert _coalitions_with(singles, i) == [(i,)]
 
     text = make_game_text({
         "r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},
         "z1": [1, 2, 3], "z2": [3, 2, 1],
     }, feasible=[[2, 3]])
     _, utils_r = load_game_text(text)
-    assert feasible_coalitions_containing(1, utils_r) == [frozenset({1})]
-    assert feasible_coalitions_containing(2, utils_r) == [
-        frozenset({2}), frozenset({2, 3})]
+    assert _coalitions_with(utils_r, 1) == [(1,)]
+    assert _coalitions_with(utils_r, 2) == [(2,), (2, 3)]
 
 
 def test_validate_game_via_parse():

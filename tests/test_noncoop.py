@@ -11,8 +11,8 @@ from cefg import (
     MixedEquilibriumUnsupported,
     backward_induction,
     best_response_at,
-    build_supergame,
     load_game_text,
+    solve_game,
     spne_in_subgame,
 )
 from cefg.noncoop import support_enumeration
@@ -35,9 +35,9 @@ def test_bi_example2(example2):
 
 
 def test_bi_supergame_example2(example2):
+    # The solver's own entry for the {1,3} supergame: BI with 1 and 3 merged.
     tree, utils = example2
-    view = build_supergame(tree, utils, {1, 3})
-    sol = backward_induction(view)
+    sol = solve_game(tree, utils)._memo[("x7", ((1, 3), (2,)))]
     assert sol.outcome == (6, 3, 5)
     assert sol.actions["x7"] == "R"
     assert sol.actions["x6"] == "d"

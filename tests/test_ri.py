@@ -335,7 +335,6 @@ def test_positive_affine_rescaling_preserves_structure(example2):
     # Rebuild the same game with explicit coalition tables equal to the min
     # values, then rescale every utility function by its own positive affine
     # map. Adopted actions, coalitions, and partitions must not move.
-    from cefg import coalition_utility
 
     def game_text(transform):
         scale_i = {1: (2, 3), 2: (5, 1), 3: (1, 0)}
@@ -357,7 +356,7 @@ def test_positive_affine_rescaling_preserves_structure(example2):
                 (1, 2), "1,2"), ((1, 3), "1,3"), ((2, 3), "2,3"), ((1, 2, 3), "1,2,3")):
             row = {}
             for z in tree.terminal_ids:
-                v = int(coalition_utility(members, z, utils, tree))
+                v = int(utils.coalition_value(members, z, tree))
                 if transform:
                     a, b = scale_c[members]
                     v = a * v + b
