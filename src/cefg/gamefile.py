@@ -11,7 +11,7 @@ The format is JSON with a fixed schema::
         "z1": {"payoffs": [5, 5, 3]},
         ...
       },
-      "chance": {"x5": 0.5, "x6": 0.5},          // optional, root only
+      "chance": {"x5": "1/3", "x6": "2/3"},      // optional, root only
       "info_sets": {"h2": ["xL", "xR"]},          // optional
       "coalitions": {
         "feasible": "all",                        // or [[1,2],[2,3],...]
@@ -22,7 +22,9 @@ The format is JSON with a fixed schema::
       "synergies": [{"player": 1, "block": [1, 2], "terminal": "z1", "value": 7}]
     }
 
-Action maps preserve declaration order, which fixes every tie-break
+Every number (payoffs, chance probabilities, weights, table and synergy
+values) is a JSON number or an exact rational string "p/q" (integers,
+q > 0). Action maps preserve declaration order, which fixes every tie-break
 downstream. `parse_game` reports the first syntax error with line/column;
 schema problems raise GameFormatError with a code.
 """
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -66,17 +69,36 @@ def _fail(code, message, line=None, column=None):
     raise GameFormatError(code, message, line, column)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
+
+
+def _rational(value) -> Fraction | None:
+    """The exact value of a "p/q" string (integers, q > 0), else None."""
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+        return None
+    p, q = value.split("/")
+    try:
+        p, q = int(p), int(q)
+    except ValueError:  # more digits than int() converts
+        return None
+    return Fraction(p, q) if q > 0 else None
+
+
 def _is_number(value) -> bool:
-    """A JSON number: not a boolean, and finite (Python's JSON reader takes
-    NaN, Infinity and out-of-range literals such as 1e400)."""
+    """A JSON number or a "p/q" string. A number is not a boolean, and is
+    finite (Python's JSON reader takes NaN, Infinity and out-of-range
+    literals such as 1e400)."""
     if isinstance(value, float):
         return math.isfinite(value)
+    if isinstance(value, str):
+        return _rational(value) is not None
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _number(value, where):
     if not _is_number(value):
-        _fail("SyntaxError", f"{where} must be a number, not {value!r}")
+        _fail("SyntaxError", f"{where} must be a number or a \"p/q\" string, "
+                             f"not {value!r}")
     return value
 
 
@@ -168,7 +190,8 @@ def parse_game(text: str) -> GameSpec:
         else:
             payoffs = body["payoffs"]
             if not isinstance(payoffs, list) or not all(map(_is_number, payoffs)):
-                _fail("SyntaxError", f"node {nid}: payoffs must be a list of numbers")
+                _fail("SyntaxError", f"node {nid}: payoffs must be a list of numbers "
+                                     f"or \"p/q\" strings")
             nodes[nid] = {"payoffs": list(payoffs)}
 
     coalitions = _object(raw.get("coalitions") or {}, "coalitions")
@@ -245,7 +268,7 @@ def parse_game(text: str) -> GameSpec:
 
 
 def to_number(value) -> Fraction:
-    """Convert a parsed JSON number to an exact Fraction.
+    """Convert a parsed JSON number or "p/q" string to an exact Fraction.
 
     Floats go through Decimal(str(...)) so that `0.1` means one tenth, not
     the nearest binary float.
@@ -258,7 +281,10 @@ def to_number(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(Decimal(str(value)))
-    raise TypeError(f"not a number: {value!r}")
+    exact = _rational(value)
+    if exact is None:
+        raise TypeError(f"not a number: {value!r}")
+    return exact
 
 
 def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
@@ -524,9 +550,14 @@ def serialize_game(spec: GameSpec) -> str:
 
 def load_game(path) -> tuple[GameTree, UtilitySystem]:
     """Parse and validate a game file; the usual entry point."""
-    with open(path, encoding="utf-8") as fh:
-        spec = parse_game(fh.read())
-    return validate_game(spec)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except IsADirectoryError:
+        _fail("NotAFile", f"{path} is a directory, not a game file")
+    except UnicodeDecodeError as exc:
+        _fail("SyntaxError", f"{path} is not UTF-8 text ({exc.reason})")
+    return validate_game(parse_game(text))
 
 
 def load_game_text(text: str) -> tuple[GameTree, UtilitySystem]:

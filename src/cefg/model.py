@@ -234,7 +234,8 @@ class GameTree:
                 continue
             if nid != g and nid in self.subgame_roots:
                 continue
-            out.append(nid)
+            if node.player is not None:  # a chance root owns no info set
+                out.append(nid)
             stack.extend(c for _, c in reversed(node.actions))
         return tuple(sorted(out, key=self._pre_index.__getitem__))
 

@@ -292,87 +292,135 @@ def export_dot(tree, profile: SolutionProfile | None = None) -> str:
 
 
 # -- JSON -----------------------------------------------------------------------
+#
+# The JSON text is exactly what `json.dumps(body, sort_keys=True, indent=2)`
+# gives the equivalent body, built from strings directly: the standard
+# library's indenting encoder is pure Python and took most of a request's
+# time on deep games. Each helper gets the number of containers its value
+# sits in (`level`), which fixes its indentation.
+
+_str = json.encoder.encode_basestring_ascii  # the string encoder json.dumps uses
 
 
-def _num_json(v):
-    v = Fraction(v)
-    return v.numerator if v.denominator == 1 else str(v)
+def _num_text(v) -> str:
+    """A number: an int when integral, an exact fraction string otherwise."""
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
+    return str(v.numerator) if v.denominator == 1 else f'"{v}"'
 
 
-def _actions_json(actions):
-    out = {}
-    for sid, act in actions.items():
-        if isinstance(act, tuple):
-            out[sid] = {label: _num_json(p) for label, p in act}
-        else:
-            out[sid] = act
-    return out
+def _array(items: list, level: int) -> str:
+    """A list of already encoded items."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
 
 
-def _entry_json(entry: Entry):
-    return {
-        "outcome": [_num_json(v) for v in entry.outcome],
-        "partition": [list(b) for b in entry.partition],
-        "coalition": list(entry.coalition) if entry.coalition else None,
-        "actions": _actions_json(entry.actions),
-        "terminals": {z: _num_json(p) for z, p in entry.dist},
-    }
+def _object(pairs, level: int) -> str:
+    """An object of (key, already encoded value) pairs, keys sorted."""
+    if not pairs:
+        return "{}"
+    pad = "\n" + "  " * (level + 1)
+    return ("{" + pad + ("," + pad).join(_str(k) + ": " + v for k, v in sorted(pairs))
+            + "\n" + "  " * level + "}")
+
+
+def _nums_text(values, level: int) -> str:
+    return _array([_num_text(v) for v in values], level)
+
+
+def _block_text(block, level: int) -> str:
+    return _array([str(i) for i in block], level)
+
+
+def _coalition_text(coalition, level: int) -> str:
+    return _block_text(coalition, level) if coalition else "null"
+
+
+def _partition_text(partition, level: int) -> str:
+    return _array([_block_text(b, level + 1) for b in partition], level)
+
+
+def _actions_text(actions: dict, level: int) -> str:
+    return _object([(sid, _object([(label, _num_text(p)) for label, p in act], level + 1)
+                     if isinstance(act, tuple) else _str(act))
+                    for sid, act in actions.items()], level)
 
 
 def solution_to_json(sol: LocalSolution) -> str:
     """Deterministic JSON of one solution: its outcome and its actions."""
-    body = {
-        "outcome": [_num_json(v) for v in sol.outcome],
-        "actions": _actions_json(sol.actions),
-    }
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    return _object([("actions", _actions_text(sol.actions, 1)),
+                    ("outcome", _nums_text(sol.outcome, 1))], 0) + "\n"
 
 
-def _json_at(value, level: int) -> str:
-    """The text `json.dumps(..., sort_keys=True, indent=2)` gives `value`
-    `level` containers deep; indentation is its only raw newline."""
-    return json.dumps(value, sort_keys=True, indent=2).replace(
-        "\n", "\n" + "  " * level)
+def _number_entries(contexts: dict) -> tuple[list, dict]:
+    """Each distinct Entry object once, in order of first visit, and its id
+    (keyed by `id(entry)`; the profile keeps every entry alive).
+
+    The walk takes the `contexts` entries in order and each entry's
+    children in the order the solver stored them (preorder), depth first
+    on an explicit stack.
+    """
+    order: list = []
+    ids: dict = {}
+    stack = list(reversed(contexts.values()))
+    while stack:
+        entry = stack.pop()
+        if id(entry) in ids:
+            continue
+        ids[id(entry)] = len(order)
+        order.append(entry)
+        stack.extend(reversed(entry.children.values()))
+    return order, ids
 
 
 def profile_to_json(profile: SolutionProfile) -> str:
-    """Deterministic JSON of the whole solution profile.
+    """Deterministic JSON of the whole solution profile (schema 2).
 
-    The entry map is keyed "context/subgame" so downstream tools can see
-    that a nested solution need not restrict the enclosing one. Numbers are
-    ints when integral, exact fraction strings otherwise. The text is that
-    of `json.dumps(body, sort_keys=True, indent=2)`; each distinct Entry
-    object is encoded once and its text reused under every context.
+    The solution is a DAG of shared entries: an inner subgame's entry need
+    not restrict the enclosing solution, so each context keeps its own
+    entry ids. `entries` lists each distinct entry once; an entry holds the
+    actions at its own layer's information sets and `children` maps each
+    nested subgame root to that subgame's entry id. `contexts` maps the
+    root and every standalone subgame root to its entry id. A context's
+    full action map is its entry's actions plus, recursively, those of its
+    children.
     """
-    keyed = {f"{ctx}/{g}": entry
-             for (ctx, g), entry in profile.entries().items()}
-    encoded: dict = {}
-    items = []
-    for key in sorted(keyed):
-        entry = keyed[key]
-        text = encoded.get(id(entry))
-        if text is None:
-            text = encoded[id(entry)] = _json_at(_entry_json(entry), 2)
-        items.append(f"    {json.dumps(key)}: {text}")
-    fields = {
-        "outcome": [_num_json(v) for v in profile.outcome],
-        "partition": [list(b) for b in profile.partition],
-        "coalition": list(profile.coalition) if profile.coalition else None,
-        "summary": bracket_summary(profile),
-        "trace": [
-            {
-                "node": s.node,
-                "kind": s.kind,
-                "coalition": list(s.coalition) if s.coalition else None,
-                "outcome": [_num_json(v) for v in s.outcome],
-                "reason": s.reason,
-                "comparisons": [[i, _num_json(c), _num_json(h)]
-                                for i, c, h in s.comparisons],
-            }
-            for s in profile.trace_steps()
-        ],
-    }
-    parts = {key: _json_at(value, 1) for key, value in fields.items()}
-    parts["entries"] = "{\n" + ",\n".join(items) + "\n  }"
-    return ("{\n" + ",\n".join(f"  {json.dumps(key)}: {parts[key]}"
-                                for key in sorted(parts)) + "\n}\n")
+    tree = profile.tree
+    contexts = profile.contexts()
+    order, ids = _number_entries(contexts)
+    layer_sets: dict = {}
+    entries = []
+    for entry in order:
+        sids = layer_sets.get(entry.node)
+        if sids is None:
+            sids = layer_sets[entry.node] = tree.layer_info_sets(entry.node)
+        entries.append(_object([
+            ("actions", _actions_text({sid: entry.actions[sid] for sid in sids}, 3)),
+            ("children", _object([(node, str(ids[id(child)]))
+                                  for node, child in entry.children.items()], 3)),
+            ("coalition", _coalition_text(entry.coalition, 3)),
+            ("outcome", _nums_text(entry.outcome, 3)),
+            ("partition", _partition_text(entry.partition, 3)),
+            ("terminals", _object([(z, _num_text(p)) for z, p in entry.dist], 3)),
+        ], 2))
+    trace = [_object([
+        ("coalition", _coalition_text(s.coalition, 3)),
+        ("comparisons", _array([_nums_text(c, 4) for c in s.comparisons], 3)),
+        ("kind", _str(s.kind)),
+        ("node", _str(s.node)),
+        ("outcome", _nums_text(s.outcome, 3)),
+        ("reason", _str(s.reason)),
+    ], 2) for s in profile.trace_steps()]
+    return _object([
+        ("coalition", _coalition_text(profile.coalition, 1)),
+        ("contexts", _object([(ctx, str(ids[id(entry)]))
+                              for ctx, entry in contexts.items()], 1)),
+        ("entries", _array(entries, 1)),
+        ("outcome", _nums_text(profile.outcome, 1)),
+        ("partition", _partition_text(profile.partition, 1)),
+        ("schema", "2"),
+        ("summary", _str(bracket_summary(profile))),
+        ("trace", _array(trace, 1)),
+    ], 0) + "\n"

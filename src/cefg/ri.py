@@ -143,19 +143,24 @@ class SolutionProfile:
             entry = step
         return entry
 
+    def contexts(self) -> dict:
+        """Context root -> its Entry: the root context, then every subgame
+        solved on its own (terminals included), in memo order."""
+        out = {self.root_entry.node: self.root_entry}
+        for (node, view), entry in self._memo.items():
+            if view == self._base:
+                out.setdefault(node, entry)
+        return out
+
     def entries(self) -> dict:
         """Flat (context root, subgame root) -> Entry map over all contexts."""
         out = {}
-
-        def walk(ctx, entry):
-            out[(ctx, entry.node)] = entry
-            for child in entry.children.values():
-                walk(ctx, child)
-
-        walk(self.root_entry.node, self.root_entry)
-        for (node, view), entry in self._memo.items():
-            if view == self._base and (node, node) not in out:
-                walk(node, entry)
+        for ctx, top in self.contexts().items():
+            stack = [top]
+            while stack:
+                entry = stack.pop()
+                out[(ctx, entry.node)] = entry
+                stack.extend(entry.children.values())
         return out
 
     def on_path_nodes(self) -> tuple:

@@ -55,3 +55,48 @@ def make_game_text(nodes, players=3, root=None, feasible="all",
     if synergies:
         doc["synergies"] = synergies
     return json.dumps(doc)
+
+
+def expand_v1_entries(doc) -> dict:
+    """The "context/subgame" entry map of a schema-2 solution document.
+
+    Walks each context from its entry id through `children`; a subgame's
+    full action map is its entry's own-layer actions plus, recursively,
+    those of its children. The result is the map the earlier format wrote.
+    """
+    items = doc["entries"]
+    full_actions: dict = {}
+
+    def actions_of(i):
+        if i not in full_actions:
+            acts = dict(items[i]["actions"])
+            for child in items[i]["children"].values():
+                acts.update(actions_of(child))
+            full_actions[i] = acts
+        return full_actions[i]
+
+    out = {}
+    for ctx, top in doc["contexts"].items():
+        stack = [(ctx, top)]
+        while stack:
+            node, i = stack.pop()
+            item = items[i]
+            out[f"{ctx}/{node}"] = {
+                "outcome": item["outcome"],
+                "partition": item["partition"],
+                "coalition": item["coalition"],
+                "actions": actions_of(i),
+                "terminals": item["terminals"],
+            }
+            stack.extend(item["children"].items())
+    return out
+
+
+def expand_v1(text: str) -> str:
+    """The earlier JSON text of a solution from its schema-2 text."""
+    doc = json.loads(text)
+    assert doc["schema"] == 2
+    body = {key: doc[key] for key in
+            ("outcome", "partition", "coalition", "summary", "trace")}
+    body["entries"] = expand_v1_entries(doc)
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"

@@ -7,7 +7,7 @@ import pytest
 from cefg import GameFormatError, GameValidationError, load_game_text
 from cefg.cli import main
 from cefg.oracle import OracleReport
-from conftest import game_path, make_game_text
+from conftest import expand_v1_entries, game_path, make_game_text
 
 
 def run(capsys, *argv):
@@ -206,12 +206,33 @@ def _chance_root_in_a_set(doc):
     pytest.param(_malformed(lambda doc: None).replace(
         "[1, 2, 0]", f"[{'9' * 5000}, 2, 0]"), "SyntaxError", id="overlong-integer"),
     pytest.param("[" * 100_000 + "]" * 100_000, "SyntaxError", id="deep-nesting"),
+    pytest.param(_malformed(lambda doc: doc["nodes"]["z1"].update(
+        payoffs=["1/0", 2, 0])), "SyntaxError", id="rational-with-zero-denominator"),
+    pytest.param(_malformed(lambda doc: doc["nodes"]["z1"].update(
+        payoffs=["x", 2, 0])), "SyntaxError", id="non-numeric-payoff-string"),
+    pytest.param(_malformed(lambda doc: None, chance={"z1": "1/3 ", "z2": "2/3"}),
+                 "SyntaxError", id="rational-with-trailing-space"),
+    pytest.param(_malformed(_set_utility(
+        {"combinator": "weighted", "weights": {"1": "2/-3"}})), "SyntaxError",
+        id="rational-with-negative-denominator"),
+    pytest.param(_malformed(lambda doc: doc.update(synergies=[
+        {"player": 1, "block": [1, 2], "terminal": "z1", "value": "1.5/2"}])),
+        "SyntaxError", id="rational-with-decimal-numerator"),
+    pytest.param(b"\xff\xfe{\x00}\x00", "SyntaxError", id="not-utf-8"),
+    pytest.param(None, "NotAFile", id="directory"),
 ])
 def test_malformed_input_is_a_typed_error(tmp_path, capsys, text, code):
-    with pytest.raises((GameFormatError, GameValidationError), match=code):
-        load_game_text(text)
+    # A str is a game text; bytes are a file that is not UTF-8 text, and
+    # None a directory in place of the file, which only `cefg` reads.
     bad = tmp_path / "bad.game"
-    bad.write_text(text)
+    if isinstance(text, str):
+        with pytest.raises((GameFormatError, GameValidationError), match=code):
+            load_game_text(text)
+        bad.write_text(text)
+    elif isinstance(text, bytes):
+        bad.write_bytes(text)
+    else:
+        bad.mkdir()
     exit_code, _, err = run(capsys, "solve", str(bad))
     assert exit_code == 2
     assert code in err
@@ -230,7 +251,7 @@ def test_info_set_named_apart_from_its_node(tmp_path, capsys):
         assert out == run(capsys, *argv, str(game_path("example2.game")))[1]
     code, out, _ = run(capsys, "solve", str(game), "--format", "json")
     assert code == 0
-    actions = json.loads(out)["entries"]["x7/x7"]["actions"]
+    actions = expand_v1_entries(json.loads(out))["x7/x7"]["actions"]
     assert "h" in actions and "x5" not in actions
 
 

@@ -1,6 +1,7 @@
 """Parser and serializer for the game description format."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -106,6 +107,45 @@ def test_table_and_weighted_utilities_round_trip():
     }, players=2, utility={"combinator": "weighted", "weights": {"1": 2, "2": 1}})
     spec = parse_game(text)
     assert parse_game(serialize_game(spec)) == spec
+
+
+def test_rational_strings_are_exact_and_round_trip():
+    text = make_game_text({
+        "root": {"actions": {"a": "x", "b": "y", "c": "w"}},
+        "x": {"player": 1, "actions": {"l": "z1", "r": "z2"}},
+        "y": {"player": 2, "actions": {"l": "z3", "r": "z4"}},
+        "w": {"player": 1, "actions": {"l": "z5", "r": "z6"}},
+        "z1": ["1/3", 0], "z2": [0, 1], "z3": [1, "-2/4"], "z4": [2, 0],
+        "z5": [1, 1], "z6": ["5/3", "1/6"],
+    }, players=2, root="root", chance={"x": "1/3", "y": "1/3", "w": "1/3"},
+        utility={"combinator": "weighted", "weights": {"1": "1/2", "2": 1}},
+        synergies=[{"player": 1, "block": [1, 2], "terminal": "z6",
+                    "value": "7/3"}])
+    spec = parse_game(text)
+    assert parse_game(serialize_game(spec)) == spec
+    tree, utils = load_game_text(text)
+    assert tree.chance_at_root == {"x": Fraction(1, 3), "y": Fraction(1, 3),
+                                   "w": Fraction(1, 3)}
+    assert tree.nodes["z3"].payoffs == (1, Fraction(-1, 2))
+    assert utils.weights == (Fraction(1, 2), 1)
+    assert utils.synergies[0].value == Fraction(7, 3)
+    profile = solve_game(tree, utils)
+    # Each branch's best response: x -> z1 (1/3 > 0), y -> z4 (0 > -1/2),
+    # w -> z6 (5/3 > 1); each weighs exactly one third.
+    assert profile.outcome == (Fraction(1, 3) * (Fraction(1, 3) + 2 + Fraction(5, 3)),
+                               Fraction(1, 3) * Fraction(1, 6))
+    body = json.loads(profile_to_json(profile))
+    assert body["entries"][body["contexts"]["root"]]["terminals"] == {
+        "z1": "1/3", "z4": "1/3", "z6": "1/3"}
+
+    text = make_game_text({
+        "r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},
+        "z1": [1, 2], "z2": [2, 1],
+    }, players=2, utility={"table": {"1,2": {"z1": "10/3", "z2": "7/2"}}})
+    spec = parse_game(text)
+    assert parse_game(serialize_game(spec)) == spec
+    tree, utils = load_game_text(text)
+    assert utils.coalition_value((1, 2), "z1", tree) == Fraction(10, 3)
 
 
 # -- parser totality ---------------------------------------------------------

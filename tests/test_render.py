@@ -2,13 +2,12 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from cefg import load_game_text, solve_ri, solve_ri_imperfect
+from cefg import load_game_text, random_game, solve_game, solve_ri, solve_ri_imperfect
 from cefg.render import (
-    _entry_json,
-    _num_json,
     bracket_entry,
     bracket_summary,
     export_dot,
@@ -17,7 +16,7 @@ from cefg.render import (
     render_solution,
     render_trace,
 )
-from conftest import make_game_text
+from conftest import expand_v1, expand_v1_entries, make_game_text
 
 
 def test_summary_strings(example2, example2_modified):
@@ -122,13 +121,17 @@ def test_dot_unsolved_plain(example2):
 def test_json_shape_and_sigma_distinction(example2):
     tree, utils = example2
     body = json.loads(profile_to_json(solve_ri(tree, utils)))
+    assert body["schema"] == 2
     assert body["outcome"] == [6, 3, 5]
     assert body["partition"] == [[1, 3], [2]]
     assert body["coalition"] == [1, 3]
     assert body["summary"] == "[{R},{a,d},{e,g,j,l}; {1,3},2]"
     # sigma(root, x6) and sigma(x6, x6) are both present and differ.
-    assert body["entries"]["x7/x6"]["actions"]["x3"] == "i"
-    assert body["entries"]["x6/x6"]["actions"]["x3"] == "j"
+    entries = expand_v1_entries(body)
+    assert entries["x7/x6"]["actions"]["x3"] == "i"
+    assert entries["x6/x6"]["actions"]["x3"] == "j"
+    root_item = body["entries"][body["contexts"]["x7"]]
+    assert root_item["children"]["x6"] != body["contexts"]["x6"]
     kinds = [step["kind"] for step in body["trace"]]
     assert "index-point" in kinds and "adopted" in kinds
 
@@ -175,7 +178,7 @@ def test_json_handles_mixed_profiles():
     tree, utils = load_game_text(text)
     body = json.loads(profile_to_json(solve_ri_imperfect(tree, utils)))
     assert body["outcome"] == [0, 0]
-    assert body["entries"]["r/r"]["actions"]["h2"] == {"h": "1/2", "t": "1/2"}
+    assert expand_v1_entries(body)["r/r"]["actions"]["h2"] == {"h": "1/2", "t": "1/2"}
 
 
 # -- memoized renderers against the naive per-context reference ----------------
@@ -208,14 +211,35 @@ def _naive_render_solution(profile):
     return "\n".join(lines)
 
 
+def _num_json(v):
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else str(v)
+
+
+def _actions_json(actions):
+    return {sid: {label: _num_json(p) for label, p in act}
+            if isinstance(act, tuple) else act
+            for sid, act in actions.items()}
+
+
+def _naive_entry_json(entry):
+    return {
+        "outcome": [_num_json(v) for v in entry.outcome],
+        "partition": [list(b) for b in entry.partition],
+        "coalition": list(entry.coalition) if entry.coalition else None,
+        "actions": _actions_json(entry.actions),
+        "terminals": {z: _num_json(p) for z, p in entry.dist},
+    }
+
+
 def _naive_profile_json(profile):
-    """One `json.dumps` over the full entry map."""
+    """One `json.dumps` over the full "context/subgame" entry map."""
     body = {
         "outcome": [_num_json(v) for v in profile.outcome],
         "partition": [list(b) for b in profile.partition],
         "coalition": list(profile.coalition) if profile.coalition else None,
         "summary": bracket_summary(profile),
-        "entries": {f"{ctx}/{g}": _entry_json(entry)
+        "entries": {f"{ctx}/{g}": _naive_entry_json(entry)
                     for (ctx, g), entry in profile.entries().items()},
         "trace": [
             {
@@ -233,13 +257,21 @@ def _naive_profile_json(profile):
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
+def _assert_json_matches_naive(profile):
+    text = profile_to_json(profile)
+    # The text is laid out exactly as json.dumps lays out its own body ...
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    # ... and loses nothing of the per-context entry map.
+    assert expand_v1(text) == _naive_profile_json(profile)
+
+
 def _assert_matches_naive(profile):
     entries = profile.entries()
     # The memo must actually share entries across contexts for the check
     # to exercise the renderers' caches.
     assert len({id(e) for e in entries.values()}) < len(entries)
     assert render_solution(profile) == _naive_render_solution(profile)
-    assert profile_to_json(profile) == _naive_profile_json(profile)
+    _assert_json_matches_naive(profile)
 
 
 def _centipede_nodes(depth, prefix="c", first=1):
@@ -312,3 +344,45 @@ def test_memoized_renderers_match_naive_with_adopted_coalitions():
     prof = solve_ri(*load_game_text(text))
     assert sum(1 for e in prof.entries().values() if e.coalition) > 5
     _assert_matches_naive(prof)
+
+
+@pytest.mark.parametrize("fixture", ["abortion", "example2", "example2_modified"])
+def test_json_expands_to_naive_on_fixtures(fixture, request):
+    _assert_json_matches_naive(solve_game(*request.getfixturevalue(fixture)))
+
+
+def test_json_expands_to_naive_on_random_games():
+    rng = random.Random(6)
+    for _ in range(30):
+        _assert_json_matches_naive(
+            solve_game(*random_game(rng, max_players=4, max_nodes=20)))
+
+
+def test_json_lists_each_distinct_entry_once(example2):
+    prof = solve_ri(*example2)
+    body = json.loads(profile_to_json(prof))
+    distinct = {id(e) for e in prof.entries().values()}
+    assert len(body["entries"]) == len(distinct)
+    assert set(body["contexts"]) == {ctx for ctx, _ in prof.entries()}
+    assert body["contexts"]["x7"] == 0
+    for item in body["entries"]:
+        assert all(i < len(body["entries"]) for i in item["children"].values())
+
+
+def test_json_grows_linearly_with_depth():
+    sizes = {}
+    for depth in (50, 100, 200):
+        text = make_game_text(_centipede_nodes(depth), players=2)
+        sizes[depth] = len(profile_to_json(solve_ri(*load_game_text(text))))
+    # Linear growth gives about 4x; one entry map per context gave 34x.
+    assert sizes[50] < sizes[100] < sizes[200] <= 5 * sizes[50]
+
+
+def test_json_escapes_names_as_json_dumps_does():
+    nodes = {
+        'r"\\': {"player": 1, "actions": {"é": "m\n", "b": "z3"}},
+        "m\n": {"player": 2, "actions": {"x\t": "z☃", "y": "z2"}},
+        "z☃": [2, 3], "z2": [3, 1], "z3": [1, 0],
+    }
+    prof = solve_ri(*load_game_text(make_game_text(nodes, players=2)))
+    _assert_json_matches_naive(prof)
