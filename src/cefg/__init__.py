@@ -7,6 +7,7 @@ from .errors import (
     ImperfectInformation,
     InfeasibleCoalition,
     MixedEquilibriumUnsupported,
+    OutputError,
     TooLarge,
 )
 from .gamefile import (
@@ -18,7 +19,7 @@ from .gamefile import (
     validate_game,
 )
 from .model import GameTree, Node, UtilitySystem
-from .noncoop import LocalSolution, backward_induction, best_response_at, spne_in_subgame
+from .noncoop import LocalSolution, backward_induction, spne_in_subgame
 from .oracle import OracleReport, equivalence_check, oracle_bi, oracle_solve, random_game
 from .render import (
     bracket_entry,
@@ -33,7 +34,6 @@ from .ri import (
     SolutionProfile,
     SolveStep,
     check_ir_invariants,
-    combine_chance_root,
     enumerate_reference_points,
     index_reference_point,
     ir_chain,

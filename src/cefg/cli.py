@@ -9,8 +9,9 @@ Commands::
     cefg export GAME [-o OUT]          (solve --format dot)
     cefg oracle-check [GAME] [--random N] [--seed S] [--max-nodes M]
 
-Exit codes: 0 success, 1 oracle mismatch, 2 parse/validation error,
-3 solver error (e.g. an unsupported mixed equilibrium).
+Exit codes: 0 success, 1 oracle mismatch, 2 parse/validation error or an
+output file that cannot be written, 3 solver error (e.g. an unsupported
+mixed equilibrium).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import argparse
 import random
 import sys
 
-from .errors import CefgError, GameFormatError, GameValidationError
+from .errors import CefgError, GameFormatError, GameValidationError, OutputError
 from .gamefile import load_game
 from .noncoop import backward_induction
 from .oracle import equivalence_check, random_game
@@ -88,8 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, output) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -120,7 +124,7 @@ def _cmd_bi(args) -> int:
     if args.format == "json":
         _emit(solution_to_json(sol), args.output)
         return EXIT_OK
-    order = sorted(sol.actions, key=lambda s: tree._pre_index[tree.info_sets[s][0]])
+    order = sorted(sol.actions, key=lambda s: tree.position(tree.info_sets[s][0]))
     path = ", ".join(f"{sid}:{sol.actions[sid]}" for sid in order)
     _emit(f"outcome: {outcome_str(sol.outcome)}\nactions: {path}\n", args.output)
     return EXIT_OK
@@ -171,7 +175,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FileNotFoundError, GameFormatError, GameValidationError) as exc:
+    except (GameFormatError, GameValidationError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CefgError as exc:

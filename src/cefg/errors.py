@@ -36,6 +36,10 @@ class GameValidationError(CefgError):
         return [code for code, _ in self.violations]
 
 
+class OutputError(CefgError):
+    """The output file could not be written."""
+
+
 class InfeasibleCoalition(CefgError):
     """A coalition outside the declared feasible set was used."""
 

@@ -553,6 +553,8 @@ def load_game(path) -> tuple[GameTree, UtilitySystem]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+    except FileNotFoundError:
+        _fail("NotFound", f"{path} does not exist")
     except IsADirectoryError:
         _fail("NotAFile", f"{path} is a directory, not a game file")
     except UnicodeDecodeError as exc:

@@ -106,7 +106,10 @@ class GameTree:
         self.n_players = len(self.players)
         self.chance_at_root = dict(chance_at_root) if chance_at_root else None
 
+        # The preorder walk fixes each node's position and depth. With the
+        # end set below, the subtree of `nid` is preorder[position:end].
         self._parent: dict[str, tuple[str, str]] = {}
+        self._depth: dict[str, int] = {root: 0}
         self.preorder: list[str] = []
         order = [root]
         while order:
@@ -115,8 +118,9 @@ class GameTree:
             node = self.nodes[nid]
             for label, child in reversed(node.actions):
                 self._parent[child] = (nid, label)
+                self._depth[child] = self._depth[nid] + 1
                 order.append(child)
-        self._pre_index = {nid: k for k, nid in enumerate(self.preorder)}
+        self._pos = {nid: k for k, nid in enumerate(self.preorder)}
 
         self.terminal_ids = tuple(
             nid for nid in self.preorder if self.nodes[nid].is_terminal)
@@ -129,7 +133,7 @@ class GameTree:
         covered: dict[str, str] = {}
         self.info_sets: dict[str, tuple] = {}
         for set_id, members in (info_sets or {}).items():
-            members = tuple(sorted(members, key=self._pre_index.__getitem__))
+            members = tuple(sorted(members, key=self._pos.__getitem__))
             self.info_sets[set_id] = members
             for nid in members:
                 covered[nid] = set_id
@@ -139,34 +143,47 @@ class GameTree:
                 covered[nid] = nid
         self._info_set_of = covered
 
-        self._subtree_cache: dict[str, frozenset] = {}
-        self.subgame_roots = frozenset(
-            nid for nid in self.preorder if self._is_subgame_root(nid))
+        # One bottom-up pass gives each subtree its end and the lowest and
+        # highest position of any information set with a member inside it.
+        # A decision node with a singleton set roots a subgame when every
+        # such set lies whole inside its subtree.
+        self._end: dict[str, int] = {}
+        span, roots = {}, []
+        for nid in reversed(self.preorder):
+            sid = covered.get(nid)
+            members = (nid,) if sid is None else self.info_sets[sid]
+            lo, hi = self._pos[members[0]], self._pos[members[-1]]
+            end = self._pos[nid] + 1
+            for _, child in self.nodes[nid].actions:
+                end = self._end[child]
+                lo, hi = min(lo, span[child][0]), max(hi, span[child][1])
+            self._end[nid], span[nid] = end, (lo, hi)
+            if self.nodes[nid].is_terminal or nid == root or (
+                    sid is not None and len(members) == 1
+                    and self._pos[nid] <= lo and hi < end):
+                roots.append(nid)
+        self.subgame_roots = frozenset(roots)
 
     # -- basic structure ---------------------------------------------------
 
     def player_name(self, i: int) -> str:
         return self.players[i - 1]
 
-    def depth_of(self, nid: str) -> int:
-        d = 0
-        while (edge := self._parent.get(nid)) is not None:
-            nid = edge[0]
-            d += 1
-        return d
+    def position(self, nid: str) -> int:
+        """The index of `nid` in `preorder`."""
+        return self._pos[nid]
 
-    def subtree_nodes(self, nid: str) -> frozenset:
-        """All nodes of the subtree rooted at `nid`, including `nid`."""
-        cached = self._subtree_cache.get(nid)
-        if cached is None:
-            acc = set()
-            stack = [nid]
-            while stack:
-                cur = stack.pop()
-                acc.add(cur)
-                stack.extend(c for _, c in self.nodes[cur].actions)
-            cached = self._subtree_cache[nid] = frozenset(acc)
-        return cached
+    def depth_of(self, nid: str) -> int:
+        return self._depth[nid]
+
+    def subtree_nodes(self, nid: str) -> list:
+        """All nodes of the subtree rooted at `nid`, including `nid`, in
+        preorder."""
+        return self.preorder[self._pos[nid]:self._end[nid]]
+
+    def in_subtree(self, nid: str, root: str) -> bool:
+        """True when `nid` lies in the subtree rooted at `root`."""
+        return self._pos[root] <= self._pos[nid] < self._end[root]
 
     def info_set_of(self, nid: str) -> str:
         return self._info_set_of[nid]
@@ -196,21 +213,6 @@ class GameTree:
 
     # -- subgame decomposition ----------------------------------------------
 
-    def _is_subgame_root(self, nid: str) -> bool:
-        node = self.nodes[nid]
-        if node.is_terminal or nid == self.root:
-            return True
-        if node.player is None:
-            return False
-        if len(self.info_sets[self._info_set_of[nid]]) != 1:
-            return False
-        inside = self.subtree_nodes(nid)
-        for members in self.info_sets.values():
-            hit = sum(1 for m in members if m in inside)
-            if 0 < hit < len(members):
-                return False
-        return True
-
     def frontier_of(self, g: str) -> tuple:
         """Maximal proper subgame roots (and terminals) strictly below `g`."""
         out = []
@@ -237,7 +239,7 @@ class GameTree:
             if node.player is not None:  # a chance root owns no info set
                 out.append(nid)
             stack.extend(c for _, c in reversed(node.actions))
-        return tuple(sorted(out, key=self._pre_index.__getitem__))
+        return tuple(out)
 
     def layer_info_sets(self, g: str) -> tuple:
         seen, out = set(), []

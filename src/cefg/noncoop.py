@@ -25,7 +25,6 @@ from .errors import ImperfectInformation, MixedEquilibriumUnsupported, TooLarge
 from .model import (
     GameTree,
     block_containing,
-    canon_partition,
     dist_payoffs,
     expected_coalition_value,
     expected_individual_value,
@@ -75,19 +74,6 @@ def best_response(tree, utils, partition, block, node, dists):
         if best_key is None or key > best_key:
             best_label, best_key = label, key
     return best_label, best_key
-
-
-def best_response_at(tree, utils, x, successor_solutions, owner, partition=None):
-    """The owner's utility-maximizing action at node `x` given solved children.
-
-    Returns (action label, owner's value).
-    """
-    partition = (canon_partition(partition) if partition
-                 else singleton_partition(tree.n_players))
-    block = (owner,) if isinstance(owner, int) else tuple(sorted(owner))
-    dists = {child: sol.dist for child, sol in successor_solutions.items()}
-    label, key = best_response(tree, utils, partition, block, tree.nodes[x], dists)
-    return label, key[0]
 
 
 def combine_chance(branches) -> tuple:

@@ -52,8 +52,7 @@ def _action_str(act) -> str:
 def _acting_blocks(tree, entry):
     """Partition blocks in the order their members first act in the subgame."""
     order = []
-    for nid in sorted(tree.subtree_nodes(entry.node),
-                      key=tree._pre_index.__getitem__):
+    for nid in tree.subtree_nodes(entry.node):
         node = tree.nodes[nid]
         if node.is_terminal or node.player is None:
             continue
@@ -72,7 +71,7 @@ def _bracket(tree, entry, pairs) -> str:
     groups = []
     for player in sorted(per_player):
         sets = sorted(per_player[player],
-                      key=lambda item: tree._pre_index[tree.info_sets[item[0]][0]])
+                      key=lambda item: tree.position(tree.info_sets[item[0]][0]))
         groups.append("{" + ",".join(_action_str(a) for _, a in sets) + "}")
     blocks = ",".join(block_str(b) for b in _acting_blocks(tree, entry))
     return "[" + ",".join(groups) + "; " + blocks + "]"
@@ -84,29 +83,16 @@ def bracket_entry(tree, entry: Entry) -> str:
         sids = {tree.info_set_of(nid) for nid in reach_nodes(tree, entry)
                 if tree.nodes[nid].player is not None}
     else:
-        subtree = tree.subtree_nodes(entry.node)
         sids = {sid for sid in entry.actions
-                if tree.info_sets[sid][0] in subtree}
+                if tree.in_subtree(tree.info_sets[sid][0], entry.node)}
     return _bracket(tree, entry, [(sid, entry.actions[sid]) for sid in sids])
-
-
-def _family_map(profile: SolutionProfile) -> dict:
-    out = {}
-
-    def walk(entry):
-        out[entry.node] = entry
-        for child in entry.children.values():
-            walk(child)
-
-    walk(profile.root_entry)
-    return out
 
 
 def bracket_summary(profile: SolutionProfile) -> str:
     """The root summary: adopted path plus individual off-path responses."""
     tree = profile.tree
     top = profile.root_entry
-    family = _family_map(profile)
+    family = profile.root_context
     on_path = set(profile.on_path_nodes())
     pairs, seen = [], set()
     for nid in tree.preorder:
@@ -218,8 +204,7 @@ def _family_block(tree, entry: Entry, cache: dict) -> list:
 
 def _nested_lines(tree, entry: Entry, cache: dict) -> list:
     lines = []
-    for child in sorted(entry.children.values(),
-                        key=lambda e: tree._pre_index[e.node]):
+    for child in entry.children.values():  # stored in preorder
         if not tree.nodes[child.node].is_terminal:
             lines.extend("  " + line
                          for line in _family_block(tree, child, cache))
@@ -237,7 +222,7 @@ def render_solution(profile: SolutionProfile) -> str:
     standalone = sorted(
         (nid for nid in tree.subgame_roots
          if nid in tree.decision_ids and nid != root.node),
-        key=lambda nid: (tree.depth_of(nid), tree._pre_index[nid]))
+        key=lambda nid: (tree.depth_of(nid), tree.position(nid)))
     for nid in standalone:
         lines.append(f"=== standalone solution at {nid} ===")
         lines.extend(_family_block(tree, profile.standalone_entry(nid), cache))
@@ -253,7 +238,7 @@ def export_dot(tree, profile: SolutionProfile | None = None) -> str:
     Chosen edges are dashed for an independently acting player and bold for
     a coalition; decision nodes are annotated with the acting unit.
     """
-    family = _family_map(profile) if profile is not None else {}
+    family = profile.root_context if profile is not None else {}
     nodes, edges = [], []
     for nid in tree.preorder:
         node = tree.nodes[nid]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import CefgError, ImperfectInformation, TooLarge
@@ -132,15 +133,22 @@ class SolutionProfile:
         """The solution of the subgame at `node` solved on its own."""
         return self._memo[(node, self._base)]
 
+    @cached_property
+    def root_context(self) -> dict:
+        """Subgame root -> its Entry inside the adopted root context, in
+        preorder."""
+        out, stack = {}, [self.root_entry]
+        while stack:
+            entry = stack.pop()
+            out[entry.node] = entry
+            stack.extend(reversed(entry.children.values()))
+        return out
+
     def context_entry(self, node: str) -> Entry:
         """The solution at `node`'s subgame inside the adopted root context."""
-        entry = self.root_entry
-        while entry.node != node:
-            step = next((c for c in entry.children.values()
-                         if node in self.tree.subtree_nodes(c.node)), None)
-            if step is None:
-                raise KeyError(f"{node} has no entry under the root context")
-            entry = step
+        entry = self.root_context.get(node)
+        if entry is None:
+            raise KeyError(f"{node} has no entry under the root context")
         return entry
 
     def contexts(self) -> dict:
@@ -188,7 +196,7 @@ def reach_nodes(tree: GameTree, entry: Entry) -> tuple:
             stack.extend(node.child(lab) for lab, p in act if p)
         else:
             stack.append(node.child(act))
-    return tuple(sorted(reached, key=tree._pre_index.__getitem__))
+    return tuple(sorted(reached, key=tree.position))
 
 
 class _Solver:
@@ -401,11 +409,10 @@ def _movers(tree) -> dict:
 
 
 def _set_below(tree, sid_a, sid_b) -> bool:
-    """True when info set a lies (weakly) below some node of info set b."""
-    above = set()
-    for m in tree.info_sets[sid_b]:
-        above |= tree.subtree_nodes(m) - {m}
-    return any(m in above for m in tree.info_sets[sid_a])
+    """True when some node of info set a lies strictly below some node of
+    info set b."""
+    return any(a != b and tree.in_subtree(a, b)
+               for a in tree.info_sets[sid_a] for b in tree.info_sets[sid_b])
 
 
 def _layer_bottom_up(tree, layer):
@@ -418,7 +425,7 @@ def _layer_bottom_up(tree, layer):
         if not ready:
             raise CefgError("information-set order has a cycle")
         ready.sort(key=lambda s: (-tree.depth_of(tree.info_sets[s][0]),
-                                  tree._pre_index[tree.info_sets[s][0]]))
+                                  tree.position(tree.info_sets[s][0])))
         first = ready[0]
         remaining.remove(first)
         done.append(first)
@@ -459,24 +466,6 @@ def solve_ri_imperfect(tree: GameTree, utils: UtilitySystem, *,
 def solve_game(tree: GameTree, utils: UtilitySystem, **kw) -> SolutionProfile:
     """RI solution of any valid game; the CLI entry point."""
     return solve_ri_imperfect(tree, utils, **kw)
-
-
-def combine_chance_root(branch_solutions) -> LocalSolution:
-    """Probability-weighted combination of per-branch solutions.
-
-    With a single branch the branch solution is returned unchanged; with
-    several, payoffs are the weighted sums and each branch keeps its own
-    partition (no cross-branch merging), so the combined partition is not
-    meaningful and is reported as the finest one common to the branches.
-    """
-    if len(branch_solutions) == 1:
-        return branch_solutions[0][1]
-    actions, dist = combine_chance(branch_solutions)
-    outcome = tuple(sum(p * sol.outcome[k] for p, sol in branch_solutions)
-                    for k in range(len(branch_solutions[0][1].outcome)))
-    finest = sorted({(i,) for _, sol in branch_solutions
-                     for block in sol.partition for i in block})
-    return LocalSolution(actions, dist, outcome, tuple(finest))
 
 
 def _index_reference_point(solver: _Solver, x, view) -> ReferencePoint:

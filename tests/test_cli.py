@@ -1,6 +1,7 @@
 """Command-line interface: commands, formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -108,7 +109,18 @@ def test_oracle_check_mismatch_exit_code(capsys, monkeypatch, example2):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/game.game")
     assert code == 2
-    assert "error" in err
+    assert "error: NotFound" in err and "/nonexistent/game.game" in err
+
+
+@pytest.mark.parametrize("target", ["", "missing/x.txt"],
+                         ids=["directory", "missing-parent"])
+def test_unwritable_output_exits_2(tmp_path, capsys, target):
+    out = tmp_path / target
+    code, stdout, err = run(capsys, "solve", str(game_path("example2.game")),
+                            "-o", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: cannot write") and str(out) in err
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
@@ -264,6 +276,15 @@ def _chain_text(depth):
         nodes[f"t{k}"] = [k + 2, k] if k % 2 == 0 else [k, k + 2]
     nodes[f"c{depth}"] = [depth + 1, depth + 1]
     return make_game_text(nodes, players=2, root="c0")
+
+
+def test_deep_chain_loads_in_linear_time():
+    # A quadratic build takes seconds at this depth.
+    text = _chain_text(2000)
+    start = time.perf_counter()
+    tree, _ = load_game_text(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(tree.subgame_roots) == 4001
 
 
 @pytest.mark.parametrize("command,depth", [("solve", 400), ("bi", 1200)])

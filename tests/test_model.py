@@ -1,9 +1,14 @@
 """Model layer: validation, utilities, merged views, subgame structure."""
 
+import ast
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
+from pathlib import Path
 
 import pytest
+
+import cefg
 
 from cefg import (
     GameValidationError,
@@ -13,6 +18,8 @@ from cefg import (
     validate_game,
 )
 from cefg.model import (
+    GameTree,
+    Node,
     block_containing,
     dist_payoffs,
     expected_coalition_value,
@@ -261,7 +268,7 @@ def test_subgame_at_root_and_terminal(example2):
     tree, _ = example2
     assert {"x7", "z1"} <= tree.subgame_roots
     assert len(tree.subtree_nodes("x7")) == len(tree.nodes)
-    assert tree.subtree_nodes("z1") == {"z1"}
+    assert set(tree.subtree_nodes("z1")) == {"z1"}
 
 
 def test_root_of_in_perfect_information(example2):
@@ -272,22 +279,137 @@ def test_root_of_in_perfect_information(example2):
         assert tree.layer_info_sets(nid) == (tree.info_set_of(nid),)
 
 
+SIMULTANEOUS_GADGET = make_game_text({
+    "top": {"player": 1, "actions": {"out": "zo", "in": "y"}},
+    "y": {"player": 2, "actions": {"l": "yl", "r": "yr"}},
+    "yl": {"player": 3, "actions": {"u": "z1", "v": "z2"}},
+    "yr": {"player": 3, "actions": {"u": "z3", "v": "z4"}},
+    "zo": [0, 0, 0], "z1": [1, 2, 3], "z2": [2, 3, 1],
+    "z3": [3, 1, 2], "z4": [1, 3, 2],
+}, info_sets={"h3": ["yl", "yr"]})
+
+
 def test_subtree_and_root_of_in_simultaneous_gadget():
-    text = make_game_text({
-        "top": {"player": 1, "actions": {"out": "zo", "in": "y"}},
-        "y": {"player": 2, "actions": {"l": "yl", "r": "yr"}},
-        "yl": {"player": 3, "actions": {"u": "z1", "v": "z2"}},
-        "yr": {"player": 3, "actions": {"u": "z3", "v": "z4"}},
-        "zo": [0, 0, 0], "z1": [1, 2, 3], "z2": [2, 3, 1],
-        "z3": [3, 1, 2], "z4": [1, 3, 2],
-    }, info_sets={"h3": ["yl", "yr"]})
-    tree, _ = load_game_text(text)
+    tree, _ = load_game_text(SIMULTANEOUS_GADGET)
     # y is the last singleton ancestor: h3 lies in the layer of y's subgame.
     assert "y" in tree.subgame_roots and "h3" in tree.layer_info_sets("y")
     assert "h3" not in tree.layer_info_sets("top")
-    nodes = tree.subtree_nodes("yl") | tree.subtree_nodes("yr")
+    nodes = set(tree.subtree_nodes("yl")) | set(tree.subtree_nodes("yr"))
     assert nodes == {"yl", "yr", "z1", "z2", "z3", "z4"}
     assert "yl" not in tree.subgame_roots
+
+
+# -- subtrees and subgame roots against their definitions ----------------------
+
+
+def _naive_subtree(tree, nid) -> list:
+    """The subtree at `nid`, by depth-first search, children in declaration
+    order."""
+    out, stack = [], [nid]
+    while stack:
+        cur = stack.pop()
+        out.append(cur)
+        stack.extend(c for _, c in reversed(tree.nodes[cur].actions))
+    return out
+
+
+def _naive_subgame_roots(tree) -> set:
+    """The root, the terminals, and every decision node with a singleton
+    information set whose subtree holds each information set it touches
+    whole."""
+    roots = set()
+    for nid, node in tree.nodes.items():
+        if node.is_terminal or nid == tree.root:
+            roots.add(nid)
+            continue
+        if node.player is None or len(tree.info_sets[tree.info_set_of(nid)]) != 1:
+            continue
+        inside = set(_naive_subtree(tree, nid))
+        if all(sum(m in inside for m in members) in (0, len(members))
+               for members in tree.info_sets.values()):
+            roots.add(nid)
+    return roots
+
+
+def _assert_matches_definition(tree):
+    assert tree.subgame_roots == _naive_subgame_roots(tree)
+    for root in tree.nodes:
+        below = _naive_subtree(tree, root)
+        assert tree.subtree_nodes(root) == below
+        for nid in tree.nodes:
+            assert tree.in_subtree(nid, root) == (nid in below)
+
+
+def _random_tree(rng) -> GameTree:
+    """A random tree, sometimes under a chance root, whose decision nodes
+    fall into random information sets (perfect recall not required)."""
+    nodes, ids = {}, (f"n{k}" for k in count())
+
+    def grow(depth):
+        nid = next(ids)
+        if depth == 0 or (depth < 4 and rng.random() < 0.3):  # root decides
+            nodes[nid] = Node(nid, payoffs=(Fraction(0), Fraction(0)))
+        else:
+            kids = [grow(depth - 1) for _ in range(rng.randint(1, 3))]
+            nodes[nid] = Node(nid, player=rng.randint(1, 2), actions=tuple(
+                (f"a{k}", kid) for k, kid in enumerate(kids)))
+        return nid
+
+    chance = None
+    if rng.random() < 0.3:
+        root = next(ids)
+        kids = [grow(3) for _ in range(rng.randint(2, 3))]
+        nodes[root] = Node(root, actions=tuple(
+            (f"c{k}", kid) for k, kid in enumerate(kids)))
+        chance = {kid: Fraction(1, len(kids)) for kid in kids}
+    else:
+        root = grow(4)
+    decisions = [nid for nid, node in nodes.items() if node.player is not None]
+    rng.shuffle(decisions)
+    info_sets = {}
+    while decisions:
+        size = rng.choice((1, 1, 2, 3))
+        info_sets[f"h{len(info_sets)}"], decisions = decisions[:size], decisions[size:]
+    return GameTree(nodes, root, ("P1", "P2"), info_sets, chance)
+
+
+def test_subtrees_and_subgame_roots_match_definition(abortion, example2,
+                                                       example2_modified):
+    for tree, _ in (abortion, example2, example2_modified,
+                    load_game_text(SIMULTANEOUS_GADGET)):
+        _assert_matches_definition(tree)
+    rng = random.Random(20)
+    inner_roots = inner_others = chance_roots = 0
+    for _ in range(250):
+        tree = _random_tree(rng)
+        _assert_matches_definition(tree)
+        chance_roots += tree.chance_at_root is not None
+        inner_roots += sum(nid in tree.subgame_roots for nid in tree.decision_ids
+                           if nid != tree.root)
+        inner_others += sum(nid not in tree.subgame_roots
+                            for nid in tree.decision_ids)
+    # The sample exercises every branch of the rule.
+    assert chance_roots > 30 and inner_roots > 100 and inner_others > 100
+
+
+def _reads_tree_internal(node) -> bool:
+    """`tree._x` or `<expr>.tree._x`."""
+    if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")):
+        return False
+    owner = node.value
+    return ((isinstance(owner, ast.Name) and owner.id == "tree")
+            or (isinstance(owner, ast.Attribute) and owner.attr == "tree"))
+
+
+def test_only_the_model_reads_tree_internals():
+    offenders = []
+    for path in sorted(Path(cefg.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        offenders.extend(f"{path.name}:{node.lineno} .{node.attr}"
+                         for node in ast.walk(ast.parse(path.read_text()))
+                         if _reads_tree_internal(node))
+    assert offenders == []
 
 
 def test_build_supergame_player_counts():
@@ -307,8 +429,8 @@ def test_subgame_partition_of_terminals(example2):
     tree, _ = example2
     whole = tree.subtree_nodes("x7")
     assert len(whole) == len(tree.nodes)
-    left = tree.subtree_nodes("x5") & set(tree.terminal_ids)
-    right = tree.subtree_nodes("x6") & set(tree.terminal_ids)
+    left = set(tree.subtree_nodes("x5")) & set(tree.terminal_ids)
+    right = set(tree.subtree_nodes("x6")) & set(tree.terminal_ids)
     assert left | right == set(tree.terminal_ids)
     assert not left & right
 

@@ -10,12 +10,12 @@ from cefg import (
     ImperfectInformation,
     MixedEquilibriumUnsupported,
     backward_induction,
-    best_response_at,
     load_game_text,
     solve_game,
     spne_in_subgame,
 )
-from cefg.noncoop import support_enumeration
+from cefg.model import singleton_partition
+from cefg.noncoop import best_response, support_enumeration
 from cefg.oracle import random_game
 from conftest import make_game_text
 
@@ -56,11 +56,18 @@ def test_bi_rejects_imperfect_information():
         backward_induction(tree, utils)
 
 
+def _best_response(tree, utils, x, subs, owner):
+    """`owner`'s best action at `x` over the solved children `subs`."""
+    dists = {child: sol.dist for child, sol in subs.items()}
+    return best_response(tree, utils, singleton_partition(tree.n_players),
+                         (owner,), tree.nodes[x], dists)
+
+
 def test_best_response_at_x6(example2):
     tree, utils = example2
     subs = {c: spne_in_subgame(tree, utils, root=c) for c in ("x3", "x4")}
-    action, value = best_response_at(tree, utils, "x6", subs, 2)
-    assert action == "c" and value == 2
+    action, key = _best_response(tree, utils, "x6", subs, 2)
+    assert action == "c" and key[0] == 2
 
 
 def test_best_response_single_action():
@@ -70,8 +77,8 @@ def test_best_response_single_action():
     })
     tree, utils = load_game_text(text)
     subs = {"z": spne_in_subgame(tree, utils, root="z")}
-    action, value = best_response_at(tree, utils, "r", subs, 1)
-    assert action == "only" and value == 4
+    action, key = _best_response(tree, utils, "r", subs, 1)
+    assert action == "only" and key[0] == 4
 
 
 def test_best_response_tie_takes_first_declared():
@@ -81,7 +88,7 @@ def test_best_response_tie_takes_first_declared():
     })
     tree, utils = load_game_text(text)
     subs = {z: spne_in_subgame(tree, utils, root=z) for z in ("z1", "z2")}
-    action, _ = best_response_at(tree, utils, "r", subs, 1)
+    action, _ = _best_response(tree, utils, "r", subs, 1)
     assert action == "a"
 
 

@@ -194,7 +194,7 @@ def _naive_render_solution(profile):
         lines.append(f"{'  ' * indent}{entry.node}: {line} -> "
                      f"{outcome_str(entry.outcome)}")
         for child in sorted(entry.children.values(),
-                            key=lambda e: tree._pre_index[e.node]):
+                            key=lambda e: tree.position(e.node)):
             if not tree.nodes[child.node].is_terminal:
                 family(child, indent + 1)
 
@@ -204,7 +204,7 @@ def _naive_render_solution(profile):
     standalone = sorted(
         (nid for nid in tree.subgame_roots
          if nid in tree.decision_ids and nid != root.node),
-        key=lambda nid: (tree.depth_of(nid), tree._pre_index[nid]))
+        key=lambda nid: (tree.depth_of(nid), tree.position(nid)))
     for nid in standalone:
         lines.append(f"=== standalone solution at {nid} ===")
         family(profile.standalone_entry(nid), 0)

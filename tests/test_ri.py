@@ -10,15 +10,15 @@ from cefg import (
     CefgError,
     backward_induction,
     check_ir_invariants,
-    combine_chance_root,
     enumerate_reference_points,
     index_reference_point,
     ir_chain,
     load_game_text,
     oracle_solve,
+    solve_game,
     solve_ri,
 )
-from cefg.noncoop import LocalSolution
+from cefg.noncoop import LocalSolution, combine_chance
 from cefg.oracle import random_game
 from cefg.render import bracket_summary, profile_to_json
 from conftest import make_game_text
@@ -246,10 +246,20 @@ def test_combine_chance_root_op():
                       ((1,), (2,)))
     b = LocalSolution({"m2": "y"}, (("z2", Fraction(1)),), (Fraction(0), Fraction(2)),
                       ((1, 2),))
-    assert combine_chance_root([(Fraction(1), a)]) is a
-    combined = combine_chance_root([(Fraction(1, 2), a), (Fraction(1, 2), b)])
-    assert combined.outcome == (1, 1)
-    assert dict(combined.dist) == {"z1": Fraction(1, 2), "z2": Fraction(1, 2)}
+    actions, dist = combine_chance([(Fraction(1, 2), a), (Fraction(1, 2), b)])
+    assert actions == {"m1": "x", "m2": "y"}
+    assert dict(dist) == {"z1": Fraction(1, 2), "z2": Fraction(1, 2)}
+    # The outcome at a two-branch chance root is the weighted sum.
+    text = make_game_text({
+        "c": {"actions": {"l": "m1", "r": "m2"}},
+        "m1": {"player": 1, "actions": {"x": "z1", "w": "z3"}},
+        "m2": {"player": 2, "actions": {"y": "z2", "w": "z4"}},
+        "z1": [2, 0], "z2": [0, 2], "z3": [1, 0], "z4": [0, 1],
+    }, players=2, chance={"m1": "1/2", "m2": "1/2"})
+    prof = solve_game(*load_game_text(text))
+    assert prof.outcome == (1, 1)
+    assert prof.root_entry.actions == {"m1": "x", "m2": "y"}
+    assert dict(prof.root_entry.dist) == {"z1": Fraction(1, 2), "z2": Fraction(1, 2)}
 
 
 # -- properties --------------------------------------------------------------------
