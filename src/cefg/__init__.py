@@ -38,8 +38,6 @@ from .ri import (
     index_reference_point,
     ir_chain,
     solve_game,
-    solve_ri,
-    solve_ri_imperfect,
 )
 
 __version__ = "0.1.0"

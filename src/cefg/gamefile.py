@@ -115,12 +115,8 @@ def _players_list(value, where) -> list:
     return list(value)
 
 
-class _DupCheckingDict(dict):
-    pass
-
-
 def _pairs_hook(pairs):
-    d = _DupCheckingDict()
+    d = {}
     for key, value in pairs:
         if key in d:
             _fail("DuplicateId", f"duplicate key {key!r}")

@@ -221,15 +221,16 @@ def equivalence_check(tree: GameTree, utils: UtilitySystem,
                       solver=None, max_nodes=15) -> OracleReport:
     """Run the production solver and the oracle, compare adopted solutions.
 
-    `solver` defaults to `solve_ri`; tests may inject a corrupted stub.
+    `solver` defaults to `solve_game`; tests may inject a corrupted stub.
     Divergence is localized to the first subgame (bottom-up) where the two
     standalone solutions differ.
     """
-    from .ri import solve_ri
+    from .ri import solve_game
 
-    solve_fn = solver if solver is not None else solve_ri
-    profile = solve_fn(tree, utils)
+    solve_fn = solver if solver is not None else solve_game
+    # The oracle's size and information guards raise before any solve.
     reference = oracle_solve(tree, utils, max_nodes=max_nodes)
+    profile = solve_fn(tree, utils)
     match = (tuple(profile.outcome) == tuple(reference.outcome)
              and tuple(profile.partition) == tuple(reference.partition))
 

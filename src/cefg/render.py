@@ -21,13 +21,15 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .model import block_containing, expected_individual_value
+from .model import block_containing, expected_individual_value, singleton_partition
 from .noncoop import LocalSolution
 from .ri import Entry, SolutionProfile, reach_nodes
 
 
 def fmt_value(v) -> str:
-    v = Fraction(v)
+    """A number as text: an integer when integral, else `p/q`."""
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
     return str(v.numerator) if v.denominator == 1 else str(v)
 
 
@@ -35,11 +37,9 @@ def outcome_str(vec) -> str:
     return "(" + ", ".join(fmt_value(v) for v in vec) + ")"
 
 
-def block_str(block, braced_singletons=False) -> str:
+def block_str(block) -> str:
     inner = ",".join(str(i) for i in sorted(block))
-    if len(block) == 1 and not braced_singletons:
-        return inner
-    return "{" + inner + "}"
+    return inner if len(block) == 1 else "{" + inner + "}"
 
 
 def _action_str(act) -> str:
@@ -59,6 +59,8 @@ def _acting_blocks(tree, entry):
         block = block_containing(entry.partition, node.player)
         if block not in order:
             order.append(block)
+            if len(order) == len(entry.partition):
+                break
     return order
 
 
@@ -79,12 +81,10 @@ def _bracket(tree, entry, pairs) -> str:
 
 def bracket_entry(tree, entry: Entry) -> str:
     """Bracket line for one solved subgame entry."""
-    if entry.coalition is not None:
-        sids = {tree.info_set_of(nid) for nid in reach_nodes(tree, entry)
-                if tree.nodes[nid].player is not None}
-    else:
-        sids = {sid for sid in entry.actions
-                if tree.in_subtree(tree.info_sets[sid][0], entry.node)}
+    if entry.coalition is None:
+        return _bracket(tree, entry, entry.actions.items())
+    sids = {tree.info_set_of(nid) for nid in reach_nodes(tree, entry)
+            if tree.nodes[nid].player is not None}
     return _bracket(tree, entry, [(sid, entry.actions[sid]) for sid in sids])
 
 
@@ -93,7 +93,7 @@ def bracket_summary(profile: SolutionProfile) -> str:
     tree = profile.tree
     top = profile.root_entry
     family = profile.root_context
-    on_path = set(profile.on_path_nodes())
+    on_path = set(reach_nodes(tree, top))
     pairs, seen = [], set()
     for nid in tree.preorder:
         node = tree.nodes[nid]
@@ -170,7 +170,7 @@ def render_trace(profile: SolutionProfile, verbosity: str = "summary") -> str:
     """
     tree = profile.tree
     lines = []
-    base = tuple((i,) for i in range(1, tree.n_players + 1))
+    base = singleton_partition(tree.n_players)
     for step in profile.audit:
         if step.view == base:
             lines.append(_step_line(tree, step))
@@ -289,9 +289,8 @@ _str = json.encoder.encode_basestring_ascii  # the string encoder json.dumps use
 
 def _num_text(v) -> str:
     """A number: an int when integral, an exact fraction string otherwise."""
-    if not isinstance(v, Fraction):
-        v = Fraction(v)
-    return str(v.numerator) if v.denominator == 1 else f'"{v}"'
+    text = fmt_value(v)
+    return f'"{text}"' if "/" in text else text
 
 
 def _array(items: list, level: int) -> str:

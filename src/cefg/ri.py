@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .errors import CefgError, ImperfectInformation, TooLarge
+from .errors import CefgError, TooLarge
 from .model import (
     GameTree,
     UtilitySystem,
@@ -44,7 +44,7 @@ from .model import (
     merge_into,
     singleton_partition,
 )
-from .noncoop import LayerGame, LocalSolution, best_response, combine_chance
+from .noncoop import LayerGame, best_response, combine_chance
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,12 @@ class Entry:
     """
 
     node: str
-    view: tuple
     actions: dict
     dist: tuple
     outcome: tuple
     partition: tuple
     coalition: tuple | None
     children: dict
-    steps: tuple
-
-    def solution(self) -> LocalSolution:
-        return LocalSolution(dict(self.actions), self.dist, self.outcome,
-                             self.partition)
 
 
 @dataclass(frozen=True)
@@ -95,22 +89,17 @@ class ReferencePoint:
     active_value: Fraction
     index: int
 
-    @property
-    def solution(self) -> LocalSolution:
-        return self.entry.solution()
-
 
 class SolutionProfile:
     """The family of per-(context, subgame) solutions plus the solve trace."""
 
     def __init__(self, tree: GameTree, utils: UtilitySystem, root_entry: Entry,
-                 memo: dict, audit, singletons_only: bool = False):
+                 memo: dict, audit):
         self.tree = tree
         self.utils = utils
         self.root_entry = root_entry
         self._memo = dict(memo)
         self.audit = tuple(audit)
-        self.singletons_only = singletons_only
         self._base = singleton_partition(tree.n_players)
 
     @property
@@ -171,10 +160,6 @@ class SolutionProfile:
                 stack.extend(entry.children.values())
         return out
 
-    def on_path_nodes(self) -> tuple:
-        """Nodes reached with positive probability under the root profile."""
-        return reach_nodes(self.tree, self.root_entry)
-
 
 def reach_nodes(tree: GameTree, entry: Entry) -> tuple:
     """Nodes of `entry`'s subgame reached with positive probability under
@@ -220,9 +205,9 @@ class _Solver:
         entry = branches[0][1]
         if len(branches) > 1:
             actions, dist = combine_chance(branches)
-            entry = Entry(root.id, base, actions, dist,
+            entry = Entry(root.id, actions, dist,
                           dist_payoffs(dist, self.tree), base, None,
-                          {e.node: e for _, e in branches}, ())
+                          {e.node: e for _, e in branches})
         self.memo[(root.id, base)] = entry
         return entry
 
@@ -240,7 +225,7 @@ class _Solver:
         node = self.tree.nodes[g]
         if node.is_terminal:
             dist = ((g, Fraction(1)),)
-            return Entry(g, view, {}, dist, node.payoffs, view, None, {}, ())
+            return Entry(g, {}, dist, node.payoffs, view, None, {})
         kids = {y: self.solve(y, view) for y in self.tree.frontier_of(g)}
         layer = self.tree.layer_info_sets(g)
         if layer == (self.tree.info_set_of(g),) and \
@@ -255,8 +240,8 @@ class _Solver:
         actions = dict(own)
         for kid in kids.values():
             actions.update(kid.actions)
-        return Entry(g, view, actions, dist, dist_payoffs(dist, self.tree),
-                     view, None, dict(kids), ())
+        return Entry(g, actions, dist, dist_payoffs(dist, self.tree),
+                     view, None, dict(kids))
 
     def _index_point(self, g: str, view: tuple, kids: dict) -> Entry:
         """Perfect-information step at `g`: its owner best-responds to the
@@ -368,10 +353,10 @@ class _Solver:
                                accepted.outcome,
                                "greatest-ir" if accepted_coalition else "index",
                                view, active_value=accepted_value))
+        # The nested supergame solves emitted their steps first.
         self.audit.extend(steps)
-        return Entry(g, view, accepted.actions, accepted.dist, accepted.outcome,
-                     accepted.partition, accepted_coalition, accepted.children,
-                     tuple(steps))
+        return Entry(g, accepted.actions, accepted.dist, accepted.outcome,
+                     accepted.partition, accepted_coalition, accepted.children)
 
 
 def _ir_test(tree, utils, coalition, candidate: Entry, incumbent: Entry,
@@ -435,37 +420,23 @@ def _layer_bottom_up(tree, layer):
 # -- public API ----------------------------------------------------------------
 
 
-def solve_ri(tree: GameTree, utils: UtilitySystem, *, singletons_only=False,
-             use_memo=True) -> SolutionProfile:
-    """RI solution of a perfect-information game (chance allowed at the root)."""
-    if not tree.is_perfect_information:
-        raise ImperfectInformation("use solve_ri_imperfect for non-singleton info sets")
-    return solve_ri_imperfect(tree, utils, singletons_only=singletons_only,
-                              use_memo=use_memo)
+def solve_game(tree: GameTree, utils: UtilitySystem, *,
+               singletons_only=False) -> SolutionProfile:
+    """RI solution of any valid game; perfect and imperfect information run
+    the same recursion.
 
-
-def solve_ri_imperfect(tree: GameTree, utils: UtilitySystem, *,
-                       singletons_only=False, use_memo=True) -> SolutionProfile:
-    """RI solution with the information-set machinery enabled.
-
-    On perfect-information input this produces exactly the same profile as
-    `solve_ri`; both run the same recursion. Raises TooLarge when the tree
-    is deeper than the recursion can walk.
+    `singletons_only` restricts feasibility to singletons, the
+    noncooperative reduction. Raises TooLarge when the tree is deeper than
+    the recursion can walk.
     """
     if singletons_only:
         utils = utils.restricted_to_singletons()
-    solver = _Solver(tree, utils, use_memo=use_memo)
+    solver = _Solver(tree, utils)
     try:
         root_entry = solver.run()
     except RecursionError:
         raise TooLarge("the tree is too deep for the recursive solver") from None
-    return SolutionProfile(tree, utils, root_entry, solver.memo, solver.audit,
-                           singletons_only=singletons_only)
-
-
-def solve_game(tree: GameTree, utils: UtilitySystem, **kw) -> SolutionProfile:
-    """RI solution of any valid game; the CLI entry point."""
-    return solve_ri_imperfect(tree, utils, **kw)
+    return SolutionProfile(tree, utils, root_entry, solver.memo, solver.audit)
 
 
 def _index_reference_point(solver: _Solver, x, view) -> ReferencePoint:

@@ -15,8 +15,7 @@ from cefg import (
     check_ir_invariants,
     load_game,
     load_game_text,
-    solve_ri,
-    solve_ri_imperfect,
+    solve_game,
     spne_in_subgame,
 )
 from cefg.oracle import oracle_solve, random_game
@@ -44,7 +43,7 @@ def test_criterion_01_abortion_baseline():
 def test_criterion_02_abortion_ri():
     start = time.perf_counter()
     tree, utils = load_game(game_path("abortion.game"))
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     elapsed = time.perf_counter() - start
     assert prof.outcome == (2, 4, 3)
     assert prof.coalition is None and prof.partition == ((1,), (2,), (3,))
@@ -59,7 +58,7 @@ def test_criterion_02_abortion_ri():
 def test_criterion_03_example2_ri():
     start = time.perf_counter()
     tree, utils = load_game(game_path("example2.game"))
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     summary = bracket_summary(prof)
     trace = render_trace(prof)
     elapsed = time.perf_counter() - start
@@ -83,7 +82,7 @@ def test_criterion_03_example2_ri():
 def test_criterion_04_example2_modified():
     start = time.perf_counter()
     tree, utils = load_game(game_path("example2-modified.game"))
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     summary = bracket_summary(prof)
     trace = render_trace(prof)
     elapsed = time.perf_counter() - start
@@ -98,7 +97,7 @@ def test_criterion_04_example2_modified():
 
 def test_criterion_05_complete_solution_rendering():
     tree, utils = load_game(game_path("example2.game"))
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     assert bracket_entry(tree, prof.standalone_entry("x5")) == "[{b},{h}; {2,3}]"
     assert bracket_entry(tree, prof.standalone_entry("x6")) == "[{c},{j,k}; 2,3]"
     assert bracket_entry(tree, prof.context_entry("x5")) == "[{a},{e,g}; 2,{1,3}]"
@@ -122,7 +121,7 @@ def test_criterion_06_reduction_property():
     start = time.perf_counter()
     for _ in range(1000):
         tree, utils = random_game(rng, max_players=3, max_depth=4, max_nodes=64)
-        prof = solve_ri(tree, utils, singletons_only=True)
+        prof = solve_game(tree, utils, singletons_only=True)
         bi = backward_induction(tree, utils)
         assert prof.outcome == bi.outcome
         assert prof.root_entry.actions == bi.actions
@@ -138,7 +137,7 @@ def test_criterion_07_oracle_equivalence():
     profiles = []
     for _ in range(500):
         tree, utils = random_game(rng, max_players=3, max_depth=4, max_nodes=15)
-        prof = solve_ri(tree, utils)
+        prof = solve_game(tree, utils)
         ref = oracle_solve(tree, utils)
         assert tuple(prof.outcome) == tuple(ref.outcome)
         assert prof.partition == ref.partition
@@ -147,7 +146,7 @@ def test_criterion_07_oracle_equivalence():
     assert elapsed < 300
     # reused below: every one of these profiles must satisfy the chain invariants
     test_criterion_07_oracle_equivalence.profiles = profiles
-    _report(7, "500 random games: solve_ri matches the literal oracle on "
+    _report(7, "500 random games: solve_game matches the literal oracle on "
                "outcome and partition", elapsed)
 
 
@@ -156,13 +155,13 @@ def test_criterion_08_ir_chain_invariants():
                 ("abortion.game", "example2.game", "example2-modified.game")]
     accepted_total = 0
     for tree, utils in fixtures:
-        prof = solve_ri(tree, utils)
+        prof = solve_game(tree, utils)
         _, accepted = check_ir_invariants(prof)
         accepted_total += accepted
     rng = random.Random(80_001)
     for _ in range(200):
         tree, utils = random_game(rng)
-        prof = solve_ri(tree, utils)
+        prof = solve_game(tree, utils)
         _, accepted = check_ir_invariants(prof)
         accepted_total += accepted
     profiles = getattr(test_criterion_07_oracle_equivalence, "profiles", [])
@@ -191,7 +190,7 @@ MP_TEXT = make_game_text({
 
 def test_criterion_09_imperfect_information_desk_check():
     tree, utils = load_game_text(PD_TEXT)
-    prof = solve_ri_imperfect(tree, utils)
+    prof = solve_game(tree, utils)
     index_outcomes = [s.outcome for s in prof.trace_steps()
                       if s.kind == "index-point"]
     assert index_outcomes == [(1, 1)]

@@ -10,8 +10,6 @@ from cefg import (
     MixedEquilibriumUnsupported,
     load_game_text,
     solve_game,
-    solve_ri,
-    solve_ri_imperfect,
     spne_in_subgame,
 )
 from conftest import make_game_text
@@ -26,7 +24,7 @@ PD = make_game_text({
 
 def test_prisoners_dilemma_core_fixture():
     tree, utils = load_game_text(PD)
-    prof = solve_ri_imperfect(tree, utils)
+    prof = solve_game(tree, utils)
     index = [s for s in prof.trace_steps() if s.kind == "index-point"]
     assert [s.outcome for s in index] == [(1, 1)]
     assert prof.outcome == (3, 3)
@@ -36,7 +34,7 @@ def test_prisoners_dilemma_core_fixture():
 
 def test_prisoners_dilemma_singletons_only():
     tree, utils = load_game_text(PD)
-    prof = solve_ri_imperfect(tree, utils, singletons_only=True)
+    prof = solve_game(tree, utils, singletons_only=True)
     assert prof.outcome == (1, 1)
     assert prof.partition == ((1,), (2,))
 
@@ -56,18 +54,10 @@ def test_embedded_matching_pennies_subgame():
     assert sub.outcome == (0, 0, 0)
     assert dict(sub.actions["y"]) == {"H": half, "T": half}
     assert dict(sub.actions["h3"]) == {"h": half, "t": half}
-    prof = solve_ri_imperfect(tree, utils)
+    prof = solve_game(tree, utils)
     # P1 prefers the sure (1, 2, 2) to the zero-value contest; the {2,3}
     # merger inside the contest cannot rescue both players at once.
     assert prof.outcome == (1, 2, 2)
-
-
-def test_perfect_information_profiles_identical(example2, abortion):
-    for tree, utils in (example2, abortion):
-        a = solve_ri(tree, utils)
-        b = solve_ri_imperfect(tree, utils)
-        assert a.root_entry == b.root_entry
-        assert a.audit == b.audit
 
 
 def _hand_solve_2x2(cells, feasible_grand=True):
@@ -126,7 +116,7 @@ def test_random_2x2_coalitional_games_match_hand_enumeration():
         cells = {(r, c): (Fraction(values.pop()), Fraction(values.pop()))
                  for r, c in product((0, 1), (0, 1))}
         tree, utils = load_game_text(_simultaneous_game_text(cells))
-        prof = solve_ri_imperfect(tree, utils)
+        prof = solve_game(tree, utils)
         assert prof.outcome == _hand_solve_2x2(cells)
 
 
@@ -135,7 +125,7 @@ def test_pd_shaped_cells_adopt_grand_coalition():
              (1, 0): (Fraction(5), Fraction(0)), (1, 1): (Fraction(1), Fraction(1))}
     assert _hand_solve_2x2(cells) == (3, 3)
     tree, utils = load_game_text(_simultaneous_game_text(cells))
-    prof = solve_ri_imperfect(tree, utils)
+    prof = solve_game(tree, utils)
     assert prof.outcome == (3, 3)
     assert prof.coalition == (1, 2)
 
@@ -159,7 +149,7 @@ def test_three_player_contested_layer_raises():
                                      "h3": ["a1", "a2", "a3", "a4"]})
     tree, utils = load_game_text(text)
     with pytest.raises(MixedEquilibriumUnsupported):
-        solve_ri_imperfect(tree, utils)
+        solve_game(tree, utils)
 
 
 def test_fixed_layer_resolve():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cefg import TooLarge, backward_induction, load_game_text, solve_ri
+from cefg import TooLarge, backward_induction, load_game_text, solve_game
 from cefg.oracle import (
     OracleReport,
     equivalence_check,
@@ -95,7 +95,7 @@ def test_equivalence_check_corrupted_stub(example2):
     tree, utils = example2
 
     def corrupted(t, u):
-        profile = solve_ri(t, u)
+        profile = solve_game(t, u)
 
         class Fake:
             outcome = tuple(v + 1 for v in profile.outcome)
@@ -110,6 +110,16 @@ def test_equivalence_check_corrupted_stub(example2):
     report = equivalence_check(tree, utils, solver=corrupted)
     assert not report.match
     assert report.first_divergence == ("x7", "outcome")
+
+
+def test_equivalence_check_refuses_before_solving(example2):
+    tree, utils = example2
+
+    def unreachable(t, u):
+        raise AssertionError("solved a game the oracle refuses")
+
+    with pytest.raises(TooLarge):
+        equivalence_check(tree, utils, solver=unreachable, max_nodes=3)
 
 
 def test_digest_is_stable(example2):
@@ -182,4 +192,4 @@ def test_oracle_never_reads_solver_internals():
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "ri":
             names = {a.name for a in node.names}
-            assert names <= {"solve_ri"}, "oracle may only call the solver entry point"
+            assert names <= {"solve_game"}, "oracle may only call the solver entry point"

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cefg import load_game_text, random_game, solve_game, solve_ri, solve_ri_imperfect
+from cefg import load_game_text, random_game, solve_game
 from cefg.render import (
     bracket_entry,
     bracket_summary,
@@ -20,13 +20,13 @@ from conftest import expand_v1, expand_v1_entries, make_game_text
 
 
 def test_summary_strings(example2, example2_modified):
-    assert bracket_summary(solve_ri(*example2)) == "[{R},{a,d},{e,g,j,l}; {1,3},2]"
-    assert bracket_summary(solve_ri(*example2_modified)) == "[{L},{a,c},{e,g,j,k}; {1,2},3]"
+    assert bracket_summary(solve_game(*example2)) == "[{R},{a,d},{e,g,j,l}; {1,3},2]"
+    assert bracket_summary(solve_game(*example2_modified)) == "[{L},{a,c},{e,g,j,k}; {1,2},3]"
 
 
 def test_complete_solution_entries(example2):
     tree, utils = example2
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     assert bracket_entry(tree, prof.standalone_entry("x5")) == "[{b},{h}; {2,3}]"
     assert bracket_entry(tree, prof.standalone_entry("x6")) == "[{c},{j,k}; 2,3]"
     assert bracket_entry(tree, prof.context_entry("x5")) == "[{a},{e,g}; 2,{1,3}]"
@@ -35,7 +35,7 @@ def test_complete_solution_entries(example2):
 
 def test_render_solution_structure(example2):
     tree, utils = example2
-    text = render_solution(solve_ri(tree, utils))
+    text = render_solution(solve_game(tree, utils))
     root_at = text.index("=== solution at x7 (root) ===")
     x5_alone = text.index("=== standalone solution at x5 ===")
     x6_alone = text.index("=== standalone solution at x6 ===")
@@ -49,7 +49,7 @@ def test_render_solution_structure(example2):
 
 def test_trace_sequence_example2(example2):
     tree, utils = example2
-    trace = render_trace(solve_ri(tree, utils))
+    trace = render_trace(solve_game(tree, utils))
     i_bi = trace.index("[x5] index point -> (5, 5, 3)")
     i_x5 = trace.index("[x5] adopted {2,3} -> (1, 6, 4)")
     i_r0 = trace.index("[x7] index point -> (2, 2, 6)")
@@ -60,13 +60,13 @@ def test_trace_sequence_example2(example2):
 
 
 def test_trace_modified_names_blocker(example2_modified):
-    trace = render_trace(solve_ri(*example2_modified))
+    trace = render_trace(solve_game(*example2_modified))
     assert "[x7] ir-rejected {1,3} -> (5, 5, 3): blocked by P1 (5 <= 5)" in trace
 
 
 def test_trace_full_includes_supergame_internals(example2):
     tree, utils = example2
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     brief = render_trace(prof, "summary")
     full = render_trace(prof, "full")
     assert len(full.splitlines()) > len(brief.splitlines())
@@ -75,14 +75,14 @@ def test_trace_full_includes_supergame_internals(example2):
 
 def test_trace_byte_stable(example2):
     tree, utils = example2
-    a = render_trace(solve_ri(tree, utils))
-    b = render_trace(solve_ri(tree, utils))
+    a = render_trace(solve_game(tree, utils))
+    b = render_trace(solve_game(tree, utils))
     assert a == b
 
 
 def test_dot_abortion_styling(abortion):
     tree, utils = abortion
-    dot = export_dot(tree, solve_ri(tree, utils))
+    dot = export_dot(tree, solve_game(tree, utils))
     lines = [l.strip() for l in dot.splitlines()]
 
     def edge(src, dst):
@@ -105,7 +105,7 @@ def test_dot_abortion_styling(abortion):
 
 def test_dot_example2_root_coalition(example2):
     tree, utils = example2
-    dot = export_dot(tree, solve_ri(tree, utils))
+    dot = export_dot(tree, solve_game(tree, utils))
     assert '"x7" [shape=circle, label="1,3"];' in [l.strip() for l in dot.splitlines()]
     edge = next(l for l in dot.splitlines() if '"x7" -> "x6"' in l)
     assert 'label="R"' in edge and "style=bold" in edge
@@ -120,7 +120,7 @@ def test_dot_unsolved_plain(example2):
 
 def test_json_shape_and_sigma_distinction(example2):
     tree, utils = example2
-    body = json.loads(profile_to_json(solve_ri(tree, utils)))
+    body = json.loads(profile_to_json(solve_game(tree, utils)))
     assert body["schema"] == 2
     assert body["outcome"] == [6, 3, 5]
     assert body["partition"] == [[1, 3], [2]]
@@ -138,7 +138,7 @@ def test_json_shape_and_sigma_distinction(example2):
 
 def test_singletons_only_trace_has_only_index_points(example2):
     tree, utils = example2
-    prof = solve_ri(tree, utils, singletons_only=True)
+    prof = solve_game(tree, utils, singletons_only=True)
     kinds = {s.kind for s in prof.trace_steps()}
     assert kinds == {"index-point", "adopted"}
     trace = render_trace(prof)
@@ -156,7 +156,7 @@ def test_sum_and_weighted_combinators_through_the_solver():
     # merge is rejected and the noncooperative outcome stands.
     text = make_game_text(nodes, players=2, utility={"combinator": "sum"})
     tree, utils = load_game_text(text)
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     assert prof.outcome == (4, 0)
 
     # Weighting player 2 heavily makes the coalition prefer z1 as well.
@@ -164,7 +164,7 @@ def test_sum_and_weighted_combinators_through_the_solver():
                           utility={"combinator": "weighted",
                                    "weights": {"1": 1, "2": 10}})
     tree, utils = load_game_text(text)
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     assert prof.outcome == (4, 0)
 
 
@@ -176,7 +176,7 @@ def test_json_handles_mixed_profiles():
         "z1": [1, -1], "z2": [-1, 1], "z3": [-1, 1], "z4": [1, -1],
     }, players=2, info_sets={"h2": ["rh", "rt"]})
     tree, utils = load_game_text(text)
-    body = json.loads(profile_to_json(solve_ri_imperfect(tree, utils)))
+    body = json.loads(profile_to_json(solve_game(tree, utils)))
     assert body["outcome"] == [0, 0]
     assert expand_v1_entries(body)["r/r"]["actions"]["h2"] == {"h": "1/2", "t": "1/2"}
 
@@ -295,7 +295,7 @@ def _centipede_nodes(depth, prefix="c", first=1):
 ])
 def test_memoized_renderers_match_naive_on_centipedes(depth, utility):
     text = make_game_text(_centipede_nodes(depth), players=2, utility=utility)
-    prof = solve_ri(*load_game_text(text))
+    prof = solve_game(*load_game_text(text))
     assert any(e.coalition for e in prof.entries().values())
     _assert_matches_naive(prof)
 
@@ -307,7 +307,7 @@ def test_memoized_renderers_match_naive_with_chance_root():
     text = make_game_text(nodes, players=2, root="root",
                           chance={"a0": 0.25, "b0": 0.75},
                           utility={"combinator": "sum"})
-    prof = solve_ri(*load_game_text(text))
+    prof = solve_game(*load_game_text(text))
     _assert_matches_naive(prof)
 
 
@@ -322,7 +322,7 @@ def test_memoized_renderers_match_naive_with_mixed_layer():
     nodes.update(_centipede_nodes(12, prefix="d"))
     text = make_game_text(nodes, players=2, root="top",
                           info_sets={"h1": ["yh", "yt"]})
-    prof = solve_ri_imperfect(*load_game_text(text))
+    prof = solve_game(*load_game_text(text))
     assert any(isinstance(a, tuple) for e in prof.entries().values()
                for a in e.actions.values())
     _assert_matches_naive(prof)
@@ -341,7 +341,7 @@ def test_memoized_renderers_match_naive_with_adopted_coalitions():
     for z in frontier:
         nodes[z] = [rng.randint(0, 9) for _ in range(3)]
     text = make_game_text(nodes, players=3, root="x0")
-    prof = solve_ri(*load_game_text(text))
+    prof = solve_game(*load_game_text(text))
     assert sum(1 for e in prof.entries().values() if e.coalition) > 5
     _assert_matches_naive(prof)
 
@@ -359,7 +359,7 @@ def test_json_expands_to_naive_on_random_games():
 
 
 def test_json_lists_each_distinct_entry_once(example2):
-    prof = solve_ri(*example2)
+    prof = solve_game(*example2)
     body = json.loads(profile_to_json(prof))
     distinct = {id(e) for e in prof.entries().values()}
     assert len(body["entries"]) == len(distinct)
@@ -373,7 +373,7 @@ def test_json_grows_linearly_with_depth():
     sizes = {}
     for depth in (50, 100, 200):
         text = make_game_text(_centipede_nodes(depth), players=2)
-        sizes[depth] = len(profile_to_json(solve_ri(*load_game_text(text))))
+        sizes[depth] = len(profile_to_json(solve_game(*load_game_text(text))))
     # Linear growth gives about 4x; one entry map per context gave 34x.
     assert sizes[50] < sizes[100] < sizes[200] <= 5 * sizes[50]
 
@@ -384,5 +384,5 @@ def test_json_escapes_names_as_json_dumps_does():
         "m\n": {"player": 2, "actions": {"x\t": "z☃", "y": "z2"}},
         "z☃": [2, 3], "z2": [3, 1], "z3": [1, 0],
     }
-    prof = solve_ri(*load_game_text(make_game_text(nodes, players=2)))
+    prof = solve_game(*load_game_text(make_game_text(nodes, players=2)))
     _assert_json_matches_naive(prof)

@@ -16,17 +16,17 @@ from cefg import (
     load_game_text,
     oracle_solve,
     solve_game,
-    solve_ri,
 )
 from cefg.noncoop import LocalSolution, combine_chance
 from cefg.oracle import random_game
 from cefg.render import bracket_summary, profile_to_json
+from cefg.ri import SolutionProfile, _Solver
 from conftest import make_game_text
 
 
 def test_abortion_ri(abortion):
     tree, utils = abortion
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     assert prof.outcome == (2, 4, 3)
     assert prof.coalition is None
     assert prof.partition == ((1,), (2,), (3,))
@@ -41,7 +41,7 @@ def test_abortion_ri(abortion):
 
 def test_example2_ri(example2):
     tree, utils = example2
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     assert prof.outcome == (6, 3, 5)
     assert prof.partition == ((1, 3), (2,))
     assert bracket_summary(prof) == "[{R},{a,d},{e,g,j,l}; {1,3},2]"
@@ -49,7 +49,7 @@ def test_example2_ri(example2):
 
 def test_example2_modified_ri(example2_modified):
     tree, utils = example2_modified
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     assert prof.outcome == (5, 5, 3)
     assert prof.partition == ((1, 2), (3,))
     assert bracket_summary(prof) == "[{L},{a,c},{e,g,j,k}; {1,2},3]"
@@ -62,7 +62,7 @@ def test_example2_modified_ri(example2_modified):
 
 def test_singleton_feasibility_reduces_to_bi(abortion, example2):
     for tree, utils in (abortion, example2):
-        prof = solve_ri(tree, utils, singletons_only=True)
+        prof = solve_game(tree, utils, singletons_only=True)
         bi = backward_induction(tree, utils)
         assert prof.outcome == bi.outcome
         assert prof.root_entry.actions == bi.actions
@@ -173,7 +173,7 @@ def test_piecewise_api_matches_the_solver_audit(abortion, example2,
         random_game(rng, max_players=4, max_nodes=20) for _ in range(60)]
     checked = 0
     for tree, utils in games:
-        steps = solve_ri(tree, utils).trace_steps()
+        steps = solve_game(tree, utils).trace_steps()
         for x in tree.decision_ids:
             if x not in tree.subgame_roots:
                 continue
@@ -201,7 +201,7 @@ def test_chance_single_branch_returns_branch_profile():
         "z1": [3, 1, 1], "z2": [1, 3, 3],
     }, chance={"m": 1})
     tree, utils = load_game_text(text)
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     assert prof.root_entry.node == "m"
     assert prof.outcome == (3, 1, 1)
 
@@ -212,7 +212,7 @@ def test_chance_two_branch_expectation():
         "z1": [2, 0], "z2": [0, 2],
     }, players=2, chance={"z1": 0.5, "z2": 0.5})
     tree, utils = load_game_text(text)
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     assert prof.outcome == (1, 1)
 
 
@@ -233,7 +233,7 @@ def test_chance_duplicated_example2():
             nodes[f"{side}_z{2 * k}"] = pb
     text = make_game_text(nodes, root="root", chance={"L_x7": 0.5, "R_x7": 0.5})
     tree, utils = load_game_text(text)
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     assert prof.outcome == (6, 3, 5)
     for side in ("L", "R"):
         branch = prof.root_entry.children[f"{side}_x7"]
@@ -269,7 +269,7 @@ def test_reduction_property_sample():
     rng = random.Random(1234)
     for _ in range(120):
         tree, utils = random_game(rng, max_depth=4, max_nodes=30)
-        prof = solve_ri(tree, utils, singletons_only=True)
+        prof = solve_game(tree, utils, singletons_only=True)
         bi = backward_induction(tree, utils)
         assert prof.outcome == bi.outcome
         assert prof.root_entry.actions == bi.actions
@@ -277,28 +277,41 @@ def test_reduction_property_sample():
 
 def test_memoization_is_transparent(example2):
     tree, utils = example2
-    fast = solve_ri(tree, utils, use_memo=True)
-    slow = solve_ri(tree, utils, use_memo=False)
+    fast = solve_game(tree, utils)
+    solver = _Solver(tree, utils, use_memo=False)
+    slow = SolutionProfile(tree, utils, solver.run(), solver.memo, solver.audit)
     assert fast.root_entry == slow.root_entry
     for nid in tree.decision_ids:
         assert fast.standalone_entry(nid).outcome == slow.standalone_entry(nid).outcome
         assert fast.standalone_entry(nid).actions == slow.standalone_entry(nid).actions
 
 
+def test_entries_hold_only_their_own_subtree_sets(abortion, example2,
+                                                  example2_modified):
+    rng = random.Random(606)
+    games = [abortion, example2, example2_modified]
+    games += [random_game(rng, max_players=4, max_nodes=20) for _ in range(60)]
+    for tree, utils in games:
+        for entry in solve_game(tree, utils).entries().values():
+            for sid in entry.actions:
+                assert all(tree.in_subtree(m, entry.node)
+                           for m in tree.info_sets[sid]), (entry.node, sid)
+
+
 def test_two_solves_byte_identical_json(example2):
     tree, utils = example2
-    a = profile_to_json(solve_ri(tree, utils))
-    b = profile_to_json(solve_ri(tree, utils))
+    a = profile_to_json(solve_game(tree, utils))
+    b = profile_to_json(solve_game(tree, utils))
     assert a == b
 
 
 def test_ir_invariants_on_fixtures(abortion, example2, example2_modified):
     for tree, utils in (abortion, example2, example2_modified):
-        prof = solve_ri(tree, utils)
+        prof = solve_game(tree, utils)
         groups, accepted = check_ir_invariants(prof)
         assert groups > 0
     # Example 2 must show at least the x5 and root acceptances.
-    prof = solve_ri(example2[0], example2[1])
+    prof = solve_game(example2[0], example2[1])
     _, accepted = check_ir_invariants(prof)
     assert accepted >= 3
 
@@ -307,20 +320,20 @@ def test_ir_invariants_on_random_games():
     rng = random.Random(77)
     for _ in range(40):
         tree, utils = random_game(rng)
-        prof = solve_ri(tree, utils)
+        prof = solve_game(tree, utils)
         check_ir_invariants(prof)
 
 
 def test_adopted_exactly_once_per_subgame_root(example2):
     tree, utils = example2
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     adopted = [s for s in prof.trace_steps() if s.kind == "adopted"]
     assert sorted(s.node for s in adopted) == sorted(tree.decision_ids)
 
 
 def test_idle_coalitions_flagged_in_trace(example2):
     tree, utils = example2
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     flagged = [s for s in prof.trace_steps()
                if s.node == "x1" and s.kind == "supergame-solved"
                and s.coalition == (1, 3)]
@@ -329,7 +342,7 @@ def test_idle_coalitions_flagged_in_trace(example2):
 
 def test_local_argmax_where_index_adopted(example2):
     tree, utils = example2
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     # x6 standalone adopted its index point: c must maximize P2's value
     # over the adopted successor outcomes.
     entry = prof.standalone_entry("x6")
@@ -376,8 +389,8 @@ def test_positive_affine_rescaling_preserves_structure(example2):
 
     base_tree, base_utils = load_game_text(game_text(False))
     scaled_tree, scaled_utils = load_game_text(game_text(True))
-    p0 = solve_ri(base_tree, base_utils)
-    p1 = solve_ri(scaled_tree, scaled_utils)
+    p0 = solve_game(base_tree, base_utils)
+    p1 = solve_game(scaled_tree, scaled_utils)
     assert p0.coalition == p1.coalition
     assert p0.partition == p1.partition
     assert p0.root_entry.actions == p1.root_entry.actions
@@ -389,7 +402,7 @@ def test_positive_affine_rescaling_preserves_structure(example2):
 
 def test_recursion_shrinks_effective_players(example2):
     tree, utils = example2
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     for (node, view) in prof._memo:
         assert 1 <= len(view) <= tree.n_players
 
@@ -404,7 +417,7 @@ def test_adopting_block_may_be_a_strict_superset():
         "za": [3, 3, 1], "ze": [4, 4, 4], "zf": [0, 0, 5],
     })
     tree, utils = load_game_text(text)
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     assert prof.outcome == (4, 4, 4)
     assert prof.coalition == (1, 2)          # the point entered the sequence as {1,2}
     assert prof.partition == ((1, 2, 3),)    # but the adopted block is grand
@@ -421,7 +434,7 @@ def test_four_player_games_solve_and_satisfy_invariants():
     for _ in range(15):
         tree, utils = random_game(rng, max_players=4, min_players=4,
                                   max_depth=3, max_nodes=14)
-        prof = solve_ri(tree, utils)
+        prof = solve_game(tree, utils)
         check_ir_invariants(prof)
         assert len(prof.outcome) == 4
 
@@ -480,7 +493,7 @@ SUM_SYNERGY_GAME = """\
 
 def test_ir_invariants_allow_merged_block_value_to_fall():
     tree, utils = load_game_text(SUM_SYNERGY_GAME)
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     falls = [s for s in prof.audit
              if s.node == "x0" and s.view == ((1,), (2,), (3, 4))
              and s.kind in ("index-point", "ir-accepted")]
@@ -495,7 +508,7 @@ def test_ir_invariants_allow_merged_block_value_to_fall():
 
 def test_ir_invariants_catch_a_falling_singleton_value(example2):
     tree, utils = example2
-    prof = solve_ri(tree, utils)
+    prof = solve_game(tree, utils)
     step = next(s for s in prof.audit if s.kind == "ir-accepted"
                 and all(len(b) == 1 for b in s.view))
     bad = dataclasses.replace(step, active_value=step.active_value - 100)
