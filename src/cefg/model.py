@@ -143,26 +143,48 @@ class GameTree:
                 covered[nid] = nid
         self._info_set_of = covered
 
-        # One bottom-up pass gives each subtree its end and the lowest and
-        # highest position of any information set with a member inside it.
-        # A decision node with a singleton set roots a subgame when every
-        # such set lies whole inside its subtree.
+        # One bottom-up pass gives each subtree its end, the players who move
+        # in it, and the lowest and highest position of any information set
+        # with a member inside it. A decision node with a singleton set roots
+        # a subgame when every such set lies whole inside its subtree.
         self._end: dict[str, int] = {}
+        self.movers: dict[str, frozenset] = {}
         span, roots = {}, []
         for nid in reversed(self.preorder):
+            node = self.nodes[nid]
             sid = covered.get(nid)
             members = (nid,) if sid is None else self.info_sets[sid]
             lo, hi = self._pos[members[0]], self._pos[members[-1]]
             end = self._pos[nid] + 1
-            for _, child in self.nodes[nid].actions:
+            for _, child in node.actions:
                 end = self._end[child]
                 lo, hi = min(lo, span[child][0]), max(hi, span[child][1])
             self._end[nid], span[nid] = end, (lo, hi)
-            if self.nodes[nid].is_terminal or nid == root or (
+            movers = frozenset().union(*(self.movers[c] for _, c in node.actions))
+            self.movers[nid] = movers if node.player is None else movers | {node.player}
+            if node.is_terminal or nid == root or (
                     sid is not None and len(members) == 1
                     and self._pos[nid] <= lo and hi < end):
                 roots.append(nid)
         self.subgame_roots = frozenset(roots)
+
+        # One preorder pass puts each node in the layer of the nearest
+        # subgame root at or above it, filling each layer's frontier (the
+        # maximal proper subgame roots below it) and information sets.
+        layer_of: dict[str, str] = {}
+        frontier: dict[str, list] = {g: [] for g in roots}
+        layer_sets: dict[str, dict] = {g: {} for g in roots}
+        for nid in self.preorder:
+            if nid in self.subgame_roots:
+                layer_of[nid] = nid
+                if nid != root:
+                    frontier[layer_of[self._parent[nid][0]]].append(nid)
+            else:
+                layer_of[nid] = layer_of[self._parent[nid][0]]
+            if nid in covered:
+                layer_sets[layer_of[nid]][covered[nid]] = None
+        self._frontier = {g: tuple(f) for g, f in frontier.items()}
+        self._layer_sets = {g: tuple(sets) for g, sets in layer_sets.items()}
 
     # -- basic structure ---------------------------------------------------
 
@@ -214,41 +236,14 @@ class GameTree:
     # -- subgame decomposition ----------------------------------------------
 
     def frontier_of(self, g: str) -> tuple:
-        """Maximal proper subgame roots (and terminals) strictly below `g`."""
-        out = []
-        stack = [c for _, c in reversed(self.nodes[g].actions)]
-        while stack:
-            nid = stack.pop()
-            if nid in self.subgame_roots:
-                out.append(nid)
-            else:
-                stack.extend(c for _, c in reversed(self.nodes[nid].actions))
-        return tuple(out)
-
-    def layer_nodes(self, g: str) -> tuple:
-        """Decision nodes of `g`'s subgame not inside a proper subgame."""
-        out = []
-        stack = [g]
-        while stack:
-            nid = stack.pop()
-            node = self.nodes[nid]
-            if node.is_terminal:
-                continue
-            if nid != g and nid in self.subgame_roots:
-                continue
-            if node.player is not None:  # a chance root owns no info set
-                out.append(nid)
-            stack.extend(c for _, c in reversed(node.actions))
-        return tuple(out)
+        """Maximal proper subgame roots (and terminals) strictly below the
+        subgame root `g`, in preorder."""
+        return self._frontier[g]
 
     def layer_info_sets(self, g: str) -> tuple:
-        seen, out = set(), []
-        for nid in self.layer_nodes(g):
-            sid = self._info_set_of[nid]
-            if sid not in seen:
-                seen.add(sid)
-                out.append(sid)
-        return tuple(out)
+        """Information sets of the subgame root `g`'s layer (its decision
+        nodes that no proper subgame contains), in preorder."""
+        return self._layer_sets[g]
 
 
 # -- utility system ---------------------------------------------------------
@@ -373,3 +368,11 @@ def expected_individual_value(i, dist, partition, utils, tree) -> Fraction:
         return utils.individual_value(i, pure, partition, tree)
     return sum(p * utils.individual_value(i, z, partition, tree)
                for z, p in dist)
+
+
+def block_value(block, dist, partition, utils, tree) -> Fraction:
+    """What `block` gets from `dist`: a singleton's individual value, else
+    the coalition's value."""
+    if len(block) == 1:
+        return expected_individual_value(block[0], dist, partition, utils, tree)
+    return expected_coalition_value(block, dist, utils, tree)

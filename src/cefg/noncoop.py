@@ -25,8 +25,8 @@ from .errors import ImperfectInformation, MixedEquilibriumUnsupported, TooLarge
 from .model import (
     GameTree,
     block_containing,
+    block_value,
     dist_payoffs,
-    expected_coalition_value,
     expected_individual_value,
     make_dist,
     singleton_partition,
@@ -50,14 +50,15 @@ class LocalSolution:
 def choice_key(tree, utils, partition, block, dist):
     """Comparison key for a block evaluating a continuation distribution.
 
-    Leads with the block's own utility; a merged block then prefers higher
-    individual utility for its lowest-indexed member, and so on down. With a
-    singleton block this is just the player's expected utility.
+    Leads with the block's own utility (`block_value`); a merged block then
+    prefers higher individual utility for its lowest-indexed member, and so
+    on down. With a singleton block this is just the player's expected
+    utility.
     """
+    key = (block_value(block, dist, partition, utils, tree),)
     if len(block) == 1:
-        return (expected_individual_value(block[0], dist, partition, utils, tree),)
-    main = expected_coalition_value(block, dist, utils, tree)
-    return (main,) + tuple(
+        return key
+    return key + tuple(
         expected_individual_value(i, dist, partition, utils, tree) for i in block)
 
 
@@ -188,60 +189,27 @@ class LayerGame:
                 pairs.extend((z, prob * q) for z, q in dist)
         return make_dist(pairs)
 
-    def value(self, block, dist):
-        return choice_key(self.tree, self.utils, self.partition, block, dist)[0]
-
-    def pure_assignment(self, strategy_ix) -> dict:
-        """{info set -> label} of one pure strategy index per player."""
-        out = {}
-        for b, ix in zip(self.players, strategy_ix):
-            out.update(self.strategies[b][ix])
-        return out
-
-    def profile_dist(self, strategy_ix) -> tuple:
-        return self.playout(self.pure_assignment(strategy_ix))
-
-    def pure_nash(self):
-        """First pure equilibrium in row-major order, or None."""
-        ranges = [range(len(self.strategies[b])) for b in self.players]
-        for profile in product(*ranges):
-            if self._is_pure_nash(profile):
-                return profile
-        return None
-
-    def _is_pure_nash(self, profile) -> bool:
-        base_dist = self.profile_dist(profile)
-        for k, b in enumerate(self.players):
-            held = self.value(b, base_dist)
-            for alt in range(len(self.strategies[b])):
-                if alt == profile[k]:
-                    continue
-                dev = list(profile)
-                dev[k] = alt
-                if self.value(b, self.profile_dist(tuple(dev))) > held:
-                    return False
-        return True
-
-    def payoff_matrices(self):
-        """(A, B) block-utility matrices for a two-player layer."""
-        rows, cols = self.players
-        A, B = [], []
-        for i in range(len(self.strategies[rows])):
-            arow, brow = [], []
-            for j in range(len(self.strategies[cols])):
-                dist = self.profile_dist((i, j))
-                arow.append(self.value(rows, dist))
-                brow.append(self.value(cols, dist))
-            A.append(arow)
-            B.append(brow)
-        return A, B
-
     def solve(self):
-        """Equilibrium profile: {info set -> action | ((label, prob), ...)}."""
-        pure = self.pure_nash()
-        if pure is not None:
-            assignment = self.pure_assignment(pure)
-            return assignment, self.playout(assignment)
+        """Equilibrium profile: {info set -> action | ((label, prob), ...)}.
+
+        The normal form is built once: one row-major table of (assignment,
+        dist, each player's block value) per pure profile, which both the
+        pure scan and the bimatrix of support enumeration read.
+        """
+        ranges = [range(len(self.strategies[b])) for b in self.players]
+        table = {}
+        for profile in product(*ranges):
+            assignment = {}
+            for b, ix in zip(self.players, profile):
+                assignment.update(self.strategies[b][ix])
+            dist = self.playout(assignment)
+            table[profile] = (assignment, dist, tuple(
+                block_value(b, dist, self.partition, self.utils, self.tree)
+                for b in self.players))
+        for profile, (assignment, dist, values) in table.items():
+            if all(table[profile[:k] + (alt,) + profile[k + 1:]][2][k] <= values[k]
+                   for k, alts in enumerate(ranges) for alt in alts):
+                return assignment, dist
         if len(self.players) != 2:
             raise MixedEquilibriumUnsupported(
                 f"no pure equilibrium in the layer at {self.g} and "
@@ -250,7 +218,8 @@ class LayerGame:
             raise MixedEquilibriumUnsupported(
                 f"mixed play across several information sets at {self.g} "
                 "is not supported")
-        A, B = self.payoff_matrices()
+        A, B = ([[table[(i, j)][2][k] for j in ranges[1]] for i in ranges[0]]
+                for k in (0, 1))
         found = support_enumeration(A, B)
         if found is None:
             raise MixedEquilibriumUnsupported(

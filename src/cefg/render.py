@@ -374,12 +374,9 @@ def profile_to_json(profile: SolutionProfile) -> str:
     tree = profile.tree
     contexts = profile.contexts()
     order, ids = _number_entries(contexts)
-    layer_sets: dict = {}
     entries = []
     for entry in order:
-        sids = layer_sets.get(entry.node)
-        if sids is None:
-            sids = layer_sets[entry.node] = tree.layer_info_sets(entry.node)
+        sids = tree.layer_info_sets(entry.node)
         entries.append(_object([
             ("actions", _actions_text({sid: entry.actions[sid] for sid in sids}, 3)),
             ("children", _object([(node, str(ids[id(child)]))

@@ -36,10 +36,10 @@ from .model import (
     GameTree,
     UtilitySystem,
     block_containing,
+    block_value,
     canon_block,
     coalition_sort_key,
     dist_payoffs,
-    expected_coalition_value,
     expected_individual_value,
     merge_into,
     singleton_partition,
@@ -133,13 +133,6 @@ class SolutionProfile:
             stack.extend(reversed(entry.children.values()))
         return out
 
-    def context_entry(self, node: str) -> Entry:
-        """The solution at `node`'s subgame inside the adopted root context."""
-        entry = self.root_context.get(node)
-        if entry is None:
-            raise KeyError(f"{node} has no entry under the root context")
-        return entry
-
     def contexts(self) -> dict:
         """Context root -> its Entry: the root context, then every subgame
         solved on its own (terminals included), in memo order."""
@@ -191,7 +184,6 @@ class _Solver:
         self.use_memo = use_memo
         self.memo: dict = {}
         self.audit: list[SolveStep] = []
-        self.movers = _movers(tree)
 
     # -- public driver -------------------------------------------------------
 
@@ -255,41 +247,35 @@ class _Solver:
 
     def _solve_layer(self, g: str, view: tuple, kids: dict, layer) -> Entry:
         """Imperfect-information step over the layer of subgame `g`."""
+        tree = self.tree
         continuation = {y: kid.dist for y, kid in kids.items()}
-        game = LayerGame(self.tree, self.utils, view, g, continuation)
+        game = LayerGame(tree, self.utils, view, g, continuation)
         nu = self._point(g, view, kids, *game.solve())
 
-        adopted: dict = {}
+        pinned: dict = {}  # info set -> the action adopted there
         entry = nu
-        for sid in _layer_bottom_up(self.tree, layer):
-            if not any(self.movers[child] for m in self.tree.info_sets[sid]
-                       for _, child in self.tree.nodes[m].actions):
-                adopted[sid] = nu  # terminal layer: equilibrium play as is
-                continue
-            r0 = self._layer_index_point(g, view, kids, continuation, layer,
-                                         sid, nu, adopted)
-            block = block_containing(view, self.tree.info_set_player(sid))
+        for sid in _layer_bottom_up(tree, layer):
+            if not any(tree.movers[child] for m in tree.info_sets[sid]
+                       for _, child in tree.nodes[m].actions):
+                continue  # terminal layer: equilibrium play as is
+            # The index point is the SPNE extension of the actions pinned
+            # at the sets below `sid`.
+            fixed = {other: act for other, act in pinned.items()
+                     if _set_below(tree, other, sid)}
+            r0 = nu
+            if fixed:
+                game = LayerGame(tree, self.utils, view, g, continuation,
+                                 fixed=fixed)
+                assignment, dist = game.solve()
+                r0 = self._point(g, view, kids,
+                                 {**nu.actions, **fixed, **assignment}, dist)
+            block = block_containing(view, tree.info_set_player(sid))
             entry = self._adopt(g, view, block, r0, step_node=sid)
-            # An index point that kept the equilibrium leaves `nu` in place,
-            # so the sets above it are not pinned to a copy of it.
-            kept = r0 is nu and entry.coalition is None
-            adopted[sid] = nu if kept else entry
+            # An index point that kept the equilibrium pins nothing, so the
+            # sets above it are not pinned to a copy of it.
+            if r0 is not nu or entry.coalition is not None:
+                pinned[sid] = entry.actions[sid]
         return entry
-
-    def _layer_index_point(self, g, view, kids, continuation, layer, sid, nu,
-                           adopted):
-        """SPNE extension of the adopted successor solutions at `sid`."""
-        succ = [other for other in layer if other != sid
-                and _set_below(self.tree, other, sid)]
-        fixed = {other: adopted[other].actions[other] for other in succ
-                 if adopted.get(other, nu) is not nu}
-        if not fixed:
-            return nu
-        game = LayerGame(self.tree, self.utils, view, g, continuation,
-                         fixed=fixed)
-        assignment, dist = game.solve()
-        return self._point(g, view, kids, {**nu.actions, **fixed, **assignment},
-                           dist)
 
     # -- reference points and the IR chain ------------------------------------
 
@@ -308,28 +294,23 @@ class _Solver:
             merged = merge_into(view, union)
             assert len(merged) < len(view)  # recursion strictly shrinks
             entry = self.solve(g, merged)
-            value = self._active_value(block, entry)
+            value = block_value(block, entry.dist, entry.partition,
+                                self.utils, self.tree)
             out.append((value, union, entry))
         out.sort(key=lambda item: (item[0], len(item[1]), item[1]))
         return out
-
-    def _active_value(self, block: tuple, entry: Entry) -> Fraction:
-        if len(block) == 1:
-            return expected_individual_value(
-                block[0], entry.dist, entry.partition, self.utils, self.tree)
-        return expected_coalition_value(block, entry.dist, self.utils, self.tree)
 
     def _adopt(self, g: str, view: tuple, block: tuple, r0: Entry,
                step_node: str | None = None) -> Entry:
         """Run the reference-point sequence and IR chain at one node."""
         at = step_node or g
         steps = []
-        r0_value = self._active_value(block, r0)
+        r0_value = block_value(block, r0.dist, r0.partition, self.utils, self.tree)
         steps.append(SolveStep(at, "index-point", None, r0.outcome,
                                "best-response", view, active_value=r0_value))
         accepted, accepted_value, accepted_coalition = r0, r0_value, None
         held_values: dict = {}  # agent -> value under `accepted`
-        movers = self.movers[g]
+        movers = self.tree.movers[g]
         for value, union, entry in self._candidates(g, view, block):
             idle = [i for i in union if i not in movers]
             note = "idle:" + ",".join(map(str, idle)) if idle else ""
@@ -381,16 +362,6 @@ def _ir_test(tree, utils, coalition, candidate: Entry, incumbent: Entry,
         if failing is None and not cand > held:
             failing = agent
     return comparisons, failing
-
-
-def _movers(tree) -> dict:
-    """Node id -> frozenset of the players who move in its subtree."""
-    movers: dict = {}
-    for nid in reversed(tree.preorder):
-        node = tree.nodes[nid]
-        below = frozenset().union(*(movers[c] for _, c in node.actions))
-        movers[nid] = below if node.player is None else below | {node.player}
-    return movers
 
 
 def _set_below(tree, sid_a, sid_b) -> bool:
@@ -445,22 +416,23 @@ def _index_reference_point(solver: _Solver, x, view) -> ReferencePoint:
     kids = {y: solver.solve(y, view) for y in solver.tree.frontier_of(x)}
     entry = solver._index_point(x, view, kids)
     block = block_containing(view, solver.tree.nodes[x].player)
-    return ReferencePoint(None, entry, solver._active_value(block, entry), 0)
+    value = block_value(block, entry.dist, entry.partition, solver.utils, solver.tree)
+    return ReferencePoint(None, entry, value, 0)
 
 
-def index_reference_point(tree, utils, x, partition=None) -> ReferencePoint:
+def index_reference_point(tree, utils, x) -> ReferencePoint:
     """r0 at node `x`: the active player best-responds to adopted successors.
 
     At a terminal node this is the trivial base case (no choice to make).
     """
-    view = partition or singleton_partition(tree.n_players)
+    view = singleton_partition(tree.n_players)
     return _index_reference_point(_Solver(tree, utils), x, view)
 
 
-def enumerate_reference_points(tree, utils, x, partition=None):
+def enumerate_reference_points(tree, utils, x):
     """The full sequence at `x`: r0 first, then supergame points sorted
     by the active player's value (ties: subsets first, then canonical order)."""
-    view = partition or singleton_partition(tree.n_players)
+    view = singleton_partition(tree.n_players)
     solver = _Solver(tree, utils)
     points = [_index_reference_point(solver, x, view)]
     block = block_containing(view, tree.nodes[x].player)

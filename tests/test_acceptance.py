@@ -49,7 +49,7 @@ def test_criterion_02_abortion_ri():
     assert prof.coalition is None and prof.partition == ((1,), (2,), (3,))
     illegal = prof.standalone_entry("a")
     assert illegal.coalition == (2, 3)
-    assert prof.context_entry("a").coalition == (2, 3)
+    assert prof.root_context["a"].coalition == (2, 3)
     assert elapsed < 0.050
     _report(2, "solve abortion.game -> (2, 4, 3), {2,3} in the Illegal subgame, "
                "no coalition at the root", elapsed)
@@ -100,8 +100,8 @@ def test_criterion_05_complete_solution_rendering():
     prof = solve_game(tree, utils)
     assert bracket_entry(tree, prof.standalone_entry("x5")) == "[{b},{h}; {2,3}]"
     assert bracket_entry(tree, prof.standalone_entry("x6")) == "[{c},{j,k}; 2,3]"
-    assert bracket_entry(tree, prof.context_entry("x5")) == "[{a},{e,g}; 2,{1,3}]"
-    assert bracket_entry(tree, prof.context_entry("x6")) == "[{d},{i,l}; 2,{1,3}]"
+    assert bracket_entry(tree, prof.root_context["x5"]) == "[{a},{e,g}; 2,{1,3}]"
+    assert bracket_entry(tree, prof.root_context["x6"]) == "[{d},{i,l}; 2,{1,3}]"
     text = render_solution(prof)
     root_at = text.index("=== solution at x7 (root) ===")
     x5_alone = text.index("=== standalone solution at x5 ===")

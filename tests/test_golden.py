@@ -3,6 +3,12 @@
 A change that makes one of these fail changes user-visible output. To
 re-record a golden on purpose, run the command shown in the test id with
 `-o tests/golden/<game>.<suffix>`.
+
+The bundled games are all perfect-information. Two imperfect-information
+games live next to their goldens in `tests/golden/`: `layered.game`, a
+stack of three simultaneous-move layers with a mixed one at the bottom,
+and `chance-layers.game`, a chance root over a 2x2 layer with a pure
+equilibrium and a matching-pennies layer with none.
 """
 
 from pathlib import Path
@@ -25,14 +31,33 @@ COMMANDS = (
     (("bi",), "bi.txt"),
     (("bi", "--format", "json"), "bi-json.json"),
 )
+IMPERFECT_GAMES = ("layered", "chance-layers")
+IMPERFECT_COMMANDS = tuple(c for c in COMMANDS if c[0][0] != "bi")
+
+
+def _check_golden(capsys, path, game, argv, suffix):
+    command, *flags = argv
+    code = main([command, str(path), *flags])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"{game}.{suffix}").read_bytes()
 
 
 @pytest.mark.parametrize("game", GAMES)
 @pytest.mark.parametrize("argv, suffix", COMMANDS,
                          ids=[" ".join(argv) for argv, _ in COMMANDS])
 def test_cli_output_matches_golden(capsys, game, argv, suffix):
-    command, *flags = argv
-    code = main([command, str(game_path(f"{game}.game")), *flags])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.encode("utf-8") == (GOLDEN / f"{game}.{suffix}").read_bytes()
+    _check_golden(capsys, game_path(f"{game}.game"), game, argv, suffix)
+
+
+@pytest.mark.parametrize("game", IMPERFECT_GAMES)
+@pytest.mark.parametrize("argv, suffix", IMPERFECT_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in IMPERFECT_COMMANDS])
+def test_imperfect_cli_output_matches_golden(capsys, game, argv, suffix):
+    _check_golden(capsys, GOLDEN / f"{game}.game", game, argv, suffix)
+
+
+@pytest.mark.parametrize("game", IMPERFECT_GAMES)
+def test_bi_refuses_imperfect_golden_game(capsys, game):
+    assert main(["bi", str(GOLDEN / f"{game}.game")]) == 3
+    assert capsys.readouterr().out == ""

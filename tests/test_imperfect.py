@@ -3,16 +3,22 @@
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from cefg import (
     MixedEquilibriumUnsupported,
+    bracket_summary,
+    load_game,
     load_game_text,
+    render_trace,
     solve_game,
     spne_in_subgame,
 )
 from conftest import make_game_text
+
+LAYERED = Path(__file__).resolve().parent / "golden" / "layered.game"
 
 PD = make_game_text({
     "r": {"player": 1, "actions": {"C": "rc", "D": "rd"}},
@@ -193,3 +199,19 @@ def test_singletons_only_cyclic_layer_above_decision_matches_spne():
     assert prof.outcome == spne.outcome
     for sid in ("r", "h2"):
         assert prof.root_entry.actions[sid] == spne.actions[sid]
+
+
+def test_pinned_set_index_point():
+    # r0 and h0 share the top layer. h0 adopts {1,2}, which pins its
+    # action, so r0's index point re-solves the layer against that pin
+    # instead of starting from the layer equilibrium.
+    tree, utils = load_game(LAYERED)
+    prof = solve_game(tree, utils)
+    lines = render_trace(prof).splitlines()
+    at = lines.index("[h0] adopted {1,2} -> (33, 31)")
+    assert lines[at + 1] == "[r0] index point -> (36, 12)"
+    assert prof.outcome == (36, 12)
+    assert prof.partition == ((1,), (2,))
+    assert bracket_summary(prof) == (
+        "[{R0b,C1a,mix(R2a=1/2,R2b=1/2)},"
+        "{C0b,R1a,mix(C2a=17/36,C2b=19/36)}; 1,2]")

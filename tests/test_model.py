@@ -21,6 +21,7 @@ from cefg.model import (
     GameTree,
     Node,
     block_containing,
+    block_value,
     dist_payoffs,
     expected_coalition_value,
     expected_individual_value,
@@ -250,6 +251,19 @@ def test_expected_values_equal_weighted_sums(kind, dist):
                                      utils, tree) == 7
 
 
+@pytest.mark.parametrize("kind", sorted(UTILITY_KINDS))
+def test_block_value_is_individual_for_singletons_else_coalition(kind):
+    tree, utils = _dist_game(UTILITY_KINDS[kind])
+    dist = (("z1", Fraction(1, 3)), ("z2", Fraction(2, 3)))
+    grand, singles = ((1, 2),), ((1,), (2,))
+    assert block_value((1, 2), dist, grand, utils, tree) == \
+        expected_coalition_value((1, 2), dist, utils, tree)
+    assert block_value((1,), (("z1", Fraction(1)),), grand, utils, tree) == 7
+    for i in (1, 2):
+        assert block_value((i,), dist, singles, utils, tree) == \
+            expected_individual_value(i, dist, singles, utils, tree)
+
+
 # -- subgames, subtrees, supergames ---------------------------------------------
 
 
@@ -277,6 +291,23 @@ def test_root_of_in_perfect_information(example2):
     for nid in tree.decision_ids:
         assert nid in tree.subgame_roots
         assert tree.layer_info_sets(nid) == (tree.info_set_of(nid),)
+
+
+def test_layer_decomposition_is_a_lookup_on_subgame_roots():
+    golden = Path(__file__).resolve().parent / "golden"
+    tree, _ = cefg.load_game(golden / "layered.game")
+    assert tree.frontier_of("r0") == ("z0_00", "r1", "z0_10", "z0_11")
+    assert tree.layer_info_sets("r0") == ("r0", "h0")
+    assert tree.layer_info_sets("r2") == ("r2", "h2")
+    assert tree.layer_info_sets("z0_00") == tree.frontier_of("z0_00") == ()
+    assert tree.movers["r0"] == {1, 2} and tree.movers["c2_0"] == {2}
+    assert tree.movers["z0_00"] == frozenset()
+    with pytest.raises(KeyError):
+        tree.frontier_of("c0_0")  # inside r0's layer, not a subgame root
+    tree, _ = cefg.load_game(golden / "chance-layers.game")
+    assert tree.frontier_of("root") == ("a0", "b0")
+    assert tree.layer_info_sets("root") == ()
+    assert tree.layer_info_sets("b0") == ("b0", "hb")
 
 
 SIMULTANEOUS_GADGET = make_game_text({

@@ -15,7 +15,7 @@ from cefg import (
     spne_in_subgame,
 )
 from cefg.model import singleton_partition
-from cefg.noncoop import best_response, support_enumeration
+from cefg.noncoop import LayerGame, best_response, support_enumeration
 from cefg.oracle import random_game
 from conftest import make_game_text
 
@@ -160,6 +160,74 @@ def test_coordination_game_selects_first_pure_row_major():
     # (A, A) comes before (B, B) in row-major enumeration.
     assert sol.actions["r"] == "A" and sol.actions["h2"] == "A"
     assert sol.outcome == (1, 1)
+
+
+def _random_layer(rng, n, m):
+    """One simultaneous-move layer of `n` players with `m` actions each.
+
+    Player 1 moves at the root r with actions a0, a1, ...; players 2 and 3
+    move at information sets h2 and h3 with actions b* and c*. The terminal
+    of a pure profile is z followed by its action indices. Payoffs are 0-3,
+    so ties are common.
+    """
+    def node_id(prefix):
+        if not prefix:
+            return "r"
+        return ("z" if len(prefix) == n else "n") + "".join(map(str, prefix))
+
+    nodes, info_sets = {}, {}
+    for depth in range(n + 1):
+        for prefix in product(range(m), repeat=depth):
+            nid = node_id(prefix)
+            if depth == n:
+                nodes[nid] = [rng.randint(0, 3) for _ in range(n)]
+                continue
+            nodes[nid] = {"player": depth + 1, "actions": {
+                "abc"[depth] + str(a): node_id(prefix + (a,)) for a in range(m)}}
+            if depth:
+                info_sets.setdefault(f"h{depth + 1}", []).append(nid)
+    return make_game_text(nodes, players=n, info_sets=info_sets)
+
+
+def test_layer_game_matches_its_definition():
+    # Pure equilibria: the first row-major profile that no unilateral
+    # deviation strictly improves. Without one, two players mix by support
+    # enumeration over the payoff matrices built here; three players raise.
+    rng = random.Random(5)
+    seen = {"pure": 0, "mixed": 0, "none": 0}
+    for n, m in [(2, 2)] * 100 + [(2, 3)] * 100 + [(3, 2)] * 100:
+        tree, utils = load_game_text(_random_layer(rng, n, m))
+        pay = {profile: tree.nodes["z" + "".join(map(str, profile))].payoffs
+               for profile in product(range(m), repeat=n)}
+        sets = ["r"] + [f"h{k}" for k in range(2, n + 1)]
+        game = LayerGame(tree, utils, singleton_partition(n), "r", {})
+        pure = next((p for p in pay if all(
+            pay[p[:k] + (alt,) + p[k + 1:]][k] <= pay[p][k]
+            for k in range(n) for alt in range(m))), None)
+        if pure is not None:
+            want = {sid: "abc"[k] + str(pure[k]) for k, sid in enumerate(sets)}
+            dist = (("z" + "".join(map(str, pure)), Fraction(1)),)
+            assert game.solve() == (want, dist)
+            seen["pure"] += 1
+            continue
+        found = None
+        if n == 2:
+            A = [[pay[(i, j)][0] for j in range(m)] for i in range(m)]
+            B = [[pay[(i, j)][1] for j in range(m)] for i in range(m)]
+            found = support_enumeration(A, B)
+        if found is None:
+            with pytest.raises(MixedEquilibriumUnsupported):
+                game.solve()
+            seen["none"] += 1
+            continue
+        x, y = found
+        want = {"r": tuple((f"a{i}", x[i]) for i in range(m)),
+                "h2": tuple((f"b{j}", y[j]) for j in range(m))}
+        dist = tuple(sorted((f"z{i}{j}", x[i] * y[j])
+                            for i in range(m) for j in range(m) if x[i] * y[j]))
+        assert game.solve() == (want, dist)
+        seen["mixed"] += 1
+    assert all(seen.values()), seen
 
 
 JORDAN = make_game_text({

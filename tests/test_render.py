@@ -29,8 +29,8 @@ def test_complete_solution_entries(example2):
     prof = solve_game(tree, utils)
     assert bracket_entry(tree, prof.standalone_entry("x5")) == "[{b},{h}; {2,3}]"
     assert bracket_entry(tree, prof.standalone_entry("x6")) == "[{c},{j,k}; 2,3]"
-    assert bracket_entry(tree, prof.context_entry("x5")) == "[{a},{e,g}; 2,{1,3}]"
-    assert bracket_entry(tree, prof.context_entry("x6")) == "[{d},{i,l}; 2,{1,3}]"
+    assert bracket_entry(tree, prof.root_context["x5"]) == "[{a},{e,g}; 2,{1,3}]"
+    assert bracket_entry(tree, prof.root_context["x6"]) == "[{d},{i,l}; 2,{1,3}]"
 
 
 def test_render_solution_structure(example2):
