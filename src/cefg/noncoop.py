@@ -77,53 +77,16 @@ def best_response(tree, utils, partition, block, node, dists):
     return best_label, best_key
 
 
-def combine_chance(branches) -> tuple:
-    """Mix chance branches, given as (probability, solution) pairs.
-
-    Returns (actions, dist): every branch's actions in one map, and the
-    probability-weighted terminal distribution.
-    """
-    actions: dict = {}
-    pairs = []
-    for p, sol in branches:
-        actions.update(sol.actions)
-        pairs.extend((z, p * q) for z, q in sol.dist)
-    return actions, make_dist(pairs)
-
-
 def backward_induction(tree, utils) -> LocalSolution:
     """Standard backward induction over a perfect-information game, with
-    every player independent.
+    every player independent: the subgame-perfect equilibrium of a tree
+    whose every layer is one node.
 
     Raises TooLarge when the tree is deeper than the recursion can walk.
     """
     if not tree.is_perfect_information:
         raise ImperfectInformation("backward induction needs singleton info sets")
-    partition = singleton_partition(tree.n_players)
-
-    def solve(x: str) -> LocalSolution:
-        node = tree.nodes[x]
-        if node.is_terminal:
-            dist = ((x, Fraction(1)),)
-            return LocalSolution({}, dist, dist_payoffs(dist, tree), partition)
-        children = {c: solve(c) for _, c in node.actions}
-        if x == tree.root and tree.chance_at_root:
-            actions, dist = combine_chance(
-                (tree.chance_at_root[c], children[c]) for _, c in node.actions)
-        else:
-            block = block_containing(partition, node.player)
-            label, _ = best_response(tree, utils, partition, block, node,
-                                     {c: sol.dist for c, sol in children.items()})
-            actions = {tree.info_set_of(x): label}
-            for sol in children.values():
-                actions.update(sol.actions)
-            dist = children[node.child(label)].dist
-        return LocalSolution(actions, dist, dist_payoffs(dist, tree), partition)
-
-    try:
-        return solve(tree.root)
-    except RecursionError:
-        raise TooLarge("the tree is too deep for backward induction") from None
+    return spne_in_subgame(tree, utils)
 
 
 # -- one layer as a normal-form game ------------------------------------------
@@ -136,7 +99,8 @@ class LayerGame:
     proper subgames; `continuation` maps each frontier node to the terminal
     distribution of its already-solved subgame. `fixed` pins some of the
     layer's information sets to given (pure or mixed) actions; the game is
-    played over the others.
+    played over the others. The chance root's layer has no players: its
+    one profile mixes the branches by their chance probabilities.
     """
 
     def __init__(self, tree: GameTree, utils, partition, g, continuation,
@@ -174,9 +138,13 @@ class LayerGame:
             nid, prob = stack.pop()
             node = nodes[nid]
             # Follow pure actions down to an end (a terminal or a frontier
-            # node); a mixed action stacks its branches instead.
+            # node); a mixed action, or chance, stacks its branches instead.
             while not node.is_terminal and (nid == self.g or nid not in continuation):
-                act = assignment[self.tree.info_set_of(nid)]
+                if node.player is None:
+                    act = tuple((label, self.tree.chance_at_root[c])
+                                for label, c in node.actions)
+                else:
+                    act = assignment[self.tree.info_set_of(nid)]
                 if isinstance(act, tuple):
                     stack.extend((node.child(label), prob * p) for label, p in act if p)
                     break
@@ -235,12 +203,14 @@ class LayerGame:
 def support_enumeration(A, B):
     """First mixed equilibrium of a bimatrix game over exact rationals.
 
-    Scans equal-size support pairs, sizes ascending then lexicographic,
-    solving the indifference system for each; returns (x, y) probability
-    vectors or None. Intended for the no-pure-equilibrium case.
+    Precondition: the game has no pure equilibrium. A size-1 support pair
+    passes exactly when it is a weak pure equilibrium, so the scan starts
+    at size 2: equal-size support pairs, sizes ascending then
+    lexicographic, solving the indifference system for each. Returns
+    (x, y) probability vectors or None.
     """
     m, n = len(A), len(A[0])
-    for size in range(1, min(m, n) + 1):
+    for size in range(2, min(m, n) + 1):
         for sup_r in combinations(range(m), size):
             for sup_c in combinations(range(n), size):
                 res = _check_support(A, B, sup_r, sup_c)
@@ -252,13 +222,13 @@ def support_enumeration(A, B):
 def _check_support(A, B, sup_r, sup_c):
     m, n = len(A), len(A[0])
     y_part = _solve_indifference([[A[i][j] for j in sup_c] for i in sup_r])
+    if y_part is None or any(p < 0 for p in y_part[0]):
+        return None
     x_part = _solve_indifference([[B[i][j] for i in sup_r] for j in sup_c])
-    if y_part is None or x_part is None:
+    if x_part is None or any(p < 0 for p in x_part[0]):
         return None
     y_probs, v = y_part
     x_probs, w = x_part
-    if any(p < 0 for p in y_probs) or any(p < 0 for p in x_probs):
-        return None
     x = [Fraction(0)] * m
     y = [Fraction(0)] * n
     for k, i in enumerate(sup_r):
@@ -314,21 +284,15 @@ def _gauss(rows, unknowns):
 def spne_in_subgame(tree, utils, root=None) -> LocalSolution:
     """A subgame-perfect equilibrium with deterministic selection.
 
-    Solves innermost subgames first; every layer containing contested
-    information sets becomes a reduced normal-form game solved by the
-    selection rules in the module docstring. For perfect information this
-    reproduces `backward_induction` exactly. Raises TooLarge when the tree
-    is deeper than the recursion can walk.
+    Solves innermost subgames first. A layer that is one decision node is
+    its owner's best response; any other layer, the chance root's included,
+    becomes a reduced normal-form game solved by the selection rules in the
+    module docstring. Raises TooLarge when the tree is deeper than the
+    recursion can walk.
     """
     partition = singleton_partition(tree.n_players)
-    g = root if root is not None else tree.root
     try:
-        if g == tree.root and tree.chance_at_root:
-            actions, dist = combine_chance(
-                (tree.chance_at_root[c], _spne(tree, utils, partition, c))
-                for _, c in tree.nodes[g].actions)
-            return LocalSolution(actions, dist, dist_payoffs(dist, tree), partition)
-        return _spne(tree, utils, partition, g)
+        return _spne(tree, utils, partition, root if root is not None else tree.root)
     except RecursionError:
         raise TooLarge("the tree is too deep for the equilibrium search") from None
 
@@ -344,7 +308,12 @@ def _spne(tree, utils, partition, g) -> LocalSolution:
         sub = _spne(tree, utils, partition, y)
         continuation[y] = sub.dist
         actions.update(sub.actions)
-    layer = LayerGame(tree, utils, partition, g, continuation)
-    assignment, dist = layer.solve()
+    layer = tree.layer_info_sets(g)
+    if len(layer) == 1 and tree.info_sets[layer[0]] == (g,):
+        block = block_containing(partition, node.player)
+        label, _ = best_response(tree, utils, partition, block, node, continuation)
+        assignment, dist = {layer[0]: label}, continuation[node.child(label)]
+    else:
+        assignment, dist = LayerGame(tree, utils, partition, g, continuation).solve()
     actions.update(assignment)
     return LocalSolution(actions, dist, dist_payoffs(dist, tree), partition)

@@ -44,7 +44,7 @@ from .model import (
     merge_into,
     singleton_partition,
 )
-from .noncoop import LayerGame, best_response, combine_chance
+from .noncoop import LayerGame, best_response
 
 
 @dataclass(frozen=True)
@@ -185,24 +185,6 @@ class _Solver:
         self.memo: dict = {}
         self.audit: list[SolveStep] = []
 
-    # -- public driver -------------------------------------------------------
-
-    def run(self) -> Entry:
-        base = singleton_partition(self.tree.n_players)
-        if not self.tree.chance_at_root:
-            return self.solve(self.tree.root, base)
-        root = self.tree.nodes[self.tree.root]
-        branches = [(self.tree.chance_at_root[c], self.solve(c, base))
-                    for _, c in root.actions]
-        entry = branches[0][1]
-        if len(branches) > 1:
-            actions, dist = combine_chance(branches)
-            entry = Entry(root.id, actions, dist,
-                          dist_payoffs(dist, self.tree), base, None,
-                          {e.node: e for _, e in branches})
-        self.memo[(root.id, base)] = entry
-        return entry
-
     def solve(self, g: str, view: tuple) -> Entry:
         key = (g, view)
         if self.use_memo and key in self.memo:
@@ -220,8 +202,7 @@ class _Solver:
             return Entry(g, {}, dist, node.payoffs, view, None, {})
         kids = {y: self.solve(y, view) for y in self.tree.frontier_of(g)}
         layer = self.tree.layer_info_sets(g)
-        if layer == (self.tree.info_set_of(g),) and \
-                self.tree.info_sets[layer[0]] == (g,):
+        if len(layer) == 1 and self.tree.info_sets[layer[0]] == (g,):
             block = block_containing(view, node.player)
             return self._adopt(g, view, block, self._index_point(g, view, kids))
         return self._solve_layer(g, view, kids, layer)
@@ -246,7 +227,9 @@ class _Solver:
                            kids[node.child(label)].dist)
 
     def _solve_layer(self, g: str, view: tuple, kids: dict, layer) -> Entry:
-        """Imperfect-information step over the layer of subgame `g`."""
+        """Step over the layer of subgame `g` when it is more than one
+        decision node: an imperfect-information layer, or the chance root's
+        layer, which has no information sets."""
         tree = self.tree
         continuation = {y: kid.dist for y, kid in kids.items()}
         game = LayerGame(tree, self.utils, view, g, continuation)
@@ -404,7 +387,7 @@ def solve_game(tree: GameTree, utils: UtilitySystem, *,
         utils = utils.restricted_to_singletons()
     solver = _Solver(tree, utils)
     try:
-        root_entry = solver.run()
+        root_entry = solver.solve(tree.root, singleton_partition(tree.n_players))
     except RecursionError:
         raise TooLarge("the tree is too deep for the recursive solver") from None
     return SolutionProfile(tree, utils, root_entry, solver.memo, solver.audit)

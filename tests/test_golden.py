@@ -4,11 +4,13 @@ A change that makes one of these fail changes user-visible output. To
 re-record a golden on purpose, run the command shown in the test id with
 `-o tests/golden/<game>.<suffix>`.
 
-The bundled games are all perfect-information. Two imperfect-information
-games live next to their goldens in `tests/golden/`: `layered.game`, a
-stack of three simultaneous-move layers with a mixed one at the bottom,
-and `chance-layers.game`, a chance root over a 2x2 layer with a pure
-equilibrium and a matching-pennies layer with none.
+The bundled games are all perfect-information. Four more games live next
+to their goldens in `tests/golden/`. Two have perfect information and a
+chance root: `chance-perfect.game`, with three branches weighted 1/3, 2/3
+and 0, and `chance-one-branch.game`, with one branch. Two have imperfect
+information: `layered.game`, a stack of three simultaneous-move layers with
+a mixed one at the bottom, and `chance-layers.game`, a chance root over a
+2x2 layer with a pure equilibrium and a matching-pennies layer with none.
 """
 
 from pathlib import Path
@@ -20,6 +22,7 @@ from conftest import game_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GAMES = ("abortion", "example2", "example2-modified")
+CHANCE_GAMES = ("chance-perfect", "chance-one-branch")
 # (command and its flags, golden file suffix)
 COMMANDS = (
     (("solve",), "solve.txt"),
@@ -43,11 +46,12 @@ def _check_golden(capsys, path, game, argv, suffix):
     assert out.encode("utf-8") == (GOLDEN / f"{game}.{suffix}").read_bytes()
 
 
-@pytest.mark.parametrize("game", GAMES)
+@pytest.mark.parametrize("game", GAMES + CHANCE_GAMES)
 @pytest.mark.parametrize("argv, suffix", COMMANDS,
                          ids=[" ".join(argv) for argv, _ in COMMANDS])
 def test_cli_output_matches_golden(capsys, game, argv, suffix):
-    _check_golden(capsys, game_path(f"{game}.game"), game, argv, suffix)
+    path = game_path(f"{game}.game") if game in GAMES else GOLDEN / f"{game}.game"
+    _check_golden(capsys, path, game, argv, suffix)
 
 
 @pytest.mark.parametrize("game", IMPERFECT_GAMES)

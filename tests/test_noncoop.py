@@ -92,9 +92,32 @@ def test_best_response_tie_takes_first_declared():
     assert action == "a"
 
 
-def test_spne_equals_bi_on_perfect_information(example2):
-    tree, utils = example2
-    assert spne_in_subgame(tree, utils).actions == backward_induction(tree, utils).actions
+def test_one_node_layer_game_equals_best_response(abortion, example2,
+                                                  example2_modified):
+    # SPNE answers a one-node layer by `best_response` instead of playing it
+    # as a LayerGame; both must pick the same action and dist.
+    # random_game payoffs are distinct, so a game with a tie at every
+    # node checks that both take the first maximizer.
+    ties = load_game_text(make_game_text({
+        "r": {"player": 1, "actions": {"a": "m1", "b": "m2"}},
+        "m1": {"player": 2, "actions": {"x": "z1", "y": "z2"}},
+        "m2": {"player": 3, "actions": {"x": "z3", "y": "z4"}},
+        "z1": [1, 4, 0], "z2": [3, 4, 0], "z3": [1, 0, 2], "z4": [0, 1, 2],
+    }))
+    rng = random.Random(77)
+    games = [abortion, example2, example2_modified, ties]
+    games += [random_game(rng) for _ in range(60)]
+    for tree, utils in games:
+        base = singleton_partition(tree.n_players)
+        for g in tree.decision_ids:
+            continuation = {y: spne_in_subgame(tree, utils, root=y).dist
+                            for y in tree.frontier_of(g)}
+            node = tree.nodes[g]
+            label, _ = best_response(tree, utils, base, (node.player,), node,
+                                     continuation)
+            game = LayerGame(tree, utils, base, g, continuation)
+            assert game.solve() == ({tree.info_set_of(g): label},
+                                    continuation[node.child(label)])
 
 
 MATCHING_PENNIES = make_game_text({

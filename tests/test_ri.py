@@ -17,7 +17,7 @@ from cefg import (
     oracle_solve,
     solve_game,
 )
-from cefg.noncoop import LocalSolution, combine_chance
+from cefg.model import singleton_partition
 from cefg.oracle import random_game
 from cefg.render import bracket_summary, profile_to_json
 from cefg.ri import SolutionProfile, _Solver
@@ -202,7 +202,10 @@ def test_chance_single_branch_returns_branch_profile():
     }, chance={"m": 1})
     tree, utils = load_game_text(text)
     prof = solve_game(tree, utils)
-    assert prof.root_entry.node == "m"
+    # The chance root is a layer like any other: its entry sits at r and
+    # holds the branch's own entry.
+    assert prof.root_entry.node == "r"
+    assert prof.root_entry.children["m"] == prof.standalone_entry("m")
     assert prof.outcome == (3, 1, 1)
 
 
@@ -241,14 +244,7 @@ def test_chance_duplicated_example2():
         assert branch.outcome == (6, 3, 5)
 
 
-def test_combine_chance_root_op():
-    a = LocalSolution({"m1": "x"}, (("z1", Fraction(1)),), (Fraction(2), Fraction(0)),
-                      ((1,), (2,)))
-    b = LocalSolution({"m2": "y"}, (("z2", Fraction(1)),), (Fraction(0), Fraction(2)),
-                      ((1, 2),))
-    actions, dist = combine_chance([(Fraction(1, 2), a), (Fraction(1, 2), b)])
-    assert actions == {"m1": "x", "m2": "y"}
-    assert dict(dist) == {"z1": Fraction(1, 2), "z2": Fraction(1, 2)}
+def test_two_branch_chance_root_mixes_branch_solutions():
     # The outcome at a two-branch chance root is the weighted sum.
     text = make_game_text({
         "c": {"actions": {"l": "m1", "r": "m2"}},
@@ -279,7 +275,8 @@ def test_memoization_is_transparent(example2):
     tree, utils = example2
     fast = solve_game(tree, utils)
     solver = _Solver(tree, utils, use_memo=False)
-    slow = SolutionProfile(tree, utils, solver.run(), solver.memo, solver.audit)
+    root_entry = solver.solve(tree.root, singleton_partition(tree.n_players))
+    slow = SolutionProfile(tree, utils, root_entry, solver.memo, solver.audit)
     assert fast.root_entry == slow.root_entry
     for nid in tree.decision_ids:
         assert fast.standalone_entry(nid).outcome == slow.standalone_entry(nid).outcome
