@@ -30,13 +30,9 @@ from .render import (
     render_trace,
 )
 from .ri import (
-    ReferencePoint,
     SolutionProfile,
     SolveStep,
     check_ir_invariants,
-    enumerate_reference_points,
-    index_reference_point,
-    ir_chain,
     solve_game,
 )
 

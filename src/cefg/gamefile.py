@@ -498,6 +498,10 @@ def _build_utils(spec, tree: GameTree):
         if not _is_player(player, n):
             bad.append(("BadSynergy", f"synergy player {player!r} not in 1..{n}"))
             continue
+        if not block or not all(_is_player(i, n) for i in block):
+            bad.append(("BadSynergy",
+                        f"synergy block {list(block)} is not a subset of 1..{n}"))
+            continue
         if len(set(block)) != len(block):
             bad.append(("BadSynergy", f"synergy block {list(block)} repeats a member"))
             continue
@@ -555,6 +559,8 @@ def load_game(path) -> tuple[GameTree, UtilitySystem]:
         _fail("NotAFile", f"{path} is a directory, not a game file")
     except UnicodeDecodeError as exc:
         _fail("SyntaxError", f"{path} is not UTF-8 text ({exc.reason})")
+    except OSError as exc:  # a symlink loop, an overlong name, no permission
+        _fail("NotReadable", f"{path} cannot be read ({exc.strerror or exc})")
     return validate_game(parse_game(text))
 
 

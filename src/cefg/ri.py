@@ -80,16 +80,6 @@ class Entry:
     children: dict
 
 
-@dataclass(frozen=True)
-class ReferencePoint:
-    """A candidate solution in the sequence at one node."""
-
-    coalition: tuple | None  # None marks the index point
-    entry: Entry
-    active_value: Fraction
-    index: int
-
-
 class SolutionProfile:
     """The family of per-(context, subgame) solutions plus the solve trace."""
 
@@ -203,8 +193,13 @@ class _Solver:
         kids = {y: self.solve(y, view) for y in self.tree.frontier_of(g)}
         layer = self.tree.layer_info_sets(g)
         if len(layer) == 1 and self.tree.info_sets[layer[0]] == (g,):
+            # The index point: the owner best-responds to the solved kids.
             block = block_containing(view, node.player)
-            return self._adopt(g, view, block, self._index_point(g, view, kids))
+            label, _ = best_response(self.tree, self.utils, view, block, node,
+                                     {y: kid.dist for y, kid in kids.items()})
+            r0 = self._point(g, view, kids, {layer[0]: label},
+                             kids[node.child(label)].dist)
+            return self._adopt(g, view, block, r0)
         return self._solve_layer(g, view, kids, layer)
 
     def _point(self, g: str, view: tuple, kids: dict, own: dict, dist) -> Entry:
@@ -215,16 +210,6 @@ class _Solver:
             actions.update(kid.actions)
         return Entry(g, actions, dist, dist_payoffs(dist, self.tree),
                      view, None, dict(kids))
-
-    def _index_point(self, g: str, view: tuple, kids: dict) -> Entry:
-        """Perfect-information step at `g`: its owner best-responds to the
-        solved subgames `kids`."""
-        node = self.tree.nodes[g]
-        block = block_containing(view, node.player)
-        label, _ = best_response(self.tree, self.utils, view, block, node,
-                                 {y: kid.dist for y, kid in kids.items()})
-        return self._point(g, view, kids, {self.tree.info_set_of(g): label},
-                           kids[node.child(label)].dist)
 
     def _solve_layer(self, g: str, view: tuple, kids: dict, layer) -> Entry:
         """Step over the layer of subgame `g` when it is more than one
@@ -286,33 +271,42 @@ class _Solver:
     def _adopt(self, g: str, view: tuple, block: tuple, r0: Entry,
                step_node: str | None = None) -> Entry:
         """Run the reference-point sequence and IR chain at one node."""
+        tree, utils = self.tree, self.utils
         at = step_node or g
         steps = []
-        r0_value = block_value(block, r0.dist, r0.partition, self.utils, self.tree)
+        r0_value = block_value(block, r0.dist, r0.partition, utils, tree)
         steps.append(SolveStep(at, "index-point", None, r0.outcome,
                                "best-response", view, active_value=r0_value))
         accepted, accepted_value, accepted_coalition = r0, r0_value, None
         held_values: dict = {}  # agent -> value under `accepted`
-        movers = self.tree.movers[g]
+        movers = tree.movers[g]
         for value, union, entry in self._candidates(g, view, block):
             idle = [i for i in union if i not in movers]
             note = "idle:" + ",".join(map(str, idle)) if idle else ""
             steps.append(SolveStep(at, "supergame-solved", union, entry.outcome,
                                    note, view, active_value=value))
-            comparisons, failing = _ir_test(self.tree, self.utils, union, entry,
-                                            accepted, held_values)
+            # The IR test: every member of the candidate's block that holds
+            # `union` must strictly gain on the accepted point.
+            comparisons, failing = [], None
+            for agent in block_containing(entry.partition, union[0]):
+                cand = expected_individual_value(agent, entry.dist,
+                                                 entry.partition, utils, tree)
+                held = held_values.get(agent)
+                if held is None:
+                    held = held_values[agent] = expected_individual_value(
+                        agent, accepted.dist, accepted.partition, utils, tree)
+                comparisons.append((agent, cand, held))
+                if failing is None and not cand > held:
+                    failing = agent
+            kind, reason = (("ir-accepted", "strict-improvement")
+                            if failing is None
+                            else ("ir-rejected", f"blocked-by:{failing}"))
+            steps.append(SolveStep(at, kind, union, entry.outcome, reason, view,
+                                   active_value=value,
+                                   comparisons=tuple(comparisons)))
             if failing is None:
-                steps.append(SolveStep(at, "ir-accepted", union, entry.outcome,
-                                       "strict-improvement", view,
-                                       active_value=value,
-                                       comparisons=tuple(comparisons)))
                 accepted, accepted_value, accepted_coalition = entry, value, union
                 held_values.clear()
-            else:
-                steps.append(SolveStep(at, "ir-rejected", union, entry.outcome,
-                                       f"blocked-by:{failing}", view,
-                                       active_value=value,
-                                       comparisons=tuple(comparisons)))
         steps.append(SolveStep(at, "adopted", accepted_coalition,
                                accepted.outcome,
                                "greatest-ir" if accepted_coalition else "index",
@@ -321,30 +315,6 @@ class _Solver:
         self.audit.extend(steps)
         return Entry(g, accepted.actions, accepted.dist, accepted.outcome,
                      accepted.partition, accepted_coalition, accepted.children)
-
-
-def _ir_test(tree, utils, coalition, candidate: Entry, incumbent: Entry,
-             held_values: dict):
-    """The strict-improvement test of `candidate` against `incumbent`.
-
-    Every member of the block of `candidate.partition` that contains the
-    adopted `coalition` must gain individually. `held_values` caches each
-    agent's value under `incumbent`. Returns the ((agent, candidate value,
-    incumbent value), ...) comparisons and the first agent who does not
-    strictly gain, or None.
-    """
-    comparisons, failing = [], None
-    for agent in block_containing(candidate.partition, coalition[0]):
-        cand = expected_individual_value(agent, candidate.dist,
-                                         candidate.partition, utils, tree)
-        held = held_values.get(agent)
-        if held is None:
-            held = held_values[agent] = expected_individual_value(
-                agent, incumbent.dist, incumbent.partition, utils, tree)
-        comparisons.append((agent, cand, held))
-        if failing is None and not cand > held:
-            failing = agent
-    return comparisons, failing
 
 
 def _set_below(tree, sid_a, sid_b) -> bool:
@@ -391,49 +361,6 @@ def solve_game(tree: GameTree, utils: UtilitySystem, *,
     except RecursionError:
         raise TooLarge("the tree is too deep for the recursive solver") from None
     return SolutionProfile(tree, utils, root_entry, solver.memo, solver.audit)
-
-
-def _index_reference_point(solver: _Solver, x, view) -> ReferencePoint:
-    if solver.tree.nodes[x].is_terminal:
-        return ReferencePoint(None, solver.solve(x, view), None, 0)
-    kids = {y: solver.solve(y, view) for y in solver.tree.frontier_of(x)}
-    entry = solver._index_point(x, view, kids)
-    block = block_containing(view, solver.tree.nodes[x].player)
-    value = block_value(block, entry.dist, entry.partition, solver.utils, solver.tree)
-    return ReferencePoint(None, entry, value, 0)
-
-
-def index_reference_point(tree, utils, x) -> ReferencePoint:
-    """r0 at node `x`: the active player best-responds to adopted successors.
-
-    At a terminal node this is the trivial base case (no choice to make).
-    """
-    view = singleton_partition(tree.n_players)
-    return _index_reference_point(_Solver(tree, utils), x, view)
-
-
-def enumerate_reference_points(tree, utils, x):
-    """The full sequence at `x`: r0 first, then supergame points sorted
-    by the active player's value (ties: subsets first, then canonical order)."""
-    view = singleton_partition(tree.n_players)
-    solver = _Solver(tree, utils)
-    points = [_index_reference_point(solver, x, view)]
-    block = block_containing(view, tree.nodes[x].player)
-    for k, (value, union, entry) in enumerate(solver._candidates(x, view, block)):
-        points.append(ReferencePoint(union, entry, value, k + 1))
-    return points
-
-
-def ir_chain(tree, utils, points) -> ReferencePoint:
-    """Walk the sequence; return the greatest individually rational point."""
-    accepted, held_values = points[0], {}
-    for point in points[1:]:
-        _, failing = _ir_test(tree, utils, point.coalition, point.entry,
-                              accepted.entry, held_values)
-        if failing is None:
-            accepted = point
-            held_values.clear()
-    return accepted
 
 
 def check_ir_invariants(profile: SolutionProfile):

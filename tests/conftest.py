@@ -57,6 +57,34 @@ def make_game_text(nodes, players=3, root=None, feasible="all",
     return json.dumps(doc)
 
 
+def wide_layer_text(depth):
+    """Two players alternate binary moves for `depth` levels, and neither
+    observes the other's moves, so the whole tree is one layer.
+
+    A player's information sets group the nodes of a level by that player's
+    own past moves (perfect recall holds). Both players get the same payoff,
+    so the layer has a pure equilibrium. Every information set is binary,
+    so the layer has 2 ** (number of sets) pure profiles under any view:
+    1,024 at depth 5, 16,384 at depth 6 and 4,194,304 at depth 7.
+    """
+    nodes, info_sets = {}, {}
+
+    def walk(path):
+        nid = "n" + path if path else "r"
+        level = len(path)
+        if level == depth:
+            value = sum(k + 1 for k, move in enumerate(path) if move == "b") % 5
+            nodes[nid] = [value, value]
+            return nid
+        nodes[nid] = {"player": level % 2 + 1,
+                      "actions": {"a": walk(path + "a"), "b": walk(path + "b")}}
+        info_sets.setdefault(f"s{level}_{path[level % 2::2]}", []).append(nid)
+        return nid
+
+    walk("")
+    return make_game_text(nodes, players=2, root="r", info_sets=info_sets)
+
+
 def expand_v1_entries(doc) -> dict:
     """The "context/subgame" entry map of a schema-2 solution document.
 

@@ -8,7 +8,7 @@ import pytest
 from cefg import GameFormatError, GameValidationError, load_game_text
 from cefg.cli import main
 from cefg.oracle import OracleReport
-from conftest import expand_v1_entries, game_path, make_game_text
+from conftest import expand_v1_entries, game_path, make_game_text, wide_layer_text
 
 
 def run(capsys, *argv):
@@ -199,6 +199,15 @@ def _chance_root_in_a_set(doc):
     pytest.param(_malformed(lambda doc: doc.update(synergies=[
         {"player": 1, "block": [1, 1], "terminal": "z1", "value": 3}])),
         "BadSynergy", id="repeated-synergy-block-member"),
+    pytest.param(_malformed(lambda doc: doc.update(synergies=[
+        {"player": 1, "block": [1, 9], "terminal": "z1", "value": 3}])),
+        "BadSynergy", id="synergy-block-member-out-of-range"),
+    pytest.param(_malformed(lambda doc: doc.update(synergies=[
+        {"player": 1, "block": [], "terminal": "z1", "value": 3}])),
+        "BadSynergy", id="empty-synergy-block"),
+    pytest.param(_malformed(lambda doc: doc.update(synergies=[
+        {"player": 1, "block": [0, 1], "terminal": "z1", "value": 3}])),
+        "BadSynergy", id="synergy-block-member-zero"),
     pytest.param(json.dumps({**json.loads(game_path("example2.game").read_text()),
                              "info_sets": {"x6": ["x5"]}}),
                  "BadInfoSet", id="info-set-named-after-another-node"),
@@ -250,6 +259,20 @@ def test_malformed_input_is_a_typed_error(tmp_path, capsys, text, code):
     assert code in err
 
 
+@pytest.mark.parametrize("name,loop", [
+    pytest.param("loop.game", True, id="symlink-loop"),
+    pytest.param("a" * 300 + ".game", False, id="overlong-name"),
+])
+def test_unreadable_path_is_a_typed_error(tmp_path, capsys, name, loop):
+    bad = tmp_path / name
+    if loop:
+        bad.symlink_to(bad)
+    exit_code, out, err = run(capsys, "solve", str(bad))
+    assert exit_code == 2
+    assert out == ""
+    assert "NotReadable" in err and str(bad) in err
+
+
 def test_info_set_named_apart_from_its_node(tmp_path, capsys):
     # A one-node information set under its own name is the same game as
     # the undeclared set: the text outputs match, and nothing crashes.
@@ -295,3 +318,21 @@ def test_too_deep_tree_is_a_solver_error(tmp_path, capsys, command, depth):
     assert code == 3
     assert out == ""
     assert "solver error" in err and "too deep" in err
+
+
+@pytest.mark.parametrize("depth,exit_code", [(5, 0), (6, 0), (7, 3)])
+def test_wide_layer_beyond_the_profile_bound_is_a_solver_error(
+        tmp_path, capsys, depth, exit_code):
+    # Depth 6 is a layer of 16,384 pure profiles, exactly at the bound;
+    # depth 7 has 4,194,304, and is refused before any strategy is built.
+    game = tmp_path / "wide.game"
+    game.write_text(wide_layer_text(depth))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", str(game))
+    assert code == exit_code
+    if exit_code:
+        assert time.perf_counter() - start < 5.0
+        assert out == ""
+        assert "layer at r has 4194304 pure profiles" in err
+    else:
+        assert out.startswith("outcome: ")

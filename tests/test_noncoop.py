@@ -9,15 +9,17 @@ import pytest
 from cefg import (
     ImperfectInformation,
     MixedEquilibriumUnsupported,
+    TooLarge,
     backward_induction,
     load_game_text,
     solve_game,
     spne_in_subgame,
 )
+from cefg import noncoop
 from cefg.model import singleton_partition
 from cefg.noncoop import LayerGame, best_response, support_enumeration
 from cefg.oracle import random_game
-from conftest import make_game_text
+from conftest import make_game_text, wide_layer_text
 
 
 def test_bi_abortion(abortion):
@@ -270,6 +272,23 @@ JORDAN = make_game_text({
 def test_three_player_mixed_layer_is_unsupported():
     tree, utils = load_game_text(JORDAN)
     with pytest.raises(MixedEquilibriumUnsupported):
+        spne_in_subgame(tree, utils)
+
+
+def test_layer_at_the_profile_bound_is_accepted_and_above_it_refused(
+        monkeypatch):
+    # The depth-4 wide layer has 8 x 8 = 64 pure profiles.
+    tree, utils = load_game_text(wide_layer_text(4))
+    base = singleton_partition(2)
+    monkeypatch.setattr(noncoop, "_MAX_LAYER_PROFILES", 64)
+    assignment, _ = LayerGame(tree, utils, base, "r", {}).solve()
+    assert len(assignment) == 6
+    monkeypatch.setattr(noncoop, "_MAX_LAYER_PROFILES", 63)
+    with pytest.raises(TooLarge, match="layer at r has 64 pure profiles"):
+        LayerGame(tree, utils, base, "r", {})
+    with pytest.raises(TooLarge):
+        solve_game(tree, utils)
+    with pytest.raises(TooLarge):
         spne_in_subgame(tree, utils)
 
 

@@ -1,4 +1,5 @@
-"""Recursive-induction solver: fixtures, reference points, IR chains, properties."""
+"""Recursive-induction solver: fixtures, the audit's reference points and IR
+chains, properties."""
 
 import dataclasses
 import random
@@ -10,9 +11,6 @@ from cefg import (
     CefgError,
     backward_induction,
     check_ir_invariants,
-    enumerate_reference_points,
-    index_reference_point,
-    ir_chain,
     load_game_text,
     oracle_solve,
     solve_game,
@@ -68,50 +66,65 @@ def test_singleton_feasibility_reduces_to_bi(abortion, example2):
         assert prof.root_entry.actions == bi.actions
 
 
-# -- index reference points ------------------------------------------------------
+# -- the audit: index points, reference-point sequences, IR chains -------------
+
+
+def _steps_at(prof, node):
+    """The base-view audit group at `node`: the index point, the supergame
+    points in sorted order, each with its IR verdict, then the adopted
+    point."""
+    return [s for s in prof.trace_steps() if s.node == node]
+
+
+def _points(steps):
+    """(coalition, active value, outcome) of the index point and of each
+    supergame point, in sequence order."""
+    return [(s.coalition, s.active_value, s.outcome) for s in steps
+            if s.kind in ("index-point", "supergame-solved")]
+
+
+def _adopted(steps):
+    (step,) = [s for s in steps if s.kind == "adopted"]
+    return step
 
 
 def test_index_point_example2_root(example2):
-    tree, utils = example2
-    r0 = index_reference_point(tree, utils, "x7")
-    assert r0.entry.outcome == (2, 2, 6)
+    r0 = _steps_at(solve_game(*example2), "x7")[0]
+    assert r0.kind == "index-point"
+    assert r0.outcome == (2, 2, 6)
     assert r0.active_value == 2
     assert r0.coalition is None
 
 
 def test_index_point_terminal_base_case(example2):
-    tree, utils = example2
-    r0 = index_reference_point(tree, utils, "z8")
-    assert r0.entry.outcome == (6, 3, 5)
+    prof = solve_game(*example2)
+    assert prof.standalone_entry("z8").outcome == (6, 3, 5)
+    assert _steps_at(prof, "z8") == []
 
 
 def test_index_point_abortion_root(abortion):
-    tree, utils = abortion
-    r0 = index_reference_point(tree, utils, "g")
-    assert r0.entry.outcome == (2, 4, 3)
-    assert r0.entry.actions["g"] == "Legal"
-
-
-# -- reference point sequences ----------------------------------------------------
+    prof = solve_game(*abortion)
+    steps = _steps_at(prof, "g")
+    assert steps[0].kind == "index-point"
+    assert steps[0].outcome == (2, 4, 3)
+    # Singletons are adopted at g, so the root plays the index point.
+    assert _adopted(steps).coalition is None
+    assert prof.root_entry.actions["g"] == "Legal"
 
 
 def test_sequence_example2_root(example2):
-    tree, utils = example2
-    points = enumerate_reference_points(tree, utils, "x7")
-    got = [(p.coalition, p.active_value, p.entry.outcome) for p in points]
-    assert got == [
+    steps = _steps_at(solve_game(*example2), "x7")
+    assert _points(steps) == [
         (None, 2, (2, 2, 6)),
         ((1, 2, 3), 4, (4, 4, 5)),
         ((1, 2), 5, (5, 5, 3)),
         ((1, 3), 6, (6, 3, 5)),
     ]
-    assert [p.index for p in points] == [0, 1, 2, 3]
 
 
 def test_sequence_singletons_only(example2):
-    tree, utils = example2
-    points = enumerate_reference_points(tree, utils.restricted_to_singletons(), "x7")
-    assert len(points) == 1 and points[0].coalition is None
+    steps = _steps_at(solve_game(*example2, singletons_only=True), "x7")
+    assert [s.kind for s in steps] == ["index-point", "adopted"]
 
 
 def test_sequence_subset_precedes_superset_on_ties():
@@ -121,74 +134,80 @@ def test_sequence_subset_precedes_superset_on_ties():
         "r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},
         "z1": [5, 4, 3], "z2": [1, 2, 6],
     })
-    tree, utils = load_game_text(text)
-    points = enumerate_reference_points(tree, utils, "r")
-    coalitions = [p.coalition for p in points]
+    points = _points(_steps_at(solve_game(*load_game_text(text)), "r"))
+    coalitions = [c for c, _, _ in points]
     assert coalitions.index((1, 2)) < coalitions.index((1, 2, 3))
-    values = [p.active_value for p in points[1:]]
+    values = [v for _, v, _ in points[1:]]
     assert values == sorted(values)
 
 
-# -- IR chains ---------------------------------------------------------------------
-
-
 def test_ir_chain_example2_root(example2):
-    tree, utils = example2
-    points = enumerate_reference_points(tree, utils, "x7")
-    best = ir_chain(tree, utils, points)
+    best = _adopted(_steps_at(solve_game(*example2), "x7"))
     assert best.coalition == (1, 3)
-    assert best.entry.outcome == (6, 3, 5)
+    assert best.outcome == (6, 3, 5)
 
 
 def test_ir_chain_modified_root(example2_modified):
-    tree, utils = example2_modified
-    points = enumerate_reference_points(tree, utils, "x7")
-    best = ir_chain(tree, utils, points)
+    best = _adopted(_steps_at(solve_game(*example2_modified), "x7"))
     assert best.coalition == (1, 2)
-    assert best.entry.outcome == (5, 5, 3)
+    assert best.outcome == (5, 5, 3)
 
 
 def test_ir_chain_length_one(example2):
-    tree, utils = example2
-    points = enumerate_reference_points(tree, utils.restricted_to_singletons(), "x7")
-    assert ir_chain(tree, utils, points) is points[0]
+    steps = _steps_at(solve_game(*example2, singletons_only=True), "x7")
+    best = _adopted(steps)
+    assert (best.coalition, best.active_value, best.outcome) == _points(steps)[0]
 
 
 def test_ir_chain_x5(example2):
-    tree, utils = example2
-    points = enumerate_reference_points(tree, utils, "x5")
-    r0 = points[0]
-    assert r0.entry.outcome == (5, 5, 3)
-    best = ir_chain(tree, utils, points)
+    steps = _steps_at(solve_game(*example2), "x5")
+    assert steps[0].kind == "index-point"
+    assert steps[0].outcome == (5, 5, 3)
+    best = _adopted(steps)
     assert best.coalition == (2, 3)
-    assert best.entry.outcome == (1, 6, 4)
+    assert best.outcome == (1, 6, 4)
 
 
-def test_piecewise_api_matches_the_solver_audit(abortion, example2,
-                                                example2_modified):
-    # At every decision subgame root, the sequence of reference points and
-    # the greatest IR point must be the ones the recursion itself records.
+def test_audit_groups_follow_the_reference_point_definition(
+        abortion, example2, example2_modified):
+    # Every (node, view) group of the audit is one run of the paper's step:
+    # the index point, then each supergame point in sorted order with its
+    # IR verdict, then the adopted point, which is the last accepted point
+    # (or the index point when none was accepted).
     rng = random.Random(2718)
     games = [abortion, example2, example2_modified] + [
         random_game(rng, max_players=4, max_nodes=20) for _ in range(60)]
-    checked = 0
+    groups = 0
     for tree, utils in games:
-        steps = solve_game(tree, utils).trace_steps()
-        for x in tree.decision_ids:
-            if x not in tree.subgame_roots:
-                continue
-            at_x = [s for s in steps if s.node == x]
-            points = enumerate_reference_points(tree, utils, x)
-            assert [(p.coalition, p.active_value, p.entry.outcome)
-                    for p in points] == [
-                (s.coalition, s.active_value, s.outcome) for s in at_x
-                if s.kind in ("index-point", "supergame-solved")]
-            best = ir_chain(tree, utils, points)
-            (adopted,) = [s for s in at_x if s.kind == "adopted"]
-            assert (best.coalition, best.active_value, best.entry.outcome) == (
-                adopted.coalition, adopted.active_value, adopted.outcome)
-            checked += 1
-    assert checked == 428
+        prof = solve_game(tree, utils)
+        by_key: dict = {}
+        for step in prof.audit:
+            by_key.setdefault((step.node, step.view), []).append(step)
+        for (node, view), group in by_key.items():
+            kinds = [s.kind for s in group]
+            assert kinds[0] == "index-point", (node, view)
+            assert kinds[-1] == "adopted", (node, view)
+            middle = group[1:-1]
+            assert len(middle) % 2 == 0
+            pairs = list(zip(middle[::2], middle[1::2]))
+            for point, verdict in pairs:
+                assert point.kind == "supergame-solved"
+                assert verdict.kind in ("ir-accepted", "ir-rejected")
+                assert (verdict.coalition, verdict.outcome) == (
+                    point.coalition, point.outcome)
+            order = [(p.active_value, len(p.coalition), p.coalition)
+                     for p, _ in pairs]
+            assert order == sorted(order), (node, view)
+            last = group[0]
+            for point, verdict in pairs:
+                if verdict.kind == "ir-accepted":
+                    last = verdict
+            adopted = group[-1]
+            assert (adopted.coalition, adopted.outcome) == (
+                last.coalition, last.outcome)
+            groups += 1
+        check_ir_invariants(prof)
+    assert groups == 2019
 
 
 # -- chance at the root ------------------------------------------------------------
