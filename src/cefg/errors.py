@@ -55,5 +55,5 @@ class MixedEquilibriumUnsupported(CefgError):
 class TooLarge(CefgError):
     """Input exceeds the brute-force oracle's size envelope, a layer game has
     more pure profiles than `noncoop._MAX_LAYER_PROFILES` (the message names
-    the layer root and the count), or a tree is deeper than the recursive
-    solvers can walk on Python's stack."""
+    the layer root and the count), or the nested listing would hold more
+    than `render._MAX_LISTING_CHARS` characters (the message names it)."""

@@ -10,11 +10,11 @@ point is accepted only if every member of the adopting block strictly
 improves on the previously accepted point; the last accepted point becomes
 the subgame's solution.
 
-Supergames are solved by the same recursion with one fewer effective player,
-so the recursion is well-founded on (number of effective players, number of
-nodes). Solutions are memoized by (subgame root, view partition); the memo
-doubles as the store of standalone per-subgame solutions that the trace
-renders.
+Subgames are solved innermost first on an explicit stack. A supergame is
+solved by a nested walk with fewer effective players, so solves nest at most
+once per player. Solutions are memoized by (subgame root, view partition);
+the memo doubles as the store of standalone per-subgame solutions that the
+trace renders.
 
 Imperfect information is handled at the subgame scale: a layer containing
 non-singleton information sets is solved as a reduced normal-form game
@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .errors import CefgError, TooLarge
+from .errors import CefgError
 from .model import (
     GameTree,
     UtilitySystem,
@@ -67,7 +67,7 @@ class Entry:
 
     `children` holds the nested per-subgame entries this solution extends;
     after a coalition is adopted they come from the supergame's own
-    recursion, which is why an inner entry need not be the restriction of
+    solve, which is why an inner entry need not be the restriction of
     the outer profile.
     """
 
@@ -146,51 +146,46 @@ class SolutionProfile:
 
 def reach_nodes(tree: GameTree, entry: Entry) -> tuple:
     """Nodes of `entry`'s subgame reached with positive probability under
-    its actions, in preorder."""
-    reached = []
-    stack = [entry.node]
-    while stack:
-        nid = stack.pop()
-        reached.append(nid)
-        node = tree.nodes[nid]
-        if node.is_terminal:
-            continue
-        if node.player is None:  # chance root: every positive branch
-            stack.extend(c for _, c in node.actions
-                         if tree.chance_at_root.get(c))
-            continue
-        act = entry.actions[tree.info_set_of(nid)]
-        if isinstance(act, tuple):
-            stack.extend(node.child(lab) for lab, p in act if p)
-        else:
-            stack.append(node.child(act))
+    its actions, in preorder: those on the paths from its root to the
+    terminals of its dist."""
+    reached = {z for z, _ in entry.dist}
+    for z, _ in entry.dist:
+        reached.update(nid for nid, _ in tree.path_from_root(z)
+                       if tree.in_subtree(nid, entry.node))
     return tuple(sorted(reached, key=tree.position))
 
 
 class _Solver:
-    def __init__(self, tree: GameTree, utils: UtilitySystem, use_memo=True):
+    def __init__(self, tree: GameTree, utils: UtilitySystem):
         self.tree = tree
         self.utils = utils
-        self.use_memo = use_memo
         self.memo: dict = {}
         self.audit: list[SolveStep] = []
 
     def solve(self, g: str, view: tuple) -> Entry:
-        key = (g, view)
-        if self.use_memo and key in self.memo:
-            return self.memo[key]
-        entry = self._solve(g, view)
-        self.memo[key] = entry
-        return entry
+        """Solve and memoize the subgames under `g` innermost first, in the
+        order a recursion down the tree would finish them."""
+        stack = [(g, False)]
+        while stack:
+            node, kids_done = stack.pop()
+            if (node, view) in self.memo:
+                continue
+            if kids_done:
+                self.memo[node, view] = self._solve(node, view)
+            else:
+                stack.append((node, True))
+                stack.extend((y, False) for y in reversed(self.tree.frontier_of(node)))
+        return self.memo[g, view]
 
-    # -- recursion -----------------------------------------------------------
+    # -- one subgame ---------------------------------------------------------
 
     def _solve(self, g: str, view: tuple) -> Entry:
         node = self.tree.nodes[g]
         if node.is_terminal:
             dist = ((g, Fraction(1)),)
             return Entry(g, {}, dist, node.payoffs, view, None, {})
-        kids = {y: self.solve(y, view) for y in self.tree.frontier_of(g)}
+        # `solve` walks innermost first, so every kid is in the memo.
+        kids = {y: self.memo[y, view] for y in self.tree.frontier_of(g)}
         layer = self.tree.layer_info_sets(g)
         if len(layer) == 1 and self.tree.info_sets[layer[0]] == (g,):
             # The index point: the owner best-responds to the solved kids.
@@ -260,7 +255,7 @@ class _Solver:
         out = []
         for union in sorted(unions, key=coalition_sort_key):
             merged = merge_into(view, union)
-            assert len(merged) < len(view)  # recursion strictly shrinks
+            assert len(merged) < len(view)  # nesting strictly shrinks
             entry = self.solve(g, merged)
             value = block_value(block, entry.dist, entry.partition,
                                 self.utils, self.tree)
@@ -347,19 +342,15 @@ def _layer_bottom_up(tree, layer):
 def solve_game(tree: GameTree, utils: UtilitySystem, *,
                singletons_only=False) -> SolutionProfile:
     """RI solution of any valid game; perfect and imperfect information run
-    the same recursion.
+    the same solve.
 
     `singletons_only` restricts feasibility to singletons, the
-    noncooperative reduction. Raises TooLarge when the tree is deeper than
-    the recursion can walk.
+    noncooperative reduction.
     """
     if singletons_only:
         utils = utils.restricted_to_singletons()
     solver = _Solver(tree, utils)
-    try:
-        root_entry = solver.solve(tree.root, singleton_partition(tree.n_players))
-    except RecursionError:
-        raise TooLarge("the tree is too deep for the recursive solver") from None
+    root_entry = solver.solve(tree.root, singleton_partition(tree.n_players))
     return SolutionProfile(tree, utils, root_entry, solver.memo, solver.audit)
 
 

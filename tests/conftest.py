@@ -85,6 +85,17 @@ def wide_layer_text(depth):
     return make_game_text(nodes, players=2, root="r", info_sets=info_sets)
 
 
+def chain_text(depth):
+    """A 2-player centipede `depth` decision nodes deep."""
+    nodes = {}
+    for k in range(depth):
+        nodes[f"c{k}"] = {"player": k % 2 + 1,
+                          "actions": {"take": f"t{k}", "pass": f"c{k + 1}"}}
+        nodes[f"t{k}"] = [k + 2, k] if k % 2 == 0 else [k, k + 2]
+    nodes[f"c{depth}"] = [depth + 1, depth + 1]
+    return make_game_text(nodes, players=2, root="c0")
+
+
 def expand_v1_entries(doc) -> dict:
     """The "context/subgame" entry map of a schema-2 solution document.
 

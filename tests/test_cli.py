@@ -8,7 +8,8 @@ import pytest
 from cefg import GameFormatError, GameValidationError, load_game_text
 from cefg.cli import main
 from cefg.oracle import OracleReport
-from conftest import expand_v1_entries, game_path, make_game_text, wide_layer_text
+from conftest import (chain_text, expand_v1_entries, game_path, make_game_text,
+                      wide_layer_text)
 
 
 def run(capsys, *argv):
@@ -290,34 +291,26 @@ def test_info_set_named_apart_from_its_node(tmp_path, capsys):
     assert "h" in actions and "x5" not in actions
 
 
-def _chain_text(depth):
-    """A 2-player centipede `depth` decision nodes deep."""
-    nodes = {}
-    for k in range(depth):
-        nodes[f"c{k}"] = {"player": k % 2 + 1,
-                          "actions": {"take": f"t{k}", "pass": f"c{k + 1}"}}
-        nodes[f"t{k}"] = [k + 2, k] if k % 2 == 0 else [k, k + 2]
-    nodes[f"c{depth}"] = [depth + 1, depth + 1]
-    return make_game_text(nodes, players=2, root="c0")
-
-
 def test_deep_chain_loads_in_linear_time():
     # A quadratic build takes seconds at this depth.
-    text = _chain_text(2000)
+    text = chain_text(2000)
     start = time.perf_counter()
     tree, _ = load_game_text(text)
     assert time.perf_counter() - start < 1.0
     assert len(tree.subgame_roots) == 4001
 
 
-@pytest.mark.parametrize("command,depth", [("solve", 400), ("bi", 1200)])
-def test_too_deep_tree_is_a_solver_error(tmp_path, capsys, command, depth):
+@pytest.mark.parametrize("argv", [["solve"], ["bi"], ["solve", "--format", "json"]],
+                         ids=["solve", "bi", "solve-json"])
+def test_deep_chain_solves_without_a_depth_limit(tmp_path, capsys, argv):
+    # The solvers walk subgames innermost first, so no depth reaches
+    # Python's recursion limit.
     game = tmp_path / "chain.game"
-    game.write_text(_chain_text(depth))
-    code, out, err = run(capsys, command, str(game))
-    assert code == 3
-    assert out == ""
-    assert "solver error" in err and "too deep" in err
+    game.write_text(chain_text(2000))
+    code, out, err = run(capsys, argv[0], str(game), *argv[1:])
+    assert code == 0
+    assert err == ""
+    assert out
 
 
 @pytest.mark.parametrize("depth,exit_code", [(5, 0), (6, 0), (7, 3)])

@@ -1,6 +1,8 @@
 """Backward induction, best responses, and equilibrium selection."""
 
+import json
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -290,6 +292,22 @@ def test_layer_at_the_profile_bound_is_accepted_and_above_it_refused(
         solve_game(tree, utils)
     with pytest.raises(TooLarge):
         spne_in_subgame(tree, utils)
+
+
+def test_one_player_layer_scan_is_linear_in_its_profiles():
+    # Under the merged view the depth-6 wide layer is 16,384 strategies of
+    # one player, and its equilibria come late in row-major order, so a
+    # scan quadratic in the profiles takes minutes.
+    doc = json.loads(wide_layer_text(6))
+    for nid, node in doc["nodes"].items():
+        if "payoffs" in node:
+            node["payoffs"] = [9, 9] if nid == "nbbbbbb" else [0, 0]
+    tree, utils = load_game_text(json.dumps(doc))
+    start = time.perf_counter()
+    assignment, dist = LayerGame(tree, utils, ((1, 2),), "r", {}).solve()
+    assert time.perf_counter() - start < 5.0
+    assert dist == (("nbbbbbb", 1),)
+    assert len(assignment) == 14
 
 
 def test_bi_profile_is_nash_under_single_node_deviations():

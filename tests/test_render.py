@@ -3,10 +3,12 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cefg import load_game_text, random_game, solve_game
+from cefg import TooLarge, load_game_text, random_game, solve_game
+from cefg import render
 from cefg.render import (
     bracket_entry,
     bracket_summary,
@@ -16,7 +18,7 @@ from cefg.render import (
     render_solution,
     render_trace,
 )
-from conftest import expand_v1, expand_v1_entries, make_game_text
+from conftest import chain_text, expand_v1, expand_v1_entries, make_game_text
 
 
 def test_summary_strings(example2, example2_modified):
@@ -386,3 +388,15 @@ def test_json_escapes_names_as_json_dumps_does():
     }
     prof = solve_game(*load_game_text(make_game_text(nodes, players=2)))
     _assert_json_matches_naive(prof)
+
+
+def test_listing_within_the_bound_renders_and_beyond_it_is_refused(
+        example2, monkeypatch):
+    # example2's blocks hold under 1,000 characters; a 40-level chain's
+    # hold about 100,000.
+    monkeypatch.setattr(render, "_MAX_LISTING_CHARS", 10_000)
+    golden = Path(__file__).parent / "golden" / "example2.trace.txt"
+    assert render_solution(solve_game(*example2)) + "\n" == golden.read_text()
+    deep = solve_game(*load_game_text(chain_text(40)))
+    with pytest.raises(TooLarge, match="more than 10000 characters"):
+        render_solution(deep)

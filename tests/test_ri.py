@@ -2,7 +2,9 @@
 chains, properties."""
 
 import dataclasses
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,12 +16,19 @@ from cefg import (
     load_game_text,
     oracle_solve,
     solve_game,
+    spne_in_subgame,
 )
 from cefg.model import singleton_partition
 from cefg.oracle import random_game
-from cefg.render import bracket_summary, profile_to_json
+from cefg.render import (
+    bracket_summary,
+    export_dot,
+    profile_to_json,
+    render_solution,
+    render_trace,
+)
 from cefg.ri import SolutionProfile, _Solver
-from conftest import make_game_text
+from conftest import chain_text, make_game_text
 
 
 def test_abortion_ri(abortion):
@@ -290,10 +299,39 @@ def test_reduction_property_sample():
         assert prof.root_entry.actions == bi.actions
 
 
+def test_solvers_and_renderers_do_not_recurse_down_the_tree():
+    # Under a recursion limit a few frames above this one, only the nesting
+    # of supergame solves (at most once per player) may use the stack.
+    games = [load_game_text(chain_text(300)),
+             random_game(random.Random(12), min_players=4, max_players=4,
+                         max_nodes=20)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        for tree, utils in games:
+            profile = solve_game(tree, utils)
+            spne_in_subgame(tree, utils)
+            render_solution(profile)
+            profile_to_json(profile)
+            export_dot(tree, profile)
+            render_trace(profile, "full")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert games[1][0].n_players == 4
+
+
 def test_memoization_is_transparent(example2):
     tree, utils = example2
     fast = solve_game(tree, utils)
-    solver = _Solver(tree, utils, use_memo=False)
+
+    class Unmemoized(_Solver):  # solves every subgame again at each call
+        def solve(self, g, view):
+            for y in self.tree.frontier_of(g):
+                self.solve(y, view)
+            self.memo[g, view] = self._solve(g, view)
+            return self.memo[g, view]
+
+    solver = Unmemoized(tree, utils)
     root_entry = solver.solve(tree.root, singleton_partition(tree.n_players))
     slow = SolutionProfile(tree, utils, root_entry, solver.memo, solver.audit)
     assert fast.root_entry == slow.root_entry
