@@ -42,6 +42,14 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type: an integer that is 0 or more (a usage error otherwise)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cefg",
@@ -78,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle-check",
                               help="compare the solver against the brute-force oracle")
     p_oracle.add_argument("input", nargs="?", help="game description file")
-    p_oracle.add_argument("--random", type=int, metavar="N", default=0,
+    p_oracle.add_argument("--random", type=nonnegative_int, metavar="N", default=0,
                           help="check N random games instead of a file")
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--max-nodes", type=int, default=15,

@@ -11,8 +11,8 @@ Selection is deterministic everywhere:
   individual utilities, lowest member id first;
 * pure equilibria are enumerated row-major (players ordered by smallest
   member, strategies in declaration order) and the first one wins;
-* mixed equilibria come from two-player support enumeration over exact
-  rationals, supports by size then lexicographic.
+* mixed equilibria come from two-player support enumeration (integer-scaled,
+  fraction-free, results exact), supports by size then lexicographic.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
 
 from .errors import ImperfectInformation, MixedEquilibriumUnsupported, TooLarge
 from .model import (
@@ -221,81 +221,80 @@ class LayerGame:
 
 
 def support_enumeration(A, B):
-    """First mixed equilibrium of a bimatrix game over exact rationals.
+    """First mixed equilibrium of a bimatrix game; results are exact.
 
     Precondition: the game has no pure equilibrium. A size-1 support pair
     passes exactly when it is a weak pure equilibrium, so the scan starts
     at size 2: equal-size support pairs, sizes ascending then
-    lexicographic, solving the indifference system for each. Returns
-    (x, y) probability vectors or None.
+    lexicographic. Each matrix is scaled to integers once, by the lcm of
+    its entries' denominators (a positive scale changes no indifference
+    probability and no comparison), so every support pair is solved and
+    tested fraction-free. Returns (x, y) as lists of `Fraction` or None.
     """
+    A, B = _integer_scaled(A), _integer_scaled(B)
     m, n = len(A), len(A[0])
     for size in range(2, min(m, n) + 1):
         for sup_r in combinations(range(m), size):
             for sup_c in combinations(range(n), size):
-                res = _check_support(A, B, sup_r, sup_c)
-                if res is not None:
-                    return res
+                y = _indifferent([[A[i][j] for j in sup_c] for i in sup_r])
+                if y is None or any(p < 0 for p in y[0]):
+                    continue
+                x = _indifferent([[B[i][j] for i in sup_r] for j in sup_c])
+                if x is None or any(p < 0 for p in x[0]):
+                    continue
+                # Off the support, no pure reply may beat the value; both
+                # sides are scaled by the same positive denominator.
+                if any(sum(A[i][j] * p for j, p in zip(sup_c, y[0])) > y[1]
+                       for i in range(m) if i not in sup_r):
+                    continue
+                if any(sum(B[i][j] * p for i, p in zip(sup_r, x[0])) > x[1]
+                       for j in range(n) if j not in sup_c):
+                    continue
+                return _spread(x, sup_r, m), _spread(y, sup_c, n)
     return None
 
 
-def _check_support(A, B, sup_r, sup_c):
-    m, n = len(A), len(A[0])
-    y_part = _solve_indifference([[A[i][j] for j in sup_c] for i in sup_r])
-    if y_part is None or any(p < 0 for p in y_part[0]):
-        return None
-    x_part = _solve_indifference([[B[i][j] for i in sup_r] for j in sup_c])
-    if x_part is None or any(p < 0 for p in x_part[0]):
-        return None
-    y_probs, v = y_part
-    x_probs, w = x_part
-    x = [Fraction(0)] * m
-    y = [Fraction(0)] * n
-    for k, i in enumerate(sup_r):
-        x[i] = x_probs[k]
-    for k, j in enumerate(sup_c):
-        y[j] = y_probs[k]
-    for i in range(m):
-        if i not in sup_r and sum(A[i][j] * y[j] for j in range(n)) > v:
-            return None
-    for j in range(n):
-        if j not in sup_c and sum(B[i][j] * x[i] for i in range(m)) > w:
-            return None
-    return x, y
+def _integer_scaled(M):
+    d = lcm(*(v.denominator for row in M for v in row))
+    return [[v.numerator * (d // v.denominator) for v in row] for row in M]
 
 
-def _solve_indifference(M):
-    """Solve sum_j M[i][j] p_j = v for all i, sum p_j = 1.
+def _spread(solution, support, size):
+    probs, _, den = solution
+    full = [Fraction(0)] * size
+    for i, p in zip(support, probs):
+        full[i] = Fraction(p, den)
+    return full
 
-    Returns (probabilities, v) or None when the system is singular.
+
+def _indifferent(M):
+    """Solve sum_j M[i][j] p_j = v for all i, sum_j p_j = 1, in integers.
+
+    Fraction-free (Bareiss) Gauss-Jordan on the (k+1)x(k+1) system: every
+    division is exact, and at the end every diagonal entry equals the last
+    pivot, the determinant up to the sign of the row swaps. Returns
+    (numerators of p, numerator of v, positive common denominator), or
+    None when the system is singular.
     """
     k = len(M)
-    rows = [[M[i][j] for j in range(k)] + [Fraction(-1), Fraction(0)]
-            for i in range(k)]
-    rows.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
-    sol = _gauss(rows, k + 1)
-    if sol is None:
-        return None
-    return sol[:k], sol[k]
-
-
-def _gauss(rows, unknowns):
-    rows = [list(r) for r in rows]
-    for col in range(unknowns):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+    rows = [r + [-1, 0] for r in M]
+    rows.append([1] * k + [0, 1])
+    prev = 1
+    for col in range(k + 1):
+        pivot = next((r for r in range(col, k + 1) if rows[r][col]), None)
         if pivot is None:
             return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        head = rows[col][col]
-        rows[col] = [v / head for v in rows[col]]
-        for r in range(len(rows)):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    for r in range(unknowns, len(rows)):
-        if rows[r][-1] != 0:
-            return None
-    return [rows[r][-1] for r in range(unknowns)]
+        top = rows[col]
+        head = top[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                f = row[col]
+                rows[r] = [(head * a - f * b) // prev for a, b in zip(row, top)]
+        prev = head
+    sign = 1 if prev > 0 else -1
+    return ([sign * rows[i][-1] for i in range(k)], sign * rows[k][-1],
+            sign * prev)
 
 
 # -- subgame-perfect equilibrium ----------------------------------------------

@@ -97,6 +97,19 @@ def test_oracle_check_random_deterministic(capsys):
     assert "checked 4 game(s), 0 mismatch(es)" in out1
 
 
+def test_oracle_check_negative_random_count_is_a_usage_error(capsys):
+    # A negative count used to check 0 games and exit 0.
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--random", "-3"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --random: must be 0 or more, not -3" in err
+    assert "Traceback" not in err
+    code, out, err = run(capsys, "oracle-check", "--random", "0")
+    assert code == 2 and out == ""
+    assert "MissingInput" in err
+
+
 def test_oracle_check_mismatch_exit_code(capsys, monkeypatch, example2):
     fake = OracleReport("deadbeef0000", (1, 1, 1), (2, 2, 2),
                         ((1,), (2,), (3,)), ((1,), (2,), (3,)),
