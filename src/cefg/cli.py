@@ -42,12 +42,14 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 
-def nonnegative_int(text: str) -> int:
-    """argparse type: an integer that is 0 or more (a usage error otherwise)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, not {value}")
-    return value
+def int_at_least(low: int):
+    """argparse type: an integer `low` or more (a usage error otherwise)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {low} or more, not {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,10 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle-check",
                               help="compare the solver against the brute-force oracle")
     p_oracle.add_argument("input", nargs="?", help="game description file")
-    p_oracle.add_argument("--random", type=nonnegative_int, metavar="N", default=0,
+    p_oracle.add_argument("--random", type=int_at_least(0), metavar="N", default=0,
                           help="check N random games instead of a file")
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--max-nodes", type=int, default=15,
+    p_oracle.add_argument("--max-nodes", type=int_at_least(1), default=15,
                           help="oracle size guard")
     p_oracle.add_argument("-o", "--output")
     return parser

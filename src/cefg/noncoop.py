@@ -310,24 +310,21 @@ def spne_in_subgame(tree, utils, root=None) -> LocalSolution:
     """
     partition = singleton_partition(tree.n_players)
     root = root if root is not None else tree.root
-    solved: dict = {}
+    actions: dict = {}  # every layer's assignment, one dict for the subgame
+    dists: dict = {}
     for g in reversed(tree.subtree_nodes(root)):
         if g in tree.subgame_roots:
-            solved[g] = _spne(tree, utils, partition, g, solved)
-    return solved[root]
+            dists[g] = _spne(tree, utils, partition, g, dists, actions)
+    return LocalSolution(actions, dists[root], dist_payoffs(dists[root], tree),
+                         partition)
 
 
-def _spne(tree, utils, partition, g, solved) -> LocalSolution:
+def _spne(tree, utils, partition, g, dists, actions) -> tuple:
+    """Subgame `g`'s dist; adds its layer's assignment to `actions`."""
     node = tree.nodes[g]
     if node.is_terminal:
-        dist = ((g, Fraction(1)),)
-        return LocalSolution({}, dist, dist_payoffs(dist, tree), partition)
-    actions: dict = {}
-    continuation = {}
-    for y in tree.frontier_of(g):
-        sub = solved[y]
-        continuation[y] = sub.dist
-        actions.update(sub.actions)
+        return ((g, Fraction(1)),)
+    continuation = {y: dists[y] for y in tree.frontier_of(g)}
     layer = tree.layer_info_sets(g)
     if len(layer) == 1 and tree.info_sets[layer[0]] == (g,):
         block = block_containing(partition, node.player)
@@ -336,4 +333,4 @@ def _spne(tree, utils, partition, g, solved) -> LocalSolution:
     else:
         assignment, dist = LayerGame(tree, utils, partition, g, continuation).solve()
     actions.update(assignment)
-    return LocalSolution(actions, dist, dist_payoffs(dist, tree), partition)
+    return dist

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import TooLarge
 from .model import block_containing, expected_individual_value, singleton_partition
 from .noncoop import LocalSolution
-from .ri import Entry, SolutionProfile, reach_nodes
+from .ri import Entry, SolutionProfile, reach_nodes, walk_entries
 
 
 def fmt_value(v) -> str:
@@ -82,17 +82,23 @@ def _bracket(tree, entry, pairs) -> str:
 
 def bracket_entry(tree, entry: Entry) -> str:
     """Bracket line for one solved subgame entry."""
+    return _bracket_entry(tree, entry, entry.actions)
+
+
+def _bracket_entry(tree, entry: Entry, actions: dict) -> str:
+    """`bracket_entry`, given `entry`'s full action map."""
     if entry.coalition is None:
-        return _bracket(tree, entry, entry.actions.items())
+        return _bracket(tree, entry, actions.items())
     sids = {tree.info_set_of(nid) for nid in reach_nodes(tree, entry)
             if tree.nodes[nid].player is not None}
-    return _bracket(tree, entry, [(sid, entry.actions[sid]) for sid in sids])
+    return _bracket(tree, entry, [(sid, actions[sid]) for sid in sids])
 
 
 def bracket_summary(profile: SolutionProfile) -> str:
     """The root summary: adopted path plus individual off-path responses."""
     tree = profile.tree
     top = profile.root_entry
+    actions = top.actions
     family = profile.root_context
     on_path = set(reach_nodes(tree, top))
     pairs, seen = [], set()
@@ -105,12 +111,12 @@ def bracket_summary(profile: SolutionProfile) -> str:
             continue
         seen.add(sid)
         if nid in on_path or len(tree.info_sets[sid]) > 1:
-            pairs.append((sid, top.actions[sid]))
+            pairs.append((sid, actions[sid]))
             continue
         best_label, best_value = None, None
         resolvable = all(c in family for _, c in node.actions)
         if not resolvable:
-            pairs.append((sid, top.actions[sid]))
+            pairs.append((sid, actions[sid]))
             continue
         for label, child in node.actions:
             kid = family[child]
@@ -201,7 +207,8 @@ def render_solution(profile: SolutionProfile) -> str:
     An entry's block is its line, then its nested subgames indented below
     it. Memo hits put one Entry object under many contexts, and its block
     does not depend on the context, so each block is built once, children
-    first, keyed by `id(entry)` (the profile keeps every entry alive).
+    first, keyed by `id(entry)` (the profile keeps every entry alive), and
+    so is the entry's full action map, from its own play and its kids' maps.
     Raises TooLarge once the blocks hold more than `_MAX_LISTING_CHARS`.
     """
     tree = profile.tree
@@ -212,6 +219,7 @@ def render_solution(profile: SolutionProfile) -> str:
         key=lambda nid: (tree.depth_of(nid), tree.position(nid)))
     tops = [root] + [profile.standalone_entry(nid) for nid in standalone]
     blocks: dict = {}
+    actions: dict = {}
     size, stack = 0, [(entry, False) for entry in reversed(tops)]
     while stack:
         entry, kids_done = stack.pop()
@@ -223,8 +231,12 @@ def render_solution(profile: SolutionProfile) -> str:
             stack.append((entry, True))
             stack.extend((kid, False) for kid in reversed(kids))
             continue
+        full = dict(entry.own)
+        for kid in kids:
+            full.update(actions[id(kid)])
+        actions[id(entry)] = full
         block = [_entry_line(entry, bracket_summary(profile) if entry is root
-                             else bracket_entry(tree, entry))]
+                             else _bracket_entry(tree, entry, full))]
         for kid in kids:
             block.extend(["  " + line for line in blocks[id(kid)]])
         size += sum(map(len, block))
@@ -241,6 +253,11 @@ def render_solution(profile: SolutionProfile) -> str:
 # -- DOT export -----------------------------------------------------------------
 
 
+def _dot_str(text: str) -> str:
+    """`text` as a DOT quoted string on one line: `\\`, `"` and newline escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+
+
 def export_dot(tree, profile: SolutionProfile | None = None) -> str:
     """Graphviz text of the tree, styled by the solution when given.
 
@@ -252,13 +269,13 @@ def export_dot(tree, profile: SolutionProfile | None = None) -> str:
     for nid in tree.preorder:
         node = tree.nodes[nid]
         if node.is_terminal:
-            nodes.append(f'  "{nid}" [shape=box, label="{outcome_str(node.payoffs)}"];')
+            nodes.append(f'  {_dot_str(nid)} [shape=box, label="{outcome_str(node.payoffs)}"];')
             continue
         if node.player is None:
-            nodes.append(f'  "{nid}" [shape=diamond, label="chance"];')
-            edges.extend(f'  "{nid}" -> "{child}" '
-                         f'[label="{label} ({fmt_value(tree.chance_at_root[child])})"];'
-                         for label, child in node.actions)
+            nodes.append(f'  {_dot_str(nid)} [shape=diamond, label="chance"];')
+            for label, child in node.actions:
+                text = f"{label} ({fmt_value(tree.chance_at_root[child])})"
+                edges.append(f"  {_dot_str(nid)} -> {_dot_str(child)} [label={_dot_str(text)}];")
             continue
         entry = family.get(nid)
         unit, style, other, chosen = str(node.player), "dashed", "", {}
@@ -267,20 +284,20 @@ def export_dot(tree, profile: SolutionProfile | None = None) -> str:
             unit = ",".join(str(i) for i in block)
             style = "bold" if len(block) > 1 else "dashed"
             other = ", color=gray"
-            act = entry.actions[tree.info_set_of(nid)]
+            act = entry.own[tree.info_set_of(nid)]
             if isinstance(act, tuple):
                 chosen = {label: p for label, p in act if p}
             else:
                 chosen = {act: None}
-        nodes.append(f'  "{nid}" [shape=circle, label="{unit}"];')
+        nodes.append(f'  {_dot_str(nid)} [shape=circle, label="{unit}"];')
         for label, child in node.actions:
+            edge = f"  {_dot_str(nid)} -> {_dot_str(child)} "
             if label in chosen:
                 prob = chosen[label]
                 text = label if prob is None else f"{label} ({fmt_value(prob)})"
-                edges.append(f'  "{nid}" -> "{child}" '
-                             f'[label="{text}", style={style}];')
+                edges.append(edge + f"[label={_dot_str(text)}, style={style}];")
             else:
-                edges.append(f'  "{nid}" -> "{child}" [label="{label}"{other}];')
+                edges.append(edge + f"[label={_dot_str(label)}{other}];")
     lines = ["digraph game {", '  node [fontname="Helvetica"];']
     return "\n".join(lines + nodes + edges + ["}"]) + "\n"
 
@@ -347,27 +364,6 @@ def solution_to_json(sol: LocalSolution) -> str:
                     ("outcome", _nums_text(sol.outcome, 1))], 0) + "\n"
 
 
-def _number_entries(contexts: dict) -> tuple[list, dict]:
-    """Each distinct Entry object once, in order of first visit, and its id
-    (keyed by `id(entry)`; the profile keeps every entry alive).
-
-    The walk takes the `contexts` entries in order and each entry's
-    children in the order the solver stored them (preorder), depth first
-    on an explicit stack.
-    """
-    order: list = []
-    ids: dict = {}
-    stack = list(reversed(contexts.values()))
-    while stack:
-        entry = stack.pop()
-        if id(entry) in ids:
-            continue
-        ids[id(entry)] = len(order)
-        order.append(entry)
-        stack.extend(reversed(entry.children.values()))
-    return order, ids
-
-
 def profile_to_json(profile: SolutionProfile) -> str:
     """Deterministic JSON of the whole solution profile (schema 2).
 
@@ -380,14 +376,13 @@ def profile_to_json(profile: SolutionProfile) -> str:
     full action map is its entry's actions plus, recursively, those of its
     children.
     """
-    tree = profile.tree
     contexts = profile.contexts()
-    order, ids = _number_entries(contexts)
+    order = list(walk_entries(contexts.values()))
+    ids = {id(entry): i for i, entry in enumerate(order)}  # `order` keeps them alive
     entries = []
     for entry in order:
-        sids = tree.layer_info_sets(entry.node)
         entries.append(_object([
-            ("actions", _actions_text({sid: entry.actions[sid] for sid in sids}, 3)),
+            ("actions", _actions_text(entry.own, 3)),
             ("children", _object([(node, str(ids[id(child)]))
                                   for node, child in entry.children.items()], 3)),
             ("coalition", _coalition_text(entry.coalition, 3)),

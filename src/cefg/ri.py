@@ -65,19 +65,38 @@ class SolveStep:
 class Entry:
     """Adopted solution of one subgame under one view.
 
-    `children` holds the nested per-subgame entries this solution extends;
-    after a coalition is adopted they come from the supergame's own
-    solve, which is why an inner entry need not be the restriction of
+    `own` maps each information set of the subgame's own layer to its
+    action; `children` holds the nested per-subgame entries this solution
+    extends. After a coalition is adopted they come from the supergame's
+    own solve, which is why an inner entry need not be the restriction of
     the outer profile.
     """
 
     node: str
-    actions: dict
+    own: dict
     dist: tuple
     outcome: tuple
     partition: tuple
     coalition: tuple | None
     children: dict
+
+    @property
+    def actions(self) -> dict:
+        """The whole subgame's action map: `own`, then the children's."""
+        return {sid: act for entry in walk_entries([self])
+                for sid, act in entry.own.items()}
+
+
+def walk_entries(tops):
+    """Each distinct Entry under `tops` once, preorder, children in stored order."""
+    seen, stack = set(), list(reversed(tops))
+    while stack:
+        entry = stack.pop()
+        if id(entry) in seen:  # every entry is alive while `tops` is
+            continue
+        seen.add(id(entry))
+        yield entry
+        stack.extend(reversed(entry.children.values()))
 
 
 class SolutionProfile:
@@ -116,12 +135,7 @@ class SolutionProfile:
     def root_context(self) -> dict:
         """Subgame root -> its Entry inside the adopted root context, in
         preorder."""
-        out, stack = {}, [self.root_entry]
-        while stack:
-            entry = stack.pop()
-            out[entry.node] = entry
-            stack.extend(reversed(entry.children.values()))
-        return out
+        return {entry.node: entry for entry in walk_entries([self.root_entry])}
 
     def contexts(self) -> dict:
         """Context root -> its Entry: the root context, then every subgame
@@ -134,14 +148,8 @@ class SolutionProfile:
 
     def entries(self) -> dict:
         """Flat (context root, subgame root) -> Entry map over all contexts."""
-        out = {}
-        for ctx, top in self.contexts().items():
-            stack = [top]
-            while stack:
-                entry = stack.pop()
-                out[(ctx, entry.node)] = entry
-                stack.extend(entry.children.values())
-        return out
+        return {(ctx, entry.node): entry for ctx, top in self.contexts().items()
+                for entry in walk_entries([top])}
 
 
 def reach_nodes(tree: GameTree, entry: Entry) -> tuple:
@@ -200,10 +208,7 @@ class _Solver:
     def _point(self, g: str, view: tuple, kids: dict, own: dict, dist) -> Entry:
         """The unadopted solution at `g` whose own information sets play
         `own`, reaching `dist`, over the solved subgames `kids`."""
-        actions = dict(own)
-        for kid in kids.values():
-            actions.update(kid.actions)
-        return Entry(g, actions, dist, dist_payoffs(dist, self.tree),
+        return Entry(g, dict(own), dist, dist_payoffs(dist, self.tree),
                      view, None, dict(kids))
 
     def _solve_layer(self, g: str, view: tuple, kids: dict, layer) -> Entry:
@@ -231,13 +236,13 @@ class _Solver:
                                  fixed=fixed)
                 assignment, dist = game.solve()
                 r0 = self._point(g, view, kids,
-                                 {**nu.actions, **fixed, **assignment}, dist)
+                                 {**nu.own, **fixed, **assignment}, dist)
             block = block_containing(view, tree.info_set_player(sid))
             entry = self._adopt(g, view, block, r0, step_node=sid)
             # An index point that kept the equilibrium pins nothing, so the
             # sets above it are not pinned to a copy of it.
             if r0 is not nu or entry.coalition is not None:
-                pinned[sid] = entry.actions[sid]
+                pinned[sid] = entry.own[sid]
         return entry
 
     # -- reference points and the IR chain ------------------------------------
@@ -308,7 +313,7 @@ class _Solver:
                                view, active_value=accepted_value))
         # The nested supergame solves emitted their steps first.
         self.audit.extend(steps)
-        return Entry(g, accepted.actions, accepted.dist, accepted.outcome,
+        return Entry(g, accepted.own, accepted.dist, accepted.outcome,
                      accepted.partition, accepted_coalition, accepted.children)
 
 

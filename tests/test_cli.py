@@ -110,6 +110,19 @@ def test_oracle_check_negative_random_count_is_a_usage_error(capsys):
     assert "MissingInput" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_oracle_check_nonpositive_max_nodes_is_a_usage_error(capsys, value):
+    # It used to exit 3: "solver error: 1 nodes exceeds the oracle limit".
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--random", "1", "--max-nodes", value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument --max-nodes: must be 1 or more, not {value}" in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "oracle-check", "--random", "1", "--max-nodes", "1")
+    assert code == 0 and "checked 1 game(s), 0 mismatch(es)" in out
+
+
 def test_oracle_check_mismatch_exit_code(capsys, monkeypatch, example2):
     fake = OracleReport("deadbeef0000", (1, 1, 1), (2, 2, 2),
                         ((1,), (2,), (3,)), ((1,), (2,), (3,)),

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -380,14 +381,50 @@ def test_json_grows_linearly_with_depth():
     assert sizes[50] < sizes[100] < sizes[200] <= 5 * sizes[50]
 
 
+_ODD_NAMES = {
+    'r"\\': {"player": 1, "actions": {"é": "m\n", "b": "z3"}},
+    "m\n": {"player": 2, "actions": {"x\t": "z☃", "y": "z2"}},
+    "z☃": [2, 3], "z2": [3, 1], "z3": [1, 0],
+}
+
+
 def test_json_escapes_names_as_json_dumps_does():
-    nodes = {
-        'r"\\': {"player": 1, "actions": {"é": "m\n", "b": "z3"}},
-        "m\n": {"player": 2, "actions": {"x\t": "z☃", "y": "z2"}},
-        "z☃": [2, 3], "z2": [3, 1], "z3": [1, 0],
-    }
-    prof = solve_game(*load_game_text(make_game_text(nodes, players=2)))
+    prof = solve_game(*load_game_text(make_game_text(_ODD_NAMES, players=2)))
     _assert_json_matches_naive(prof)
+
+
+_DOT_STR = r'"(?:[^"\\\n]|\\.)*"'
+_DOT_ATTRS = rf'\[\w+=(?:{_DOT_STR}|\w+)(?:, \w+=(?:{_DOT_STR}|\w+))*\]'
+_DOT_STATEMENT = re.compile(rf'  ({_DOT_STR})(?: -> ({_DOT_STR}))? {_DOT_ATTRS};')
+
+
+def _dot_unquote(text):
+    return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], text[1:-1])
+
+
+@pytest.mark.parametrize("with_chance", [False, True])
+def test_dot_quotes_odd_ids_and_labels(with_chance):
+    nodes, chance = _ODD_NAMES, None
+    if with_chance:  # a chance root whose branch labels need escaping too
+        nodes = {'c\\"': {"actions": {'h"\n': 'r"\\', "t\\": "z4"}},
+                 **nodes, "z4": [0, 0]}
+        chance = {'r"\\': "1/3", "z4": "2/3"}
+    tree, utils = load_game_text(make_game_text(nodes, players=2, chance=chance))
+    for profile in (None, solve_game(tree, utils)):
+        lines = export_dot(tree, profile).splitlines()
+        assert lines[:2] == ["digraph game {", '  node [fontname="Helvetica"];']
+        assert lines[-1] == "}"
+        ids, edges = [], []
+        for line in lines[2:-1]:
+            match = _DOT_STATEMENT.fullmatch(line)
+            assert match, line
+            if match[2] is None:
+                ids.append(_dot_unquote(match[1]))
+            else:
+                edges.append((_dot_unquote(match[1]), _dot_unquote(match[2])))
+        assert ids == list(tree.preorder)
+        assert sorted(edges) == sorted((nid, child) for nid in tree.preorder
+                                       for _, child in tree.nodes[nid].actions)
 
 
 def test_listing_within_the_bound_renders_and_beyond_it_is_refused(

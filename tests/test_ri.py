@@ -6,6 +6,7 @@ import inspect
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from cefg import (
     CefgError,
     backward_induction,
     check_ir_invariants,
+    load_game,
     load_game_text,
     oracle_solve,
     solve_game,
@@ -27,8 +29,8 @@ from cefg.render import (
     render_solution,
     render_trace,
 )
-from cefg.ri import SolutionProfile, _Solver
-from conftest import chain_text, make_game_text
+from cefg.ri import SolutionProfile, _Solver, walk_entries
+from conftest import GAMES, chain_text, make_game_text
 
 
 def test_abortion_ri(abortion):
@@ -350,6 +352,34 @@ def test_entries_hold_only_their_own_subtree_sets(abortion, example2,
             for sid in entry.actions:
                 assert all(tree.in_subtree(m, entry.node)
                            for m in tree.info_sets[sid]), (entry.node, sid)
+
+
+def test_each_entry_stores_its_layer_and_extends_its_children():
+    golden = sorted(GAMES.glob("*.game"))
+    golden += sorted((Path(__file__).parent / "golden").glob("*.game"))
+    rng = random.Random(1414)
+    games = [load_game(path) for path in golden]
+    games += [random_game(rng, max_players=4, max_nodes=20) for _ in range(60)]
+    for tree, utils in games:
+        profile = solve_game(tree, utils)
+        for entry in walk_entries(profile.contexts().values()):
+            assert set(entry.own) == set(tree.layer_info_sets(entry.node))
+            full = dict(entry.own)
+            for kid in entry.children.values():
+                full.update(kid.actions)
+            assert entry.actions == full
+
+
+def test_entries_store_play_linear_in_depth():
+    # One layer's play per entry: the stored items are at most one per
+    # decision node and view. A whole subgame's map per entry summed to
+    # 80,201 over these entries.
+    tree, utils = load_game_text(chain_text(400))
+    profile = solve_game(tree, utils)
+    views = {step.view for step in profile.audit}
+    stored = sum(len(entry.own)
+                 for entry in walk_entries(profile.contexts().values()))
+    assert stored <= len(views) * len(tree.decision_ids) == 800
 
 
 def test_two_solves_byte_identical_json(example2):
