@@ -22,12 +22,6 @@ from .errors import InfeasibleCoalition
 PartitionKey = tuple  # tuple[tuple[int, ...], ...], blocks sorted by min member
 
 
-def coalition_sort_key(members: Iterable[int]):
-    """Canonical coalition order: size ascending, then lexicographic."""
-    m = tuple(sorted(members))
-    return (len(m), m)
-
-
 def canon_block(members: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(members))
 
@@ -319,8 +313,10 @@ class UtilitySystem:
 
 # -- expected values over terminal distributions -----------------------------
 # A "dist" is a tuple of (terminal id, Fraction probability) pairs, sorted by
-# terminal id; solutions of subgames carry one instead of a bare terminal so
-# that mixed equilibria stay exact.
+# terminal id, so that mixed equilibria stay exact. Its probabilities are
+# positive and sum to exactly 1: a terminal solves to ((z, 1),), chance is
+# validated exactly, mixed equilibria are exact and `make_dist` drops zeros.
+# So a one-terminal dist is pure, and the helpers take its value as is.
 
 
 def make_dist(pairs) -> tuple:
@@ -331,22 +327,10 @@ def make_dist(pairs) -> tuple:
     return tuple(sorted(acc.items()))
 
 
-def _pure_terminal(dist):
-    """The terminal a dist reaches with probability exactly 1, else None.
-
-    Every dist of a perfect-information solve is one such terminal; the
-    helpers below then return its value as is instead of weighting it by 1.
-    """
-    if len(dist) == 1 and dist[0][1] == 1:
-        return dist[0][0]
-    return None
-
-
 def dist_payoffs(dist, tree: GameTree) -> tuple:
     """Expected payoff vector of a terminal distribution."""
-    pure = _pure_terminal(dist)
-    if pure is not None:
-        return tree.nodes[pure].payoffs
+    if len(dist) == 1:
+        return tree.nodes[dist[0][0]].payoffs
     totals = [Fraction(0)] * tree.n_players
     for terminal, p in dist:
         payoffs = tree.nodes[terminal].payoffs
@@ -356,16 +340,14 @@ def dist_payoffs(dist, tree: GameTree) -> tuple:
 
 
 def expected_coalition_value(members, dist, utils, tree) -> Fraction:
-    pure = _pure_terminal(dist)
-    if pure is not None:
-        return utils.coalition_value(members, pure, tree)
+    if len(dist) == 1:
+        return utils.coalition_value(members, dist[0][0], tree)
     return sum(p * utils.coalition_value(members, z, tree) for z, p in dist)
 
 
 def expected_individual_value(i, dist, partition, utils, tree) -> Fraction:
-    pure = _pure_terminal(dist)
-    if pure is not None:
-        return utils.individual_value(i, pure, partition, tree)
+    if len(dist) == 1:
+        return utils.individual_value(i, dist[0][0], partition, tree)
     return sum(p * utils.individual_value(i, z, partition, tree)
                for z, p in dist)
 

@@ -38,10 +38,9 @@ from .model import (
     block_containing,
     block_value,
     canon_block,
-    coalition_sort_key,
+    canon_partition,
     dist_payoffs,
     expected_individual_value,
-    merge_into,
     singleton_partition,
 )
 from .noncoop import LayerGame, best_response
@@ -248,19 +247,17 @@ class _Solver:
     # -- reference points and the IR chain ------------------------------------
 
     def _candidates(self, g: str, view: tuple, block: tuple):
+        """Supergames of `block` with some other blocks of `view`, by value."""
         others = [b for b in view if b != block]
-        unions = set()
+        merges = []
         for size in range(1, len(others) + 1):
             for combo in combinations(others, size):
-                members = set(block)
-                for b in combo:
-                    members.update(b)
-                if self.utils.is_feasible(members):
-                    unions.add(canon_block(members))
+                union = canon_block(block + sum(combo, ()))
+                if self.utils.is_feasible(union):
+                    kept = [b for b in others if b not in combo]
+                    merges.append((len(union), union, canon_partition(kept + [union])))
         out = []
-        for union in sorted(unions, key=coalition_sort_key):
-            merged = merge_into(view, union)
-            assert len(merged) < len(view)  # nesting strictly shrinks
+        for _, union, merged in sorted(merges):
             entry = self.solve(g, merged)
             value = block_value(block, entry.dist, entry.partition,
                                 self.utils, self.tree)

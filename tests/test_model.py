@@ -13,6 +13,7 @@ import cefg
 from cefg import (
     GameValidationError,
     InfeasibleCoalition,
+    load_game,
     load_game_text,
     parse_game,
     validate_game,
@@ -28,7 +29,9 @@ from cefg.model import (
     merge_into,
     singleton_partition,
 )
-from conftest import make_game_text
+from cefg.oracle import random_game
+from cefg.ri import walk_entries
+from conftest import GAMES, make_game_text
 
 
 def test_abortion_fixture_validates(abortion):
@@ -223,7 +226,7 @@ def _weighted_sum(dist, value):
 @pytest.mark.parametrize("dist", [
     (("z1", Fraction(1)),),
     (("z2", Fraction(1)),),
-    (("z1", Fraction(1, 2)),),  # length 1 but not pure
+    (("z1", Fraction(1, 2)), ("z2", Fraction(1, 2))),  # an even mix
     (("z1", Fraction(1, 3)), ("z2", Fraction(2, 3))),  # two chance branches
 ])
 def test_expected_values_equal_weighted_sums(kind, dist):
@@ -249,6 +252,26 @@ def test_expected_values_equal_weighted_sums(kind, dist):
                 dist, lambda z: utils.individual_value(i, z, partition, tree))
     assert expected_individual_value(1, (("z1", Fraction(1)),), grand,
                                      utils, tree) == 7
+
+
+def _golden_and_random_games():
+    golden = Path(__file__).resolve().parent / "golden"
+    paths = sorted(GAMES.glob("*.game")) + sorted(golden.glob("*.game"))
+    rng = random.Random(15)
+    return ([load_game(p) for p in paths]
+            + [random_game(rng, max_nodes=20) for _ in range(40)])
+
+
+def test_every_dist_is_a_distribution():
+    """The helpers above read a one-terminal dist as pure, which is exact
+    only while every dist has positive probabilities summing to 1."""
+    for tree, utils in _golden_and_random_games():
+        dists = [cefg.spne_in_subgame(tree, utils).dist]
+        profile = cefg.solve_game(tree, utils)
+        dists += [entry.dist for entry in walk_entries(profile.contexts().values())]
+        for dist in dists:
+            assert dist and all(p > 0 for _, p in dist)
+            assert sum(p for _, p in dist) == 1
 
 
 @pytest.mark.parametrize("kind", sorted(UTILITY_KINDS))
