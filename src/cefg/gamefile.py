@@ -72,8 +72,15 @@ def _fail(code, message, line=None, column=None):
 _RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
 
 
-def _rational(value) -> Fraction | None:
-    """The exact value of a "p/q" string (integers, q > 0), else None."""
+def _exact(value) -> Fraction | None:
+    """The exact value of a game-file number, else None: a finite JSON
+    number that is not a boolean (Python's JSON reader takes NaN, Infinity
+    and 1e400), or a "p/q" string (integers, q > 0). A float goes through
+    Decimal(str(...)), so `0.1` means one tenth, not the nearest float."""
+    if isinstance(value, float):
+        return Fraction(Decimal(str(value))) if math.isfinite(value) else None
+    if isinstance(value, int):
+        return None if isinstance(value, bool) else Fraction(value)
     if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
         return None
     p, q = value.split("/")
@@ -84,19 +91,8 @@ def _rational(value) -> Fraction | None:
     return Fraction(p, q) if q > 0 else None
 
 
-def _is_number(value) -> bool:
-    """A JSON number or a "p/q" string. A number is not a boolean, and is
-    finite (Python's JSON reader takes NaN, Infinity and out-of-range
-    literals such as 1e400)."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, str):
-        return _rational(value) is not None
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _number(value, where):
-    if not _is_number(value):
+    if _exact(value) is None:
         _fail("SyntaxError", f"{where} must be a number or a \"p/q\" string, "
                              f"not {value!r}")
     return value
@@ -185,7 +181,7 @@ def parse_game(text: str) -> GameSpec:
             nodes[nid] = {"player": body.get("player"), "actions": pairs}
         else:
             payoffs = body["payoffs"]
-            if not isinstance(payoffs, list) or not all(map(_is_number, payoffs)):
+            if not isinstance(payoffs, list) or any(_exact(v) is None for v in payoffs):
                 _fail("SyntaxError", f"node {nid}: payoffs must be a list of numbers "
                                      f"or \"p/q\" strings")
             nodes[nid] = {"payoffs": list(payoffs)}
@@ -264,20 +260,8 @@ def parse_game(text: str) -> GameSpec:
 
 
 def to_number(value) -> Fraction:
-    """Convert a parsed JSON number or "p/q" string to an exact Fraction.
-
-    Floats go through Decimal(str(...)) so that `0.1` means one tenth, not
-    the nearest binary float.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("booleans are not valid payoffs")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(Decimal(str(value)))
-    exact = _rational(value)
+    """Convert a parsed JSON number or "p/q" string to an exact Fraction."""
+    exact = value if isinstance(value, Fraction) else _exact(value)
     if exact is None:
         raise TypeError(f"not a number: {value!r}")
     return exact
@@ -426,6 +410,15 @@ def _is_player(value, n: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= n
 
 
+def _block_problem(block, n: int) -> str | None:
+    """Why `block` is not a set of players in 1..n, or None when it is."""
+    if not block or not all(_is_player(i, n) for i in block):
+        return f"is not a subset of 1..{n}"
+    if len(set(block)) != len(block):
+        return "repeats a member"
+    return None
+
+
 def _check_perfect_recall(tree: GameTree):
     """No-forgetting: nodes sharing an info set share the owner's experience."""
     bad = []
@@ -455,22 +448,25 @@ def _build_utils(spec, tree: GameTree):
     if not feasible_is_all:
         blocks = set()
         for members in spec.feasible:
-            m = canon_block(members)
-            if not m or any(i < 1 or i > n for i in m):
-                bad.append(("BadCoalition", f"coalition {members} is not a subset of 1..{n}"))
-            elif len(set(m)) != len(m):
-                bad.append(("BadCoalition", f"coalition {members} repeats a member"))
+            problem = _block_problem(members, n)
+            if problem:
+                bad.append(("BadCoalition", f"coalition {members} {problem}"))
             else:
-                blocks.add(m)
+                blocks.add(canon_block(members))
         blocks.update((i,) for i in range(1, n + 1))
         feasible = frozenset(blocks)
 
     combinator, weights, table = None, None, None
     if spec.utility.get("table") is not None:
         table = {}
+        terminals = set(tree.terminal_ids)
         for key, per_terminal in spec.utility["table"].items():
-            m = canon_block(key)
-            table[m] = {z: to_number(v) for z, v in per_terminal.items()}
+            stray = [z for z in per_terminal if z not in terminals]
+            problem = _block_problem(key, n) or (
+                stray and f"has values at {stray}, which are not terminals")
+            if problem:
+                bad.append(("BadCoalition", f"table coalition {list(key)} {problem}"))
+            table[canon_block(key)] = {z: to_number(v) for z, v in per_terminal.items()}
         non_singletons = ([m for m in feasible if len(m) > 1] if not feasible_is_all
                           else [canon_block(c) for size in range(2, n + 1)
                                 for c in combinations(range(1, n + 1), size)])
@@ -498,12 +494,9 @@ def _build_utils(spec, tree: GameTree):
         if not _is_player(player, n):
             bad.append(("BadSynergy", f"synergy player {player!r} not in 1..{n}"))
             continue
-        if not block or not all(_is_player(i, n) for i in block):
-            bad.append(("BadSynergy",
-                        f"synergy block {list(block)} is not a subset of 1..{n}"))
-            continue
-        if len(set(block)) != len(block):
-            bad.append(("BadSynergy", f"synergy block {list(block)} repeats a member"))
+        problem = _block_problem(block, n)
+        if problem:
+            bad.append(("BadSynergy", f"synergy block {list(block)} {problem}"))
             continue
         if terminal not in tree.terminal_ids:
             bad.append(("BadSynergy", f"synergy terminal {terminal!r} is not a terminal"))

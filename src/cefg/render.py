@@ -264,7 +264,9 @@ def export_dot(tree, profile: SolutionProfile | None = None) -> str:
     Chosen edges are dashed for an independently acting player and bold for
     a coalition; decision nodes are annotated with the acting unit.
     """
-    family = profile.root_context if profile is not None else {}
+    # Each information set -> (its layer's entry in the root context, action).
+    played = {sid: (entry, act) for entry in walk_entries([profile.root_entry])
+              for sid, act in entry.own.items()} if profile is not None else {}
     nodes, edges = [], []
     for nid in tree.preorder:
         node = tree.nodes[nid]
@@ -277,14 +279,13 @@ def export_dot(tree, profile: SolutionProfile | None = None) -> str:
                 text = f"{label} ({fmt_value(tree.chance_at_root[child])})"
                 edges.append(f"  {_dot_str(nid)} -> {_dot_str(child)} [label={_dot_str(text)}];")
             continue
-        entry = family.get(nid)
         unit, style, other, chosen = str(node.player), "dashed", "", {}
-        if entry is not None:
+        if tree.info_set_of(nid) in played:
+            entry, act = played[tree.info_set_of(nid)]
             block = block_containing(entry.partition, node.player)
             unit = ",".join(str(i) for i in block)
             style = "bold" if len(block) > 1 else "dashed"
             other = ", color=gray"
-            act = entry.own[tree.info_set_of(nid)]
             if isinstance(act, tuple):
                 chosen = {label: p for label, p in act if p}
             else:

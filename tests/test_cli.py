@@ -10,6 +10,7 @@ from cefg.cli import main
 from cefg.oracle import OracleReport
 from conftest import (chain_text, expand_v1_entries, game_path, make_game_text,
                       wide_layer_text)
+from test_imperfect import JORDAN_NODES
 
 
 def run(capsys, *argv):
@@ -169,15 +170,46 @@ def test_validation_error_exits_2(tmp_path, capsys):
     assert "PayoffLengthMismatch" in err
 
 
-def test_solver_error_exits_3(tmp_path, capsys):
-    from test_imperfect import JORDAN_NODES
-    game = tmp_path / "jordan.game"
-    game.write_text(make_game_text(
-        JORDAN_NODES,
-        info_sets={"h2": ["rh", "rt"], "h3": ["a1", "a2", "a3", "a4"]}))
+CYCLE_NODES = {  # b1 lies below A's a1, and a2 below B's b2
+    "r": {"player": 3, "actions": {"L": "a1", "R": "b2"}},
+    "a1": {"player": 1, "actions": {"x": "b1", "y": "z1"}},
+    "b1": {"player": 2, "actions": {"u": "z2", "v": "z3"}},
+    "b2": {"player": 2, "actions": {"u": "a2", "v": "z4"}},
+    "a2": {"player": 1, "actions": {"x": "z5", "y": "z6"}},
+    **{f"z{k}": [0, 0, 0] for k in range(1, 7)},
+}
+
+# P1 moves at r, P2 at H without seeing it, then P1 at Sa or Sb. No pure
+# equilibrium, and P1 holds three of the layer's information sets.
+SEVERAL_SETS_NODES = {
+    "r": {"player": 1, "actions": {"a": "ha", "b": "hb"}},
+    "ha": {"player": 2, "actions": {"h": "sah", "t": "sat"}},
+    "hb": {"player": 2, "actions": {"h": "sbh", "t": "sbt"}},
+    **{nid: {"player": 1, "actions": {"x": f"z{2 * k}", "y": f"z{2 * k + 1}"}}
+       for k, nid in enumerate(("sah", "sat", "sbh", "sbt"))},
+    **{f"z{k}": list(p) for k, p in enumerate(
+        [(3, -3), (-2, 3), (-2, -2), (3, -2), (-1, -1), (-2, 1), (2, 2), (-2, -2)])},
+}
+
+
+@pytest.mark.parametrize("text,reason", [
+    pytest.param(make_game_text(JORDAN_NODES, info_sets={
+        "h2": ["rh", "rt"], "h3": ["a1", "a2", "a3", "a4"]}),
+        "3 players are involved", id="three-player-mixed-layer"),
+    pytest.param(make_game_text(CYCLE_NODES, info_sets={
+        "A": ["a1", "a2"], "B": ["b1", "b2"]}),
+        "information-set order has a cycle", id="info-set-cycle"),
+    pytest.param(make_game_text(SEVERAL_SETS_NODES, players=2, info_sets={
+        "H": ["ha", "hb"], "Sa": ["sah", "sat"], "Sb": ["sbh", "sbt"]}),
+        "mixed play across several information sets",
+        id="mixed-play-across-several-sets"),
+])
+def test_solver_error_exits_3(tmp_path, capsys, text, reason):
+    game = tmp_path / "bad.game"
+    game.write_text(text)
     code, _, err = run(capsys, "solve", str(game))
     assert code == 3
-    assert "solver error" in err
+    assert "solver error" in err and reason in err
 
 
 def _malformed(edit, **kw):
@@ -218,6 +250,15 @@ def _chance_root_in_a_set(doc):
         id="duplicate-player-names"),
     pytest.param(_malformed(lambda doc: None, feasible=[[1, 1, 2]]),
                  "BadCoalition", id="repeated-coalition-member"),
+    pytest.param(_malformed(lambda doc: None, feasible=[[1, 2]], utility={
+        "table": {"1,2": {"z1": 1, "z2": 1}, "1,9": {"z1": 1, "z2": 1}}}),
+        "BadCoalition", id="table-key-member-out-of-range"),
+    pytest.param(_malformed(lambda doc: None, feasible=[[1, 2]], utility={
+        "table": {"1,2": {"z1": 1, "z2": 1}, "2,2": {"z1": 1, "z2": 1}}}),
+        "BadCoalition", id="repeated-table-key-member"),
+    pytest.param(_malformed(lambda doc: None, feasible=[[1, 2]], utility={
+        "table": {"1,2": {"z1": 1, "z2": 1, "zz": 1}}}),
+        "BadCoalition", id="table-value-at-a-non-terminal"),
     pytest.param(_malformed(lambda doc: doc["nodes"]["r"].update(player=True)),
                  "BadPlayer", id="boolean-node-player"),
     pytest.param(_malformed(lambda doc: doc.update(synergies=[

@@ -20,6 +20,7 @@ from cefg import (
     serialize_game,
     solve_game,
 )
+from cefg.gamefile import to_number
 from conftest import game_path, make_game_text
 
 BUNDLED = ("abortion.game", "example2.game", "example2-modified.game")
@@ -107,6 +108,21 @@ def test_table_and_weighted_utilities_round_trip():
     }, players=2, utility={"combinator": "weighted", "weights": {"1": 2, "2": 1}})
     spec = parse_game(text)
     assert parse_game(serialize_game(spec)) == spec
+
+
+@pytest.mark.parametrize("value", [True, float("inf"), float("nan"), "1/0", "x", None])
+def test_to_number_rejects_what_the_parser_rejects(value):
+    # A hand-built GameSpec skips the parser; its numbers still go through
+    # the same rule and fail as a TypeError.
+    with pytest.raises(TypeError):
+        to_number(value)
+
+
+@pytest.mark.parametrize("value,exact", [
+    (3, Fraction(3)), (0.1, Fraction(1, 10)), ("-2/4", Fraction(-1, 2)),
+    (Fraction(5, 7), Fraction(5, 7))])
+def test_to_number_is_exact(value, exact):
+    assert to_number(value) == exact
 
 
 def test_rational_strings_are_exact_and_round_trip():
