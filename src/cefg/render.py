@@ -280,8 +280,8 @@ def export_dot(tree, profile: SolutionProfile | None = None) -> str:
                 edges.append(f"  {_dot_str(nid)} -> {_dot_str(child)} [label={_dot_str(text)}];")
             continue
         unit, style, other, chosen = str(node.player), "dashed", "", {}
-        if tree.info_set_of(nid) in played:
-            entry, act = played[tree.info_set_of(nid)]
+        entry, act = played.get(tree.info_set_of(nid), (None, None))
+        if entry is not None:
             block = block_containing(entry.partition, node.player)
             unit = ",".join(str(i) for i in block)
             style = "bold" if len(block) > 1 else "dashed"

@@ -118,13 +118,6 @@ def test_to_number_rejects_what_the_parser_rejects(value):
         to_number(value)
 
 
-@pytest.mark.parametrize("value,exact", [
-    (3, Fraction(3)), (0.1, Fraction(1, 10)), ("-2/4", Fraction(-1, 2)),
-    (Fraction(5, 7), Fraction(5, 7))])
-def test_to_number_is_exact(value, exact):
-    assert to_number(value) == exact
-
-
 def test_rational_strings_are_exact_and_round_trip():
     text = make_game_text({
         "root": {"actions": {"a": "x", "b": "y", "c": "w"}},
