@@ -70,6 +70,7 @@ def _fail(code, message, line=None, column=None):
 
 
 _RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
+_TABLE_KEY = re.compile(r"[0-9]+(,[0-9]+)*")
 
 
 def _exact(value) -> Fraction | None:
@@ -195,14 +196,19 @@ def parse_game(text: str) -> GameSpec:
     utility = _object(coalitions.get("utility") or {"combinator": "min"},
                       "coalitions.utility")
     if "table" in utility:
-        table = {}
+        table, keys = {}, {}
         for key, per_terminal in _object(utility["table"],
                                          "coalitions.utility.table").items():
             try:
-                members = tuple(int(part) for part in str(key).split(","))
-            except ValueError:
+                if not _TABLE_KEY.fullmatch(key):
+                    raise ValueError(key)
+                members = tuple(int(part) for part in key.split(","))
+            except ValueError:  # also more digits than int() converts
                 _fail("SyntaxError", f"table key {key!r} must list player "
                                      f"numbers separated by commas")
+            if (first := keys.setdefault(canon_block(members), key)) != key:
+                _fail("BadCoalition", f"table keys {first!r} and {key!r} name "
+                                      f"the same coalition")
             table[members] = {
                 z: _number(v, f"table value for {key!r} at {z!r}")
                 for z, v in _object(per_terminal, f"table entry {key!r}").items()}

@@ -42,25 +42,6 @@ def block_containing(partition: PartitionKey, player: int) -> tuple[int, ...]:
     raise KeyError(f"player {player} not in partition {partition}")
 
 
-def merge_into(partition: PartitionKey, union: Iterable[int]) -> PartitionKey:
-    """Coarsen a partition by merging the blocks covered by `union`.
-
-    `union` must be exactly a union of whole blocks of `partition`.
-    """
-    union_set = set(union)
-    kept, merged = [], []
-    for block in partition:
-        if set(block) <= union_set:
-            merged.extend(block)
-        elif union_set & set(block):
-            raise ValueError(f"{sorted(union_set)} splits block {block}")
-        else:
-            kept.append(block)
-    if set(merged) != union_set:
-        raise ValueError(f"{sorted(union_set)} is not a union of blocks")
-    return canon_partition(kept + [merged])
-
-
 @dataclass(frozen=True)
 class Node:
     """One tree node: a decision point, a terminal, or the chance root."""

@@ -300,37 +300,36 @@ def _indifferent(M):
 # -- subgame-perfect equilibrium ----------------------------------------------
 
 
+def layer_play(tree, utils, partition, g, continuation) -> tuple:
+    """The noncooperative play of subgame `g`'s layer, given each frontier
+    node's solved dist in `continuation`: (its information sets' actions, the
+    dist reached). A one-node layer is its owner's best response; any other
+    layer, the chance root's included, is its normal form's equilibrium."""
+    node = tree.nodes[g]
+    layer = tree.layer_info_sets(g)
+    if len(layer) == 1 and tree.info_sets[layer[0]] == (g,):
+        block = block_containing(partition, node.player)
+        label, _ = best_response(tree, utils, partition, block, node, continuation)
+        return {layer[0]: label}, continuation[node.child(label)]
+    return LayerGame(tree, utils, partition, g, continuation).solve()
+
+
 def spne_in_subgame(tree, utils, root=None) -> LocalSolution:
     """A subgame-perfect equilibrium with deterministic selection.
 
-    Solves innermost subgames first, in reverse preorder. A layer that is
-    one decision node is its owner's best response; any other layer, the
-    chance root's included, becomes a reduced normal-form game solved by
-    the selection rules in the module docstring.
+    Solves innermost subgames first, in reverse preorder, each layer by
+    `layer_play` with the selection rules in the module docstring.
     """
     partition = singleton_partition(tree.n_players)
     root = root if root is not None else tree.root
     actions: dict = {}  # every layer's assignment, one dict for the subgame
     dists: dict = {}
     for g in reversed(tree.subtree_nodes(root)):
-        if g in tree.subgame_roots:
-            dists[g] = _spne(tree, utils, partition, g, dists, actions)
+        if tree.nodes[g].is_terminal:
+            dists[g] = ((g, Fraction(1)),)
+        elif g in tree.subgame_roots:
+            continuation = {y: dists[y] for y in tree.frontier_of(g)}
+            assignment, dists[g] = layer_play(tree, utils, partition, g, continuation)
+            actions.update(assignment)
     return LocalSolution(actions, dists[root], dist_payoffs(dists[root], tree),
                          partition)
-
-
-def _spne(tree, utils, partition, g, dists, actions) -> tuple:
-    """Subgame `g`'s dist; adds its layer's assignment to `actions`."""
-    node = tree.nodes[g]
-    if node.is_terminal:
-        return ((g, Fraction(1)),)
-    continuation = {y: dists[y] for y in tree.frontier_of(g)}
-    layer = tree.layer_info_sets(g)
-    if len(layer) == 1 and tree.info_sets[layer[0]] == (g,):
-        block = block_containing(partition, node.player)
-        label, _ = best_response(tree, utils, partition, block, node, continuation)
-        assignment, dist = {layer[0]: label}, continuation[node.child(label)]
-    else:
-        assignment, dist = LayerGame(tree, utils, partition, g, continuation).solve()
-    actions.update(assignment)
-    return dist

@@ -30,8 +30,8 @@ from .model import (
     UtilitySystem,
     block_containing,
     canon_block,
+    canon_partition,
     dist_payoffs,
-    merge_into,
     singleton_partition,
 )
 from .noncoop import LocalSolution
@@ -172,7 +172,8 @@ def _ri_literal(tree, utils, partition, x) -> LocalSolution:
             if not utils.is_feasible(members):
                 continue
             union = canon_block(members)
-            sol = _ri_literal(tree, utils, merge_into(partition, union), x)
+            kept = [b for b in others if b not in combo]
+            sol = _ri_literal(tree, utils, canon_partition(kept + [union]), x)
             z = sol.dist[0][0]
             if len(block) == 1:
                 value = utils.individual_value(block[0], z, sol.partition, tree)

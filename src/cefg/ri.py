@@ -43,7 +43,7 @@ from .model import (
     expected_individual_value,
     singleton_partition,
 )
-from .noncoop import LayerGame, best_response
+from .noncoop import LayerGame, layer_play
 
 
 @dataclass(frozen=True)
@@ -193,16 +193,15 @@ class _Solver:
             return Entry(g, {}, dist, node.payoffs, view, None, {})
         # `solve` walks innermost first, so every kid is in the memo.
         kids = {y: self.memo[y, view] for y in self.tree.frontier_of(g)}
+        continuation = {y: kid.dist for y, kid in kids.items()}
+        # The layer's noncooperative play: at a one-node layer, the index
+        # point; otherwise the equilibrium the layer's steps start from.
+        nu = self._point(g, view, kids, *layer_play(self.tree, self.utils, view,
+                                                    g, continuation))
         layer = self.tree.layer_info_sets(g)
         if len(layer) == 1 and self.tree.info_sets[layer[0]] == (g,):
-            # The index point: the owner best-responds to the solved kids.
-            block = block_containing(view, node.player)
-            label, _ = best_response(self.tree, self.utils, view, block, node,
-                                     {y: kid.dist for y, kid in kids.items()})
-            r0 = self._point(g, view, kids, {layer[0]: label},
-                             kids[node.child(label)].dist)
-            return self._adopt(g, view, block, r0)
-        return self._solve_layer(g, view, kids, layer)
+            return self._adopt(g, view, block_containing(view, node.player), nu)
+        return self._solve_layer(g, view, layer, continuation, nu)
 
     def _point(self, g: str, view: tuple, kids: dict, own: dict, dist) -> Entry:
         """The unadopted solution at `g` whose own information sets play
@@ -210,15 +209,12 @@ class _Solver:
         return Entry(g, dict(own), dist, dist_payoffs(dist, self.tree),
                      view, None, dict(kids))
 
-    def _solve_layer(self, g: str, view: tuple, kids: dict, layer) -> Entry:
+    def _solve_layer(self, g: str, view: tuple, layer, continuation: dict,
+                     nu: Entry) -> Entry:
         """Step over the layer of subgame `g` when it is more than one
-        decision node: an imperfect-information layer, or the chance root's
-        layer, which has no information sets."""
+        decision node (an imperfect-information layer, or the chance root's
+        layer, which has no information sets), from its equilibrium `nu`."""
         tree = self.tree
-        continuation = {y: kid.dist for y, kid in kids.items()}
-        game = LayerGame(tree, self.utils, view, g, continuation)
-        nu = self._point(g, view, kids, *game.solve())
-
         pinned: dict = {}  # info set -> the action adopted there
         entry = nu
         for sid in _layer_bottom_up(tree, layer):
@@ -231,10 +227,9 @@ class _Solver:
                      if _set_below(tree, other, sid)}
             r0 = nu
             if fixed:
-                game = LayerGame(tree, self.utils, view, g, continuation,
-                                 fixed=fixed)
-                assignment, dist = game.solve()
-                r0 = self._point(g, view, kids,
+                assignment, dist = LayerGame(tree, self.utils, view, g,
+                                             continuation, fixed=fixed).solve()
+                r0 = self._point(g, view, nu.children,
                                  {**nu.own, **fixed, **assignment}, dist)
             block = block_containing(view, tree.info_set_player(sid))
             entry = self._adopt(g, view, block, r0, step_node=sid)

@@ -259,6 +259,12 @@ def _chance_root_in_a_set(doc):
     pytest.param(_malformed(lambda doc: None, feasible=[[1, 2]], utility={
         "table": {"1,2": {"z1": 1, "z2": 1, "zz": 1}}}),
         "BadCoalition", id="table-value-at-a-non-terminal"),
+    pytest.param(_malformed(lambda doc: None, feasible=[[1, 2]], utility={
+        "table": {"1,2": {"z1": 1, "z2": 1}, "2,1": {"z1": 2, "z2": 2}}}),
+        "BadCoalition", id="two-table-keys-for-one-coalition"),
+    *(pytest.param(_malformed(lambda doc: None, feasible=[[1, 2]], utility={
+        "table": {key: {"z1": 1, "z2": 1}}}), "SyntaxError", id=f"table-key-with-{sign}")
+      for key, sign in (("0_1,2", "underscore"), ("+1,2", "plus"), ("1, 2", "space"))),
     pytest.param(_malformed(lambda doc: doc["nodes"]["r"].update(player=True)),
                  "BadPlayer", id="boolean-node-player"),
     pytest.param(_malformed(lambda doc: doc.update(synergies=[

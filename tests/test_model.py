@@ -26,7 +26,6 @@ from cefg.model import (
     dist_payoffs,
     expected_coalition_value,
     expected_individual_value,
-    merge_into,
     singleton_partition,
 )
 from cefg.oracle import random_game
@@ -197,6 +196,21 @@ def test_individual_utility_default_and_synergy(example2):
     assert utils_s.individual_value(1, "z1", ((1, 2), (3,)), tree_s) == 7
     assert utils_s.individual_value(1, "z1", ((1,), (2,), (3,)), tree_s) == 1
     assert utils_s.individual_value(2, "z1", ((1, 2), (3,)), tree_s) == 2
+
+
+@pytest.mark.parametrize("values", [(10, 0), (0, 10)])
+def test_first_listed_synergy_wins(values):
+    # Two synergies match player 1, block (1,) and z1: the first one listed
+    # is the value, in `individual_value` and so in the solved outcome.
+    text = make_game_text({
+        "r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},
+        "z1": [1, 2], "z2": [3, 1],
+    }, players=2, synergies=[{"player": 1, "block": [1], "terminal": "z1",
+                              "value": v} for v in values])
+    tree, utils = load_game_text(text)
+    first = values[0]
+    assert utils.individual_value(1, "z1", singleton_partition(2), tree) == first
+    assert cefg.solve_game(tree, utils).outcome == ((1, 2) if first else (3, 1))
 
 
 # -- expected values over terminal distributions -------------------------------
@@ -466,17 +480,32 @@ def test_only_the_model_reads_tree_internals():
     assert offenders == []
 
 
-def test_build_supergame_player_counts():
-    view = merge_into(singleton_partition(3), (1, 3))
-    assert len(view) == 2  # 3 - 2 + 1
-    assert block_containing(view, 1) == (1, 3)
-    assert block_containing(view, 2) == (2,)
+def _checked_views(tree, utils) -> set:
+    """The views of the solver's audit, each checked to be a canonical
+    partition of 1..n (sorted blocks, ordered by smallest member) whose
+    blocks are feasible: what merging whole blocks into a feasible union
+    yields."""
+    views = {step.view for step in cefg.solve_game(tree, utils).audit}
+    for view in views:
+        assert all(list(b) == sorted(b) for b in view)
+        assert [b[0] for b in view] == sorted({b[0] for b in view})
+        assert sorted(sum(view, ())) == list(range(1, tree.n_players + 1))
+        assert all(utils.is_feasible(b) for b in view)
+    return views
 
-    grand = merge_into(singleton_partition(3), (1, 2, 3))
-    assert len(grand) == 1
 
-    view6 = merge_into(singleton_partition(6), (1, 2, 4))
-    assert view6 == ((1, 2, 4), (3,), (5,), (6,))
+def test_solver_views_are_canonical_partitions_of_feasible_blocks(example2):
+    restricted = load_game_text(make_game_text({
+        "r": {"player": 1, "actions": {"a": "m", "b": "z3"}},
+        "m": {"player": 2, "actions": {"c": "z1", "d": "z2"}},
+        "z1": [1, 2, 3, 4], "z2": [4, 3, 2, 1], "z3": [2, 4, 1, 3],
+    }, players=4, feasible=[[1, 3], [2, 4], [1, 2, 4]]))
+    assert ((1, 3), (2, 4)) in _checked_views(*restricted)
+    assert {((1, 3), (2,)), ((1, 2, 3),)} <= _checked_views(*example2)
+    rng = random.Random(16)
+    for tree, utils in (_golden_and_random_games()
+                        + [random_game(rng, max_players=4) for _ in range(40)]):
+        _checked_views(tree, utils)
 
 
 def test_subgame_partition_of_terminals(example2):
