@@ -48,6 +48,8 @@ _TOP_KEYS = {"format_version", "players", "root", "nodes", "chance",
              "info_sets", "coalitions", "synergies"}
 _NODE_KEYS = {"player", "actions", "payoffs"}
 _SYNERGY_KEYS = {"player", "block", "terminal", "value"}
+_COALITION_KEYS = {"feasible", "utility"}
+_UTILITY_KEYS = {"combinator", "weights", "table"}
 
 
 @dataclass
@@ -105,6 +107,12 @@ def _object(value, where) -> dict:
     return value
 
 
+def _known_fields(value: dict, allowed, where) -> None:
+    for key in value:
+        if key not in allowed:
+            _fail("UnknownField", f"{where}: unknown field {key!r}")
+
+
 def _players_list(value, where) -> list:
     if not isinstance(value, list) or not all(
             isinstance(i, int) and not isinstance(i, bool) for i in value):
@@ -157,9 +165,7 @@ def parse_game(text: str) -> GameSpec:
     for nid, body in raw["nodes"].items():
         if not isinstance(body, dict):
             _fail("SyntaxError", f"node {nid} must be an object")
-        for key in body:
-            if key not in _NODE_KEYS:
-                _fail("UnknownField", f"node {nid}: unknown field {key!r}")
+        _known_fields(body, _NODE_KEYS, f"node {nid}")
         has_actions = "actions" in body
         has_payoffs = "payoffs" in body
         if has_actions == has_payoffs:
@@ -188,6 +194,7 @@ def parse_game(text: str) -> GameSpec:
             nodes[nid] = {"payoffs": list(payoffs)}
 
     coalitions = _object(raw.get("coalitions") or {}, "coalitions")
+    _known_fields(coalitions, _COALITION_KEYS, "coalitions")
     feasible = coalitions.get("feasible", "all")
     if feasible != "all":
         if not isinstance(feasible, list):
@@ -195,8 +202,11 @@ def parse_game(text: str) -> GameSpec:
         feasible = [_players_list(c, "each feasible coalition") for c in feasible]
     utility = _object(coalitions.get("utility") or {"combinator": "min"},
                       "coalitions.utility")
+    _known_fields(utility, _UTILITY_KEYS, "coalitions.utility")
     if "table" in utility:
-        table, keys = {}, {}
+        if len(utility) > 1:
+            _fail("SyntaxError", "coalitions.utility.table takes no other field")
+        table = {}
         for key, per_terminal in _object(utility["table"],
                                          "coalitions.utility.table").items():
             try:
@@ -206,15 +216,14 @@ def parse_game(text: str) -> GameSpec:
             except ValueError:  # also more digits than int() converts
                 _fail("SyntaxError", f"table key {key!r} must list player "
                                      f"numbers separated by commas")
-            if (first := keys.setdefault(canon_block(members), key)) != key:
-                _fail("BadCoalition", f"table keys {first!r} and {key!r} name "
-                                      f"the same coalition")
             table[members] = {
                 z: _number(v, f"table value for {key!r} at {z!r}")
                 for z, v in _object(per_terminal, f"table entry {key!r}").items()}
         utility = {"table": table}
     elif "combinator" not in utility:
         _fail("SyntaxError", "coalitions.utility needs a combinator or a table")
+    elif "weights" in utility and utility["combinator"] != "weighted":
+        _fail("SyntaxError", "coalitions.utility.weights needs the weighted combinator")
     elif utility.get("weights") is not None:
         for i, w in _object(utility["weights"], "coalitions.utility.weights").items():
             _number(w, f"weight of player {i}")
@@ -224,9 +233,8 @@ def parse_game(text: str) -> GameSpec:
     if not isinstance(raw_synergies, list):
         _fail("SyntaxError", "synergies must be a list")
     for entry in raw_synergies:
-        for key in _object(entry, "each synergy entry"):
-            if key not in _SYNERGY_KEYS:
-                _fail("UnknownField", f"synergy entry: unknown field {key!r}")
+        _known_fields(_object(entry, "each synergy entry"), _SYNERGY_KEYS,
+                      "synergy entry")
         try:
             synergies.append((entry["player"],
                               tuple(_players_list(entry["block"], "synergy block")),
@@ -449,9 +457,8 @@ def _check_perfect_recall(tree: GameTree):
 def _build_utils(spec, tree: GameTree):
     bad: list[tuple[str, str]] = []
     n = tree.n_players
-    feasible_is_all = spec.feasible == "all"
-    feasible = frozenset()
-    if not feasible_is_all:
+    feasible = None
+    if spec.feasible != "all":
         blocks = set()
         for members in spec.feasible:
             problem = _block_problem(members, n)
@@ -464,7 +471,7 @@ def _build_utils(spec, tree: GameTree):
 
     combinator, weights, table = None, None, None
     if spec.utility.get("table") is not None:
-        table = {}
+        table, keys = {}, {}
         terminals = set(tree.terminal_ids)
         for key, per_terminal in spec.utility["table"].items():
             stray = [z for z in per_terminal if z not in terminals]
@@ -472,8 +479,11 @@ def _build_utils(spec, tree: GameTree):
                 stray and f"has values at {stray}, which are not terminals")
             if problem:
                 bad.append(("BadCoalition", f"table coalition {list(key)} {problem}"))
+            elif (first := keys.setdefault(canon_block(key), key)) != key:
+                bad.append(("BadCoalition", f"table keys {list(first)} and "
+                                            f"{list(key)} name the same coalition"))
             table[canon_block(key)] = {z: to_number(v) for z, v in per_terminal.items()}
-        non_singletons = ([m for m in feasible if len(m) > 1] if not feasible_is_all
+        non_singletons = ([m for m in feasible if len(m) > 1] if feasible is not None
                           else [canon_block(c) for size in range(2, n + 1)
                                 for c in combinations(range(1, n + 1), size)])
         for m in non_singletons:
@@ -509,7 +519,7 @@ def _build_utils(spec, tree: GameTree):
             continue
         synergies.append(Synergy(player, canon_block(block), terminal, to_number(value)))
 
-    utils = UtilitySystem(n, feasible_is_all, feasible, combinator=combinator,
+    utils = UtilitySystem(n, feasible, combinator=combinator,
                           weights=weights, table=table, synergies=tuple(synergies))
     return utils, bad
 

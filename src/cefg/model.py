@@ -13,7 +13,7 @@ comparison made by the solvers is exact and runs are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -242,8 +242,7 @@ class UtilitySystem:
     """Coalitional utilities: a combinator over member payoffs or a table."""
 
     n_players: int
-    feasible_is_all: bool
-    feasible: frozenset  # of canon member tuples; ignored when feasible_is_all
+    feasible: frozenset | None = None  # canon member tuples; None: every coalition
     combinator: str | None = "min"  # "min" | "sum" | "weighted"; None => table
     weights: tuple | None = None  # per-player Fractions for "weighted"
     table: Mapping | None = None  # block tuple -> {terminal id -> Fraction}
@@ -255,13 +254,10 @@ class UtilitySystem:
             return False
         if len(m) == 1:
             return True
-        return self.feasible_is_all or m in self.feasible
+        return self.feasible is None or m in self.feasible
 
     def restricted_to_singletons(self) -> "UtilitySystem":
-        return UtilitySystem(
-            n_players=self.n_players, feasible_is_all=False,
-            feasible=frozenset(), combinator=self.combinator,
-            weights=self.weights, table=self.table, synergies=self.synergies)
+        return replace(self, feasible=frozenset())
 
     # -- valuations ----------------------------------------------------------
 
@@ -297,7 +293,7 @@ class UtilitySystem:
 # terminal id, so that mixed equilibria stay exact. Its probabilities are
 # positive and sum to exactly 1: a terminal solves to ((z, 1),), chance is
 # validated exactly, mixed equilibria are exact and `make_dist` drops zeros.
-# So a one-terminal dist is pure, and the helpers take its value as is.
+# So a one-terminal dist is pure, and `block_value` takes its value as is.
 
 
 def make_dist(pairs) -> tuple:
@@ -320,22 +316,15 @@ def dist_payoffs(dist, tree: GameTree) -> tuple:
     return tuple(totals)
 
 
-def expected_coalition_value(members, dist, utils, tree) -> Fraction:
-    if len(dist) == 1:
-        return utils.coalition_value(members, dist[0][0], tree)
-    return sum(p * utils.coalition_value(members, z, tree) for z, p in dist)
-
-
-def expected_individual_value(i, dist, partition, utils, tree) -> Fraction:
-    if len(dist) == 1:
-        return utils.individual_value(i, dist[0][0], partition, tree)
-    return sum(p * utils.individual_value(i, z, partition, tree)
-               for z, p in dist)
-
-
 def block_value(block, dist, partition, utils, tree) -> Fraction:
-    """What `block` gets from `dist`: a singleton's individual value, else
-    the coalition's value."""
+    """What `block` expects from `dist`: a singleton's individual value, else
+    the coalition's value. Every expected utility of a block is read here."""
     if len(block) == 1:
-        return expected_individual_value(block[0], dist, partition, utils, tree)
-    return expected_coalition_value(block, dist, utils, tree)
+        i = block[0]
+        if len(dist) == 1:
+            return utils.individual_value(i, dist[0][0], partition, tree)
+        return sum(p * utils.individual_value(i, z, partition, tree)
+                   for z, p in dist)
+    if len(dist) == 1:
+        return utils.coalition_value(block, dist[0][0], tree)
+    return sum(p * utils.coalition_value(block, z, tree) for z, p in dist)

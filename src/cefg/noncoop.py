@@ -28,7 +28,6 @@ from .model import (
     block_containing,
     block_value,
     dist_payoffs,
-    expected_individual_value,
     make_dist,
     singleton_partition,
 )
@@ -55,31 +54,22 @@ class LocalSolution:
     partition: tuple
 
 
-def choice_key(tree, utils, partition, block, dist):
-    """Comparison key for a block evaluating a continuation distribution.
-
-    Leads with the block's own utility (`block_value`); a merged block then
-    prefers higher individual utility for its lowest-indexed member, and so
-    on down. With a singleton block this is just the player's expected
-    utility.
-    """
-    key = (block_value(block, dist, partition, utils, tree),)
-    if len(block) == 1:
-        return key
-    return key + tuple(
-        expected_individual_value(i, dist, partition, utils, tree) for i in block)
-
-
 def best_response(tree, utils, partition, block, node, dists):
     """`block`'s best action at `node` given each child's continuation dist.
 
     `dists` maps child id -> terminal distribution. Returns (action label,
-    choice key). Ties go to the first action in declaration order (after
-    the merged-owner member preference of `choice_key`).
+    choice key). The key leads with the block's own utility (`block_value`);
+    a merged block then prefers higher individual utility for its
+    lowest-indexed member, and so on down. Remaining ties go to the first
+    action in declaration order.
     """
     best_label, best_key = None, None
     for label, child in node.actions:
-        key = choice_key(tree, utils, partition, block, dists[child])
+        dist = dists[child]
+        key = (block_value(block, dist, partition, utils, tree),)
+        if len(block) > 1:
+            key += tuple(block_value((i,), dist, partition, utils, tree)
+                         for i in block)
         if best_key is None or key > best_key:
             best_label, best_key = label, key
     return best_label, best_key

@@ -174,11 +174,7 @@ def _ri_literal(tree, utils, partition, x) -> LocalSolution:
             union = canon_block(members)
             kept = [b for b in others if b not in combo]
             sol = _ri_literal(tree, utils, canon_partition(kept + [union]), x)
-            z = sol.dist[0][0]
-            if len(block) == 1:
-                value = utils.individual_value(block[0], z, sol.partition, tree)
-            else:
-                value = utils.coalition_value(block, z, tree)
+            value = _block_value(tree, utils, sol.partition, block, sol.dist[0][0])
             candidates.append((value, union, sol))
     candidates.sort(key=lambda c: (c[0], len(c[1]), c[1]))
 
@@ -206,7 +202,7 @@ def game_digest(tree: GameTree, utils: UtilitySystem) -> str:
         },
         "info_sets": {sid: list(m) for sid, m in tree.info_sets.items()},
         "chance": {c: str(p) for c, p in (tree.chance_at_root or {}).items()},
-        "feasible": "all" if utils.feasible_is_all else sorted(utils.feasible),
+        "feasible": "all" if utils.feasible is None else sorted(utils.feasible),
         "combinator": utils.combinator,
         "weights": [str(w) for w in utils.weights or ()],
         "table": {",".join(map(str, m)): {z: str(v) for z, v in row.items()}
@@ -322,5 +318,5 @@ def random_game(rng, max_players=3, max_depth=4, max_nodes=15,
             built[nid] = Node(id=nid, payoffs=tuple(Fraction(v)
                                                     for v in body["payoffs"]))
     tree = GameTree(built, root, [f"P{i}" for i in range(1, n + 1)])
-    utils = UtilitySystem(n, True, frozenset())
+    utils = UtilitySystem(n)
     return tree, utils

@@ -22,7 +22,7 @@ import json
 from fractions import Fraction
 
 from .errors import TooLarge
-from .model import block_containing, expected_individual_value, singleton_partition
+from .model import block_containing, block_value, singleton_partition
 from .noncoop import LocalSolution
 from .ri import Entry, SolutionProfile, reach_nodes, walk_entries
 
@@ -120,8 +120,8 @@ def bracket_summary(profile: SolutionProfile) -> str:
             continue
         for label, child in node.actions:
             kid = family[child]
-            value = expected_individual_value(
-                node.player, kid.dist, kid.partition, profile.utils, tree)
+            value = block_value(
+                (node.player,), kid.dist, kid.partition, profile.utils, tree)
             if best_value is None or value > best_value:
                 best_label, best_value = label, value
         pairs.append((sid, best_label))

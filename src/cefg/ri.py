@@ -40,7 +40,6 @@ from .model import (
     canon_block,
     canon_partition,
     dist_payoffs,
-    expected_individual_value,
     singleton_partition,
 )
 from .noncoop import LayerGame, layer_play
@@ -281,12 +280,12 @@ class _Solver:
             # `union` must strictly gain on the accepted point.
             comparisons, failing = [], None
             for agent in block_containing(entry.partition, union[0]):
-                cand = expected_individual_value(agent, entry.dist,
-                                                 entry.partition, utils, tree)
+                cand = block_value((agent,), entry.dist, entry.partition,
+                                   utils, tree)
                 held = held_values.get(agent)
                 if held is None:
-                    held = held_values[agent] = expected_individual_value(
-                        agent, accepted.dist, accepted.partition, utils, tree)
+                    held = held_values[agent] = block_value(
+                        (agent,), accepted.dist, accepted.partition, utils, tree)
                 comparisons.append((agent, cand, held))
                 if failing is None and not cand > held:
                     failing = agent

@@ -262,6 +262,17 @@ def _chance_root_in_a_set(doc):
     pytest.param(_malformed(lambda doc: None, feasible=[[1, 2]], utility={
         "table": {"1,2": {"z1": 1, "z2": 1}, "2,1": {"z1": 2, "z2": 2}}}),
         "BadCoalition", id="two-table-keys-for-one-coalition"),
+    pytest.param(_malformed(lambda doc: doc["coalitions"].update(
+        feasable=[[2, 3]])), "UnknownField", id="misspelt-feasible"),
+    pytest.param(_malformed(_set_utility(
+        {"combinator": "weighted", "wieghts": {"1": 5}})), "UnknownField",
+        id="misspelt-weights"),
+    pytest.param(_malformed(_set_utility(
+        {"combinator": "min", "weights": {"1": 5}})), "SyntaxError",
+        id="weights-beside-min"),
+    pytest.param(_malformed(lambda doc: None, feasible=[[1, 2]], utility={
+        "combinator": "sum", "table": {"1,2": {"z1": 1, "z2": 1}}}),
+        "SyntaxError", id="combinator-beside-table"),
     *(pytest.param(_malformed(lambda doc: None, feasible=[[1, 2]], utility={
         "table": {key: {"z1": 1, "z2": 1}}}), "SyntaxError", id=f"table-key-with-{sign}")
       for key, sign in (("0_1,2", "underscore"), ("+1,2", "plus"), ("1, 2", "space"))),

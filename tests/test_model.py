@@ -2,6 +2,7 @@
 
 import ast
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, count
 from pathlib import Path
@@ -24,8 +25,6 @@ from cefg.model import (
     block_containing,
     block_value,
     dist_payoffs,
-    expected_coalition_value,
-    expected_individual_value,
     singleton_partition,
 )
 from cefg.oracle import random_game
@@ -126,6 +125,19 @@ def test_missing_coalition_utility_in_table_mode():
     with pytest.raises(GameValidationError) as err:
         load_game_text(text)
     assert "MissingCoalitionUtility" in err.value.codes()
+
+
+def test_two_table_keys_for_one_coalition_are_reported():
+    # A spec built in code skips the parser, so validation makes the check.
+    spec = replace(parse_game(make_game_text({
+        "r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},
+        "z1": [1, 2], "z2": [2, 1],
+    }, players=2)), utility={"table": {(1, 2): {"z1": 1, "z2": 1},
+                                       (2, 1): {"z1": 5, "z2": 5}}})
+    with pytest.raises(GameValidationError) as err:
+        validate_game(spec)
+    assert "BadCoalition" in err.value.codes()
+    assert "[1, 2] and [2, 1]" in str(err.value)
 
 
 def test_imperfect_recall_detected():
@@ -253,19 +265,18 @@ def test_expected_values_equal_weighted_sums(kind, dist):
     assert got == tuple(_weighted_sum(dist, lambda z: payoffs[z][k])
                         for k in range(2))
 
-    got = expected_coalition_value((1, 2), dist, utils, tree)
+    got = block_value((1, 2), dist, grand, utils, tree)
     assert isinstance(got, Fraction)
     assert got == _weighted_sum(
         dist, lambda z: utils.coalition_value((1, 2), z, tree))
 
     for partition in (grand, singles):  # z1 carries a synergy under grand
         for i in (1, 2):
-            got = expected_individual_value(i, dist, partition, utils, tree)
+            got = block_value((i,), dist, partition, utils, tree)
             assert isinstance(got, Fraction)
             assert got == _weighted_sum(
                 dist, lambda z: utils.individual_value(i, z, partition, tree))
-    assert expected_individual_value(1, (("z1", Fraction(1)),), grand,
-                                     utils, tree) == 7
+    assert block_value((1,), (("z1", Fraction(1)),), grand, utils, tree) == 7
 
 
 def _golden_and_random_games():
@@ -277,7 +288,7 @@ def _golden_and_random_games():
 
 
 def test_every_dist_is_a_distribution():
-    """The helpers above read a one-terminal dist as pure, which is exact
+    """`dist_payoffs` and `block_value` read a one-terminal dist as pure, which is exact
     only while every dist has positive probabilities summing to 1."""
     for tree, utils in _golden_and_random_games():
         dists = [cefg.spne_in_subgame(tree, utils).dist]
@@ -286,19 +297,6 @@ def test_every_dist_is_a_distribution():
         for dist in dists:
             assert dist and all(p > 0 for _, p in dist)
             assert sum(p for _, p in dist) == 1
-
-
-@pytest.mark.parametrize("kind", sorted(UTILITY_KINDS))
-def test_block_value_is_individual_for_singletons_else_coalition(kind):
-    tree, utils = _dist_game(UTILITY_KINDS[kind])
-    dist = (("z1", Fraction(1, 3)), ("z2", Fraction(2, 3)))
-    grand, singles = ((1, 2),), ((1,), (2,))
-    assert block_value((1, 2), dist, grand, utils, tree) == \
-        expected_coalition_value((1, 2), dist, utils, tree)
-    assert block_value((1,), (("z1", Fraction(1)),), grand, utils, tree) == 7
-    for i in (1, 2):
-        assert block_value((i,), dist, singles, utils, tree) == \
-            expected_individual_value(i, dist, singles, utils, tree)
 
 
 # -- subgames, subtrees, supergames ---------------------------------------------

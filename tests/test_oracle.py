@@ -188,7 +188,8 @@ def test_digest_sees_every_field(base, edited):
 def test_oracle_never_reads_solver_internals():
     import ast
     import cefg.oracle as mod
-    tree = ast.parse(open(mod.__file__).read())
+    with open(mod.__file__) as fh:
+        tree = ast.parse(fh.read())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "ri":
             names = {a.name for a in node.names}
