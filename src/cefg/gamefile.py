@@ -206,7 +206,7 @@ def parse_game(text: str) -> GameSpec:
     if "table" in utility:
         if len(utility) > 1:
             _fail("SyntaxError", "coalitions.utility.table takes no other field")
-        table = {}
+        table, keys = {}, {}
         for key, per_terminal in _object(utility["table"],
                                          "coalitions.utility.table").items():
             try:
@@ -216,6 +216,9 @@ def parse_game(text: str) -> GameSpec:
             except ValueError:  # also more digits than int() converts
                 _fail("SyntaxError", f"table key {key!r} must list player "
                                      f"numbers separated by commas")
+            if (first := keys.setdefault(members, key)) != key:  # "1,2", "01,2"
+                _fail("BadCoalition", f"table keys {first!r} and {key!r} name "
+                                      f"the same coalition")
             table[members] = {
                 z: _number(v, f"table value for {key!r} at {z!r}")
                 for z, v in _object(per_terminal, f"table entry {key!r}").items()}

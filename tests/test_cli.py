@@ -262,6 +262,9 @@ def _chance_root_in_a_set(doc):
     pytest.param(_malformed(lambda doc: None, feasible=[[1, 2]], utility={
         "table": {"1,2": {"z1": 1, "z2": 1}, "2,1": {"z1": 2, "z2": 2}}}),
         "BadCoalition", id="two-table-keys-for-one-coalition"),
+    pytest.param(_malformed(lambda doc: None, feasible=[[1, 2]], utility={
+        "table": {"1,2": {"z1": 1, "z2": 1}, "01,2": {"z1": 2, "z2": 2}}}),
+        "BadCoalition", id="table-key-with-a-leading-zero-repeats-a-coalition"),
     pytest.param(_malformed(lambda doc: doc["coalitions"].update(
         feasable=[[2, 3]])), "UnknownField", id="misspelt-feasible"),
     pytest.param(_malformed(_set_utility(
