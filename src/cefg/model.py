@@ -250,11 +250,9 @@ class UtilitySystem:
 
     def is_feasible(self, members: Iterable[int]) -> bool:
         m = canon_block(members)
-        if not m or any(i < 1 or i > self.n_players for i in m):
+        if not m or m[0] < 1 or m[-1] > self.n_players or len(set(m)) < len(m):
             return False
-        if len(m) == 1:
-            return True
-        return self.feasible is None or m in self.feasible
+        return len(m) == 1 or self.feasible is None or m in self.feasible
 
     def restricted_to_singletons(self) -> "UtilitySystem":
         return replace(self, feasible=frozenset())
@@ -308,23 +306,39 @@ def dist_payoffs(dist, tree: GameTree) -> tuple:
     """Expected payoff vector of a terminal distribution."""
     if len(dist) == 1:
         return tree.nodes[dist[0][0]].payoffs
-    totals = [Fraction(0)] * tree.n_players
-    for terminal, p in dist:
-        payoffs = tree.nodes[terminal].payoffs
-        for k in range(tree.n_players):
-            totals[k] += p * payoffs[k]
-    return tuple(totals)
+    return tuple(sum(p * tree.nodes[z].payoffs[k] for z, p in dist)
+                 for k in range(tree.n_players))
 
 
-def block_value(block, dist, partition, utils, tree) -> Fraction:
+class Valuation:
+    """One solve's tables over `tree`: coalition values per (feasible block,
+    terminal), each filled on first read from the definition in `utils`, and
+    synergies per (player, terminal), first listed first. Read by `block_value`."""
+
+    def __init__(self, tree: GameTree, utils: UtilitySystem):
+        self.tree, self.utils = tree, utils
+        self.coalitions: dict = {}  # (block, terminal) -> Fraction
+        self.synergies: dict = {}  # (player, terminal) -> [(block, value), ...]
+        for s in utils.synergies:
+            self.synergies.setdefault((s.player, s.terminal), []).append(
+                (s.block, s.value))
+
+
+def block_value(block, dist, partition, valuation: Valuation) -> Fraction:
     """What `block` expects from `dist`: a singleton's individual value, else
     the coalition's value. Every expected utility of a block is read here."""
-    if len(block) == 1:
-        i = block[0]
+    total = 0
+    for z, p in dist:
+        if len(block) == 1:
+            value = valuation.tree.nodes[z].payoffs[block[0] - 1]
+            for members, override in valuation.synergies.get((block[0], z), ()):
+                if members in partition:
+                    value = override
+                    break
+        elif (value := valuation.coalitions.get((block, z))) is None:
+            value = valuation.utils.coalition_value(block, z, valuation.tree)
+            valuation.coalitions[block, z] = value
         if len(dist) == 1:
-            return utils.individual_value(i, dist[0][0], partition, tree)
-        return sum(p * utils.individual_value(i, z, partition, tree)
-                   for z, p in dist)
-    if len(dist) == 1:
-        return utils.coalition_value(block, dist[0][0], tree)
-    return sum(p * utils.coalition_value(block, z, tree) for z, p in dist)
+            return value
+        total += p * value
+    return total

@@ -24,7 +24,7 @@ from math import lcm, prod
 
 from .errors import ImperfectInformation, MixedEquilibriumUnsupported, TooLarge
 from .model import (
-    GameTree,
+    Valuation,
     block_containing,
     block_value,
     dist_payoffs,
@@ -54,7 +54,7 @@ class LocalSolution:
     partition: tuple
 
 
-def best_response(tree, utils, partition, block, node, dists):
+def best_response(valuation, partition, block, node, dists):
     """`block`'s best action at `node` given each child's continuation dist.
 
     `dists` maps child id -> terminal distribution. Returns (action label,
@@ -66,9 +66,9 @@ def best_response(tree, utils, partition, block, node, dists):
     best_label, best_key = None, None
     for label, child in node.actions:
         dist = dists[child]
-        key = (block_value(block, dist, partition, utils, tree),)
+        key = (block_value(block, dist, partition, valuation),)
         if len(block) > 1:
-            key += tuple(block_value((i,), dist, partition, utils, tree)
+            key += tuple(block_value((i,), dist, partition, valuation)
                          for i in block)
         if best_key is None or key > best_key:
             best_label, best_key = label, key
@@ -99,10 +99,10 @@ class LayerGame:
     one profile mixes the branches by their chance probabilities.
     """
 
-    def __init__(self, tree: GameTree, utils, partition, g, continuation,
+    def __init__(self, valuation: Valuation, partition, g, continuation,
                  fixed=None):
-        self.tree, self.utils, self.partition = tree, utils, partition
-        self.g = g
+        self.valuation, self.partition, self.g = valuation, partition, g
+        self.tree = tree = valuation.tree
         self.continuation = dict(continuation)
         self.fixed = dict(fixed or {})
         self.info_sets = tuple(s for s in tree.layer_info_sets(g)
@@ -174,7 +174,7 @@ class LayerGame:
                 assignment.update(self.strategies[b][ix])
             dist = self.playout(assignment)
             table[profile] = (assignment, dist, tuple(
-                block_value(b, dist, self.partition, self.utils, self.tree)
+                block_value(b, dist, self.partition, self.valuation)
                 for b in self.players))
         # The first profile, row-major, where every player gets its best value
         # against the others; each is computed once, on first use.
@@ -290,18 +290,19 @@ def _indifferent(M):
 # -- subgame-perfect equilibrium ----------------------------------------------
 
 
-def layer_play(tree, utils, partition, g, continuation) -> tuple:
+def layer_play(valuation, partition, g, continuation) -> tuple:
     """The noncooperative play of subgame `g`'s layer, given each frontier
     node's solved dist in `continuation`: (its information sets' actions, the
     dist reached). A one-node layer is its owner's best response; any other
     layer, the chance root's included, is its normal form's equilibrium."""
+    tree = valuation.tree
     node = tree.nodes[g]
     layer = tree.layer_info_sets(g)
     if len(layer) == 1 and tree.info_sets[layer[0]] == (g,):
         block = block_containing(partition, node.player)
-        label, _ = best_response(tree, utils, partition, block, node, continuation)
+        label, _ = best_response(valuation, partition, block, node, continuation)
         return {layer[0]: label}, continuation[node.child(label)]
-    return LayerGame(tree, utils, partition, g, continuation).solve()
+    return LayerGame(valuation, partition, g, continuation).solve()
 
 
 def spne_in_subgame(tree, utils, root=None) -> LocalSolution:
@@ -311,6 +312,7 @@ def spne_in_subgame(tree, utils, root=None) -> LocalSolution:
     `layer_play` with the selection rules in the module docstring.
     """
     partition = singleton_partition(tree.n_players)
+    valuation = Valuation(tree, utils)
     root = root if root is not None else tree.root
     actions: dict = {}  # every layer's assignment, one dict for the subgame
     dists: dict = {}
@@ -319,7 +321,7 @@ def spne_in_subgame(tree, utils, root=None) -> LocalSolution:
             dists[g] = ((g, Fraction(1)),)
         elif g in tree.subgame_roots:
             continuation = {y: dists[y] for y in tree.frontier_of(g)}
-            assignment, dists[g] = layer_play(tree, utils, partition, g, continuation)
+            assignment, dists[g] = layer_play(valuation, partition, g, continuation)
             actions.update(assignment)
     return LocalSolution(actions, dists[root], dist_payoffs(dists[root], tree),
                          partition)

@@ -22,7 +22,7 @@ import json
 from fractions import Fraction
 
 from .errors import TooLarge
-from .model import block_containing, block_value, singleton_partition
+from .model import Valuation, block_containing, block_value, singleton_partition
 from .noncoop import LocalSolution
 from .ri import Entry, SolutionProfile, reach_nodes, walk_entries
 
@@ -100,6 +100,7 @@ def bracket_summary(profile: SolutionProfile) -> str:
     top = profile.root_entry
     actions = top.actions
     family = profile.root_context
+    valuation = Valuation(tree, profile.utils)
     on_path = set(reach_nodes(tree, top))
     pairs, seen = [], set()
     for nid in tree.preorder:
@@ -120,8 +121,7 @@ def bracket_summary(profile: SolutionProfile) -> str:
             continue
         for label, child in node.actions:
             kid = family[child]
-            value = block_value(
-                (node.player,), kid.dist, kid.partition, profile.utils, tree)
+            value = block_value((node.player,), kid.dist, kid.partition, valuation)
             if best_value is None or value > best_value:
                 best_label, best_value = label, value
         pairs.append((sid, best_label))

@@ -35,6 +35,7 @@ from .errors import CefgError
 from .model import (
     GameTree,
     UtilitySystem,
+    Valuation,
     block_containing,
     block_value,
     canon_block,
@@ -164,8 +165,9 @@ def reach_nodes(tree: GameTree, entry: Entry) -> tuple:
 class _Solver:
     def __init__(self, tree: GameTree, utils: UtilitySystem):
         self.tree = tree
-        self.utils = utils
+        self.valuation = Valuation(tree, utils)
         self.memo: dict = {}
+        self.merges: dict = {}  # (view, block) -> its supergames, in order
         self.audit: list[SolveStep] = []
 
     def solve(self, g: str, view: tuple) -> Entry:
@@ -195,8 +197,8 @@ class _Solver:
         continuation = {y: kid.dist for y, kid in kids.items()}
         # The layer's noncooperative play: at a one-node layer, the index
         # point; otherwise the equilibrium the layer's steps start from.
-        nu = self._point(g, view, kids, *layer_play(self.tree, self.utils, view,
-                                                    g, continuation))
+        nu = self._point(g, view, kids, *layer_play(self.valuation, view, g,
+                                                    continuation))
         layer = self.tree.layer_info_sets(g)
         if len(layer) == 1 and self.tree.info_sets[layer[0]] == (g,):
             return self._adopt(g, view, block_containing(view, node.player), nu)
@@ -226,7 +228,7 @@ class _Solver:
                      if _set_below(tree, other, sid)}
             r0 = nu
             if fixed:
-                assignment, dist = LayerGame(tree, self.utils, view, g,
+                assignment, dist = LayerGame(self.valuation, view, g,
                                              continuation, fixed=fixed).solve()
                 r0 = self._point(g, view, nu.children,
                                  {**nu.own, **fixed, **assignment}, dist)
@@ -241,20 +243,22 @@ class _Solver:
     # -- reference points and the IR chain ------------------------------------
 
     def _candidates(self, g: str, view: tuple, block: tuple):
-        """Supergames of `block` with some other blocks of `view`, by value."""
-        others = [b for b in view if b != block]
-        merges = []
-        for size in range(1, len(others) + 1):
-            for combo in combinations(others, size):
-                union = canon_block(block + sum(combo, ()))
-                if self.utils.is_feasible(union):
-                    kept = [b for b in others if b not in combo]
-                    merges.append((len(union), union, canon_partition(kept + [union])))
+        """Supergames of `block` with some other blocks of `view`, by value;
+        their merged views depend on the pair alone, so each pair lists them once."""
+        if (view, block) not in self.merges:
+            others = [b for b in view if b != block]
+            merges = []
+            for size in range(1, len(others) + 1):
+                for combo in combinations(others, size):
+                    union = canon_block(block + sum(combo, ()))
+                    if self.valuation.utils.is_feasible(union):
+                        kept = [b for b in others if b not in combo]
+                        merges.append((len(union), union, canon_partition(kept + [union])))
+            self.merges[view, block] = sorted(merges)
         out = []
-        for _, union, merged in sorted(merges):
+        for _, union, merged in self.merges[view, block]:
             entry = self.solve(g, merged)
-            value = block_value(block, entry.dist, entry.partition,
-                                self.utils, self.tree)
+            value = block_value(block, entry.dist, entry.partition, self.valuation)
             out.append((value, union, entry))
         out.sort(key=lambda item: (item[0], len(item[1]), item[1]))
         return out
@@ -262,10 +266,10 @@ class _Solver:
     def _adopt(self, g: str, view: tuple, block: tuple, r0: Entry,
                step_node: str | None = None) -> Entry:
         """Run the reference-point sequence and IR chain at one node."""
-        tree, utils = self.tree, self.utils
+        tree, valuation = self.tree, self.valuation
         at = step_node or g
         steps = []
-        r0_value = block_value(block, r0.dist, r0.partition, utils, tree)
+        r0_value = block_value(block, r0.dist, r0.partition, valuation)
         steps.append(SolveStep(at, "index-point", None, r0.outcome,
                                "best-response", view, active_value=r0_value))
         accepted, accepted_value, accepted_coalition = r0, r0_value, None
@@ -280,12 +284,11 @@ class _Solver:
             # `union` must strictly gain on the accepted point.
             comparisons, failing = [], None
             for agent in block_containing(entry.partition, union[0]):
-                cand = block_value((agent,), entry.dist, entry.partition,
-                                   utils, tree)
+                cand = block_value((agent,), entry.dist, entry.partition, valuation)
                 held = held_values.get(agent)
                 if held is None:
                     held = held_values[agent] = block_value(
-                        (agent,), accepted.dist, accepted.partition, utils, tree)
+                        (agent,), accepted.dist, accepted.partition, valuation)
                 comparisons.append((agent, cand, held))
                 if failing is None and not cand > held:
                     failing = agent

@@ -4,7 +4,7 @@ import ast
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, product
 from pathlib import Path
 
 import pytest
@@ -22,13 +22,14 @@ from cefg import (
 from cefg.model import (
     GameTree,
     Node,
+    Valuation,
     block_containing,
     block_value,
     dist_payoffs,
     singleton_partition,
 )
 from cefg.oracle import random_game
-from cefg.ri import walk_entries
+from cefg.ri import _Solver, walk_entries
 from conftest import GAMES, make_game_text
 
 
@@ -192,6 +193,23 @@ def test_infeasible_coalition_rejected():
     assert utils.coalition_value({2, 3}, "z1", tree) == 2
     with pytest.raises(InfeasibleCoalition):
         utils.coalition_value({1, 2}, "z1", tree)
+    # Read through the tables: only the feasible value is stored.
+    valuation = Valuation(tree, utils)
+    pure = (("z1", Fraction(1)),)
+    assert block_value((2, 3), pure, ((1,), (2, 3)), valuation) == 2
+    for block in ((1, 2), (1, 3), (1, 2, 3)):
+        with pytest.raises(InfeasibleCoalition):
+            block_value(block, pure, (block,), valuation)
+    assert set(valuation.coalitions) == {((2, 3), "z1")}
+
+
+def test_repeated_member_is_not_a_coalition(example2):
+    tree, utils = example2
+    assert utils.is_feasible((1, 2)) and utils.is_feasible((2, 3, 1))
+    for members in ((1, 1), (2, 2, 3), (3, 3, 3)):
+        assert not utils.is_feasible(members)
+        with pytest.raises(InfeasibleCoalition):
+            utils.coalition_value(members, "z8", tree)
 
 
 def test_individual_utility_default_and_synergy(example2):
@@ -222,6 +240,8 @@ def test_first_listed_synergy_wins(values):
     tree, utils = load_game_text(text)
     first = values[0]
     assert utils.individual_value(1, "z1", singleton_partition(2), tree) == first
+    assert block_value((1,), (("z1", Fraction(1)),), singleton_partition(2),
+                       Valuation(tree, utils)) == first
     assert cefg.solve_game(tree, utils).outcome == ((1, 2) if first else (3, 1))
 
 
@@ -265,18 +285,19 @@ def test_expected_values_equal_weighted_sums(kind, dist):
     assert got == tuple(_weighted_sum(dist, lambda z: payoffs[z][k])
                         for k in range(2))
 
-    got = block_value((1, 2), dist, grand, utils, tree)
+    valuation = Valuation(tree, utils)
+    got = block_value((1, 2), dist, grand, valuation)
     assert isinstance(got, Fraction)
     assert got == _weighted_sum(
         dist, lambda z: utils.coalition_value((1, 2), z, tree))
 
     for partition in (grand, singles):  # z1 carries a synergy under grand
         for i in (1, 2):
-            got = block_value((i,), dist, partition, utils, tree)
+            got = block_value((i,), dist, partition, valuation)
             assert isinstance(got, Fraction)
             assert got == _weighted_sum(
                 dist, lambda z: utils.individual_value(i, z, partition, tree))
-    assert block_value((1,), (("z1", Fraction(1)),), grand, utils, tree) == 7
+    assert block_value((1,), (("z1", Fraction(1)),), grand, valuation) == 7
 
 
 def _golden_and_random_games():
@@ -285,6 +306,29 @@ def _golden_and_random_games():
     rng = random.Random(15)
     return ([load_game(p) for p in paths]
             + [random_game(rng, max_nodes=20) for _ in range(40)])
+
+
+def test_valuation_tables_match_the_definition():
+    """Every value the solve's tables hold, and every block of every view it
+    reached at every terminal, reads through `block_value` as the direct
+    `coalition_value` or `individual_value`; infeasible blocks still raise."""
+    for tree, utils in _golden_and_random_games():
+        solver = _Solver(tree, utils)
+        solver.solve(tree.root, singleton_partition(tree.n_players))
+        valuation = solver.valuation
+        for (block, z), value in valuation.coalitions.items():
+            assert value == utils.coalition_value(block, z, tree)
+        for view in {view for _, view in solver.memo}:
+            for block, z in product(view, tree.terminal_ids):
+                assert utils.is_feasible(block)
+                direct = (utils.individual_value(block[0], z, view, tree)
+                          if len(block) == 1 else utils.coalition_value(block, z, tree))
+                assert block_value(block, ((z, Fraction(1)),), view, valuation) == direct
+        z = tree.terminal_ids[0]
+        for block in ((1, 1), (1, tree.n_players + 1)):
+            for _ in range(2):  # a failed read is not stored
+                with pytest.raises(InfeasibleCoalition):
+                    block_value(block, ((z, Fraction(1)),), (block,), valuation)
 
 
 def test_every_dist_is_a_distribution():

@@ -18,7 +18,7 @@ from cefg import (
     spne_in_subgame,
 )
 from cefg import noncoop
-from cefg.model import singleton_partition
+from cefg.model import Valuation, singleton_partition
 from cefg.noncoop import LayerGame, best_response, support_enumeration
 from cefg.oracle import random_game
 from conftest import make_game_text, wide_layer_text
@@ -63,7 +63,7 @@ def test_bi_rejects_imperfect_information():
 def _best_response(tree, utils, x, subs, owner):
     """`owner`'s best action at `x` over the solved children `subs`."""
     dists = {child: sol.dist for child, sol in subs.items()}
-    return best_response(tree, utils, singleton_partition(tree.n_players),
+    return best_response(Valuation(tree, utils), singleton_partition(tree.n_players),
                          (owner,), tree.nodes[x], dists)
 
 
@@ -117,9 +117,10 @@ def test_one_node_layer_game_equals_best_response(abortion, example2,
             continuation = {y: spne_in_subgame(tree, utils, root=y).dist
                             for y in tree.frontier_of(g)}
             node = tree.nodes[g]
-            label, _ = best_response(tree, utils, base, (node.player,), node,
+            valuation = Valuation(tree, utils)
+            label, _ = best_response(valuation, base, (node.player,), node,
                                      continuation)
-            game = LayerGame(tree, utils, base, g, continuation)
+            game = LayerGame(valuation, base, g, continuation)
             assert game.solve() == ({tree.info_set_of(g): label},
                                     continuation[node.child(label)])
 
@@ -329,7 +330,7 @@ def test_layer_game_matches_its_definition():
         pay = {profile: tree.nodes["z" + "".join(map(str, profile))].payoffs
                for profile in product(range(m), repeat=n)}
         sets = ["r"] + [f"h{k}" for k in range(2, n + 1)]
-        game = LayerGame(tree, utils, singleton_partition(n), "r", {})
+        game = LayerGame(Valuation(tree, utils), singleton_partition(n), "r", {})
         pure = next((p for p in pay if all(
             pay[p[:k] + (alt,) + p[k + 1:]][k] <= pay[p][k]
             for k in range(n) for alt in range(m))), None)
@@ -385,11 +386,11 @@ def test_layer_at_the_profile_bound_is_accepted_and_above_it_refused(
     tree, utils = load_game_text(wide_layer_text(4))
     base = singleton_partition(2)
     monkeypatch.setattr(noncoop, "_MAX_LAYER_PROFILES", 64)
-    assignment, _ = LayerGame(tree, utils, base, "r", {}).solve()
+    assignment, _ = LayerGame(Valuation(tree, utils), base, "r", {}).solve()
     assert len(assignment) == 6
     monkeypatch.setattr(noncoop, "_MAX_LAYER_PROFILES", 63)
     with pytest.raises(TooLarge, match="layer at r has 64 pure profiles"):
-        LayerGame(tree, utils, base, "r", {})
+        LayerGame(Valuation(tree, utils), base, "r", {})
     with pytest.raises(TooLarge):
         solve_game(tree, utils)
     with pytest.raises(TooLarge):
@@ -406,7 +407,7 @@ def test_one_player_layer_scan_is_linear_in_its_profiles():
             node["payoffs"] = [9, 9] if nid == "nbbbbbb" else [0, 0]
     tree, utils = load_game_text(json.dumps(doc))
     start = time.perf_counter()
-    assignment, dist = LayerGame(tree, utils, ((1, 2),), "r", {}).solve()
+    assignment, dist = LayerGame(Valuation(tree, utils), ((1, 2),), "r", {}).solve()
     assert time.perf_counter() - start < 5.0
     assert dist == (("nbbbbbb", 1),)
     assert len(assignment) == 14

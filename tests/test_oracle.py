@@ -2,10 +2,14 @@
 
 import json
 import random
+from dataclasses import replace
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cefg import TooLarge, backward_induction, load_game_text, solve_game
+from cefg.model import Synergy
 from cefg.oracle import (
     OracleReport,
     equivalence_check,
@@ -185,6 +189,42 @@ def test_digest_sees_every_field(base, edited):
     assert _digest(base) == _digest(json.loads(json.dumps(base)))
 
 
+def _with_utility_kind(rng, tree, utils, kind):
+    """`random_game`'s all-feasible `min` utilities, swapped for `kind`."""
+    n = tree.n_players
+    players = range(1, n + 1)
+    blocks = [b for size in range(2, n + 1) for b in combinations(players, size)]
+    if kind == "sum":
+        return replace(utils, combinator="sum")
+    if kind == "weighted":
+        weights = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in players)
+        return replace(utils, combinator="weighted", weights=weights)
+    if kind == "table":
+        table = {b: {z: Fraction(rng.randint(-50, 50)) for z in tree.terminal_ids}
+                 for b in blocks}
+        return replace(utils, combinator=None, table=table)
+    if kind == "feasible":
+        return replace(utils, feasible=frozenset(rng.sample(blocks, rng.randint(0, len(blocks)))))
+    assert kind == "synergy"
+    synergies = []
+    for _ in range(rng.randint(1, 6)):
+        block = rng.choice(blocks)
+        synergies.append(Synergy(rng.choice(block), block, rng.choice(tree.terminal_ids),
+                                 Fraction(rng.randint(1, 200))))
+    return replace(utils, synergies=tuple(synergies))
+
+
+@pytest.mark.parametrize("kind", ["sum", "weighted", "table", "feasible", "synergy"])
+def test_solver_matches_oracle_on_every_utility_kind(kind):
+    rng = random.Random(18)
+    for _ in range(80):
+        tree, utils = random_game(rng)
+        utils = _with_utility_kind(rng, tree, utils, kind)
+        profile, reference = solve_game(tree, utils), oracle_solve(tree, utils)
+        assert (profile.outcome, profile.partition) == (reference.outcome,
+                                                        reference.partition)
+
+
 def test_oracle_never_reads_solver_internals():
     import ast
     import cefg.oracle as mod
@@ -194,3 +234,7 @@ def test_oracle_never_reads_solver_internals():
         if isinstance(node, ast.ImportFrom) and node.module == "ri":
             names = {a.name for a in node.names}
             assert names <= {"solve_game"}, "oracle may only call the solver entry point"
+        if isinstance(node, ast.ImportFrom) and node.module == "model":
+            names = {a.name for a in node.names}
+            assert not names & {"Valuation", "block_value"}, \
+                "oracle reads UtilitySystem, not the solver's valuation tables"

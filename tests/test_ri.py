@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -599,3 +600,37 @@ def test_ir_invariants_catch_a_falling_singleton_value(example2):
     prof.audit = tuple(bad if s is step else s for s in prof.audit)
     with pytest.raises(CefgError, match="does not increase"):
         check_ir_invariants(prof)
+
+
+# Each game's audit steps by kind, its distinct views and its step count.
+# The counts are deterministic, so a change that solves more supergames shows
+# here as an exact diff; one that moves them on purpose says why in CHANGES.md.
+_WORK_COUNTS = {
+    "abortion": ({"adopted": 24, "index-point": 24, "ir-accepted": 1,
+                  "ir-rejected": 28, "supergame-solved": 29}, 5, 106),
+    "example2": ({"adopted": 34, "index-point": 34, "ir-accepted": 3,
+                  "ir-rejected": 38, "supergame-solved": 41}, 5, 150),
+    "example2-modified": ({"adopted": 34, "index-point": 34, "ir-accepted": 2,
+                           "ir-rejected": 39, "supergame-solved": 41}, 5, 150),
+    "chance-layers": ({"adopted": 4, "index-point": 4, "ir-rejected": 2,
+                       "supergame-solved": 2}, 2, 12),
+    "chance-one-branch": ({"adopted": 9, "index-point": 9, "ir-accepted": 1,
+                           "ir-rejected": 10, "supergame-solved": 11}, 5, 40),
+    "chance-perfect": ({"adopted": 22, "index-point": 22, "ir-accepted": 1,
+                        "ir-rejected": 26, "supergame-solved": 27}, 5, 98),
+    "layered": ({"adopted": 10, "index-point": 10, "ir-accepted": 1,
+                 "ir-rejected": 4, "supergame-solved": 5}, 2, 30),
+}
+
+
+_GOLDEN_GAMES = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("path", sorted(GAMES.glob("*.game"))
+                         + sorted(_GOLDEN_GAMES.glob("*.game")), ids=lambda p: p.stem)
+def test_work_counts_are_pinned(path):
+    audit = solve_game(*load_game(path)).audit
+    kinds, views, steps = _WORK_COUNTS[path.stem]
+    assert Counter(step.kind for step in audit) == kinds
+    assert len({step.view for step in audit}) == views
+    assert len(audit) == steps
