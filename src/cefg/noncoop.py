@@ -33,7 +33,7 @@ from .model import (
 )
 
 
-# The most pure profiles a layer's normal form may have. `LayerGame.solve`
+# The most pure profiles a layer's normal form may have. `_layer_equilibrium`
 # tabulates every profile, then scans the table once. Measured with Python
 # 3.11 on a 2-CPU host: a layer of 16,384 profiles solves in 0.3 s to 0.7 s,
 # and one of 4,194,304 runs out of a 2 GB address space.
@@ -54,27 +54,6 @@ class LocalSolution:
     partition: tuple
 
 
-def best_response(valuation, partition, block, node, dists):
-    """`block`'s best action at `node` given each child's continuation dist.
-
-    `dists` maps child id -> terminal distribution. Returns (action label,
-    choice key). The key leads with the block's own utility (`block_value`);
-    a merged block then prefers higher individual utility for its
-    lowest-indexed member, and so on down. Remaining ties go to the first
-    action in declaration order.
-    """
-    best_label, best_key = None, None
-    for label, child in node.actions:
-        dist = dists[child]
-        key = (block_value(block, dist, partition, valuation),)
-        if len(block) > 1:
-            key += tuple(block_value((i,), dist, partition, valuation)
-                         for i in block)
-        if best_key is None or key > best_key:
-            best_label, best_key = label, key
-    return best_label, best_key
-
-
 def backward_induction(tree, utils) -> LocalSolution:
     """Standard backward induction over a perfect-information game, with
     every player independent: the subgame-perfect equilibrium of a tree
@@ -88,126 +67,103 @@ def backward_induction(tree, utils) -> LocalSolution:
 # -- one layer as a normal-form game ------------------------------------------
 
 
-class LayerGame:
-    """Reduced normal form of one subgame layer.
-
-    The layer of subgame `g` is everything between its root and its maximal
-    proper subgames; `continuation` maps each frontier node to the terminal
-    distribution of its already-solved subgame. `fixed` pins some of the
-    layer's information sets to given (pure or mixed) actions; the game is
-    played over the others. The chance root's layer has no players: its
-    one profile mixes the branches by their chance probabilities.
-    """
-
-    def __init__(self, valuation: Valuation, partition, g, continuation,
-                 fixed=None):
-        self.valuation, self.partition, self.g = valuation, partition, g
-        self.tree = tree = valuation.tree
-        self.continuation = dict(continuation)
-        self.fixed = dict(fixed or {})
-        self.info_sets = tuple(s for s in tree.layer_info_sets(g)
-                               if s not in self.fixed)
-        labels = {s: tree.nodes[tree.info_sets[s][0]].action_labels()
-                  for s in self.info_sets}
-        count = prod(len(ls) for ls in labels.values())
-        if count > _MAX_LAYER_PROFILES:
-            raise TooLarge(
-                f"the layer at {g} has {count} pure profiles, more than the "
-                f"{_MAX_LAYER_PROFILES} its normal form may hold")
-        owners = {}
-        for sid in self.info_sets:
-            owners[sid] = block_containing(partition, tree.info_set_player(sid))
-        self.players = sorted({b for b in owners.values()}, key=lambda b: b[0])
-        self.sets_of = {b: tuple(s for s in self.info_sets if owners[s] == b)
-                        for b in self.players}
-        self.strategies = {}
-        for b in self.players:
-            self.strategies[b] = [
-                dict(zip(self.sets_of[b], combo))
-                for combo in product(*(labels[s] for s in self.sets_of[b]))]
-
-    def playout(self, assignment) -> tuple:
-        """Terminal distribution reached from g under `assignment`.
-
-        `assignment` maps the free information sets to a label or a mix of
-        (label, probability) pairs; the fixed sets play their pinned actions.
-        """
-        if self.fixed:
-            assignment = {**self.fixed, **assignment}
-        nodes, continuation = self.tree.nodes, self.continuation
-        pairs, stack = [], [(self.g, 1)]
-        while stack:
-            nid, prob = stack.pop()
+def _layer_walk(tree, g, continuation, assignment) -> tuple:
+    """Terminal distribution reached from subgame root `g` when each of its
+    layer's information sets plays its action in `assignment`: a label or
+    a mix of (label, probability) pairs. The chance root mixes its branches
+    by their chance probabilities; a frontier node ends in its dist in
+    `continuation`."""
+    nodes = tree.nodes
+    pairs, stack = [], [(g, 1)]
+    while stack:
+        nid, prob = stack.pop()
+        node = nodes[nid]
+        # Follow pure actions down to an end (a terminal or a frontier
+        # node); a mixed action, or chance, stacks its branches instead.
+        while not node.is_terminal and (nid == g or nid not in continuation):
+            if node.player is None:
+                act = tuple((label, tree.chance_at_root[c])
+                            for label, c in node.actions)
+            else:
+                act = assignment[tree.info_set_of(nid)]
+            if isinstance(act, tuple):
+                stack.extend((node.child(label), prob * p) for label, p in act if p)
+                break
+            nid = node.child(act)
             node = nodes[nid]
-            # Follow pure actions down to an end (a terminal or a frontier
-            # node); a mixed action, or chance, stacks its branches instead.
-            while not node.is_terminal and (nid == self.g or nid not in continuation):
-                if node.player is None:
-                    act = tuple((label, self.tree.chance_at_root[c])
-                                for label, c in node.actions)
-                else:
-                    act = assignment[self.tree.info_set_of(nid)]
-                if isinstance(act, tuple):
-                    stack.extend((node.child(label), prob * p) for label, p in act if p)
-                    break
-                nid = node.child(act)
-                node = nodes[nid]
-            else:
-                dist = ((nid, Fraction(1)),) if node.is_terminal else continuation[nid]
-                if prob == 1 and not stack and not pairs:
-                    return dist  # pure play: the only end, kept as is
-                pairs.extend((z, prob * q) for z, q in dist)
-        return make_dist(pairs)
+        else:
+            dist = ((nid, Fraction(1)),) if node.is_terminal else continuation[nid]
+            if prob == 1 and not stack and not pairs:
+                return dist  # pure play: the only end, kept as is
+            pairs.extend((z, prob * q) for z, q in dist)
+    return make_dist(pairs)
 
-    def solve(self):
-        """Equilibrium profile: {info set -> action | ((label, prob), ...)}.
 
-        The normal form is built once: one row-major table of (assignment,
-        dist, each player's block value) per pure profile, which both the
-        pure scan and the bimatrix of support enumeration read.
-        """
-        ranges = [range(len(self.strategies[b])) for b in self.players]
-        table = {}
-        for profile in product(*ranges):
-            assignment = {}
-            for b, ix in zip(self.players, profile):
-                assignment.update(self.strategies[b][ix])
-            dist = self.playout(assignment)
-            table[profile] = (assignment, dist, tuple(
-                block_value(b, dist, self.partition, self.valuation)
-                for b in self.players))
-        # The first profile, row-major, where every player gets its best value
-        # against the others; each is computed once, on first use.
-        best: dict = {}  # (player k, the others' strategies) -> k's best value
-        for profile, (assignment, dist, values) in table.items():
-            for k, alts in enumerate(ranges):
-                key = (k, profile[:k], profile[k + 1:])
-                if key not in best:
-                    best[key] = max(table[key[1] + (a,) + key[2]][2][k] for a in alts)
-                if values[k] < best[key]:
-                    break
-            else:
-                return assignment, dist
-        if len(self.players) != 2:
-            raise MixedEquilibriumUnsupported(
-                f"no pure equilibrium in the layer at {self.g} and "
-                f"{len(self.players)} players are involved")
-        if any(len(self.sets_of[b]) != 1 for b in self.players):
-            raise MixedEquilibriumUnsupported(
-                f"mixed play across several information sets at {self.g} "
-                "is not supported")
-        A, B = ([[table[(i, j)][2][k] for j in ranges[1]] for i in ranges[0]]
-                for k in (0, 1))
-        found = support_enumeration(A, B)
-        if found is None:
-            raise MixedEquilibriumUnsupported(
-                f"support enumeration found no equilibrium at {self.g}")
+def _layer_equilibrium(valuation, partition, g, continuation, fixed) -> tuple:
+    """Equilibrium of the reduced normal form of subgame `g`'s layer, played
+    over the information sets that `fixed` does not pin: (their actions, each
+    a label or ((label, prob), ...), and the dist reached). The chance
+    root's layer has no players: its one profile mixes the branches.
+
+    The normal form is built once: one row-major table of (assignment,
+    dist, each player's block value) per pure profile, which both the
+    pure scan and the bimatrix of support enumeration read.
+    """
+    tree = valuation.tree
+    free = [s for s in tree.layer_info_sets(g) if s not in fixed]
+    labels = {s: tree.nodes[tree.info_sets[s][0]].action_labels() for s in free}
+    count = prod(len(ls) for ls in labels.values())
+    if count > _MAX_LAYER_PROFILES:
+        raise TooLarge(
+            f"the layer at {g} has {count} pure profiles, more than the "
+            f"{_MAX_LAYER_PROFILES} its normal form may hold")
+    owners = {s: block_containing(partition, tree.info_set_player(s)) for s in free}
+    players = sorted(set(owners.values()), key=lambda b: b[0])
+    sets_of = [tuple(s for s in free if owners[s] == b) for b in players]
+    strategies = [[dict(zip(sets, combo))
+                   for combo in product(*(labels[s] for s in sets))]
+                  for sets in sets_of]
+    ranges = [range(len(strats)) for strats in strategies]
+    table = {}
+    for profile in product(*ranges):
         assignment = {}
-        for b, probs in zip(self.players, found):
-            (sid,) = self.sets_of[b]
-            assignment[sid] = tuple((strategy[sid], p) for strategy, p
-                                    in zip(self.strategies[b], probs))
-        return assignment, self.playout(assignment)
+        for strats, ix in zip(strategies, profile):
+            assignment.update(strats[ix])
+        dist = _layer_walk(tree, g, continuation,
+                           {**fixed, **assignment} if fixed else assignment)
+        table[profile] = (assignment, dist, tuple(
+            block_value(b, dist, partition, valuation) for b in players))
+    # The first profile, row-major, where every player gets its best value
+    # against the others; each is computed once, on first use.
+    best: dict = {}  # (player k, the others' strategies) -> k's best value
+    for profile, (assignment, dist, values) in table.items():
+        for k, alts in enumerate(ranges):
+            key = (k, profile[:k], profile[k + 1:])
+            if key not in best:
+                best[key] = max(table[key[1] + (a,) + key[2]][2][k] for a in alts)
+            if values[k] < best[key]:
+                break
+        else:
+            return assignment, dist
+    if len(players) != 2:
+        raise MixedEquilibriumUnsupported(
+            f"no pure equilibrium in the layer at {g} and "
+            f"{len(players)} players are involved")
+    if any(len(sets) != 1 for sets in sets_of):
+        raise MixedEquilibriumUnsupported(
+            f"mixed play across several information sets at {g} "
+            "is not supported")
+    A, B = ([[table[(i, j)][2][k] for j in ranges[1]] for i in ranges[0]]
+            for k in (0, 1))
+    found = support_enumeration(A, B)
+    if found is None:
+        raise MixedEquilibriumUnsupported(
+            f"support enumeration found no equilibrium at {g}")
+    assignment = {}
+    for (sid,), strats, probs in zip(sets_of, strategies, found):
+        assignment[sid] = tuple((strategy[sid], p) for strategy, p
+                                in zip(strats, probs))
+    return assignment, _layer_walk(tree, g, continuation, {**fixed, **assignment})
 
 
 def support_enumeration(A, B):
@@ -290,19 +246,32 @@ def _indifferent(M):
 # -- subgame-perfect equilibrium ----------------------------------------------
 
 
-def layer_play(valuation, partition, g, continuation) -> tuple:
+def layer_play(valuation, partition, g, continuation, fixed=None) -> tuple:
     """The noncooperative play of subgame `g`'s layer, given each frontier
-    node's solved dist in `continuation`: (its information sets' actions, the
-    dist reached). A one-node layer is its owner's best response; any other
-    layer, the chance root's included, is its normal form's equilibrium."""
+    node's solved dist in `continuation`: (the actions of its information
+    sets that `fixed` does not pin, the dist reached). A one-node layer is
+    its owner's best response; any other layer, the chance root's included,
+    is its normal form's equilibrium, with the sets in `fixed` playing their
+    pinned (pure or mixed) actions."""
     tree = valuation.tree
     node = tree.nodes[g]
     layer = tree.layer_info_sets(g)
-    if len(layer) == 1 and tree.info_sets[layer[0]] == (g,):
-        block = block_containing(partition, node.player)
-        label, _ = best_response(valuation, partition, block, node, continuation)
-        return {layer[0]: label}, continuation[node.child(label)]
-    return LayerGame(valuation, partition, g, continuation).solve()
+    if fixed or len(layer) != 1 or tree.info_sets[layer[0]] != (g,):
+        return _layer_equilibrium(valuation, partition, g, continuation,
+                                  fixed or {})
+    # The owner's best response, selected as the module docstring says;
+    # members' values are read only where the block's own value ties.
+    block = block_containing(partition, node.player)
+    values = [block_value(block, continuation[child], partition, valuation)
+              for _, child in node.actions]
+    top = max(values)
+    label, child = node.actions[values.index(top)]
+    if len(block) > 1 and values.count(top) > 1:
+        tied = [a for a, v in zip(node.actions, values) if v == top]
+        label, child = max(tied, key=lambda a: tuple(
+            block_value((i,), continuation[a[1]], partition, valuation)
+            for i in block))
+    return {layer[0]: label}, continuation[child]
 
 
 def spne_in_subgame(tree, utils, root=None) -> LocalSolution:

@@ -111,20 +111,13 @@ def bracket_summary(profile: SolutionProfile) -> str:
         if sid in seen:
             continue
         seen.add(sid)
-        if nid in on_path or len(tree.info_sets[sid]) > 1:
+        if (nid in on_path or len(tree.info_sets[sid]) > 1
+                or any(c not in family for _, c in node.actions)):
             pairs.append((sid, actions[sid]))
             continue
-        best_label, best_value = None, None
-        resolvable = all(c in family for _, c in node.actions)
-        if not resolvable:
-            pairs.append((sid, actions[sid]))
-            continue
-        for label, child in node.actions:
-            kid = family[child]
-            value = block_value((node.player,), kid.dist, kid.partition, valuation)
-            if best_value is None or value > best_value:
-                best_label, best_value = label, value
-        pairs.append((sid, best_label))
+        label, _ = max(node.actions, key=lambda a: block_value(
+            (node.player,), family[a[1]].dist, family[a[1]].partition, valuation))
+        pairs.append((sid, label))
     return _bracket(tree, top, pairs)
 
 

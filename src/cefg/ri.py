@@ -43,7 +43,7 @@ from .model import (
     dist_payoffs,
     singleton_partition,
 )
-from .noncoop import LayerGame, layer_play
+from .noncoop import layer_play
 
 
 @dataclass(frozen=True)
@@ -228,8 +228,8 @@ class _Solver:
                      if _set_below(tree, other, sid)}
             r0 = nu
             if fixed:
-                assignment, dist = LayerGame(self.valuation, view, g,
-                                             continuation, fixed=fixed).solve()
+                assignment, dist = layer_play(self.valuation, view, g,
+                                              continuation, fixed)
                 r0 = self._point(g, view, nu.children,
                                  {**nu.own, **fixed, **assignment}, dist)
             block = block_containing(view, tree.info_set_player(sid))

@@ -163,21 +163,21 @@ def test_fixed_layer_resolve():
     # best-respond to the fixed ones.
     from cefg.model import singleton_partition
     from cefg.model import Valuation
-    from cefg.noncoop import LayerGame
+    from cefg.noncoop import layer_play
 
     tree, utils = load_game_text(PD)
     view = singleton_partition(2)
     continuation = {}
 
     valuation = Valuation(tree, utils)
-    game = LayerGame(valuation, view, "r", continuation, fixed={"h2": "c"})
-    assignment, dist = game.solve()
+    assignment, dist = layer_play(valuation, view, "r", continuation,
+                                  {"h2": "c"})
     assert assignment == {"r": "D"}
     assert dict(dist) == {"z3": Fraction(1)}
 
     mixed = (("c", Fraction(1, 2)), ("d", Fraction(1, 2)))
-    game = LayerGame(valuation, view, "r", continuation, fixed={"h2": mixed})
-    assignment, dist = game.solve()
+    assignment, dist = layer_play(valuation, view, "r", continuation,
+                                  {"h2": mixed})
     assert assignment == {"r": "D"}  # 3 expected beats 1.5
     assert dict(dist) == {"z3": Fraction(1, 2), "z4": Fraction(1, 2)}
 

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -18,8 +19,13 @@ from cefg import (
     spne_in_subgame,
 )
 from cefg import noncoop
-from cefg.model import Valuation, singleton_partition
-from cefg.noncoop import LayerGame, best_response, support_enumeration
+from cefg.model import (
+    Valuation,
+    block_containing,
+    block_value,
+    singleton_partition,
+)
+from cefg.noncoop import _layer_equilibrium, layer_play, support_enumeration
 from cefg.oracle import random_game
 from conftest import make_game_text, wide_layer_text
 
@@ -60,18 +66,22 @@ def test_bi_rejects_imperfect_information():
         backward_induction(tree, utils)
 
 
-def _best_response(tree, utils, x, subs, owner):
-    """`owner`'s best action at `x` over the solved children `subs`."""
-    dists = {child: sol.dist for child, sol in subs.items()}
-    return best_response(Valuation(tree, utils), singleton_partition(tree.n_players),
-                         (owner,), tree.nodes[x], dists)
+def _best_response(tree, utils, x, subs, partition=None):
+    """The one-node layer at `x` played over the solved children `subs`:
+    (the chosen label, the mover's block value of the dist it reaches)."""
+    partition = partition or singleton_partition(tree.n_players)
+    valuation = Valuation(tree, utils)
+    continuation = {child: sol.dist for child, sol in subs.items()}
+    own, dist = layer_play(valuation, partition, x, continuation)
+    block = block_containing(partition, tree.nodes[x].player)
+    return own[tree.info_set_of(x)], block_value(block, dist, partition, valuation)
 
 
 def test_best_response_at_x6(example2):
     tree, utils = example2
     subs = {c: spne_in_subgame(tree, utils, root=c) for c in ("x3", "x4")}
-    action, key = _best_response(tree, utils, "x6", subs, 2)
-    assert action == "c" and key[0] == 2
+    action, value = _best_response(tree, utils, "x6", subs)
+    assert action == "c" and value == 2
 
 
 def test_best_response_single_action():
@@ -81,8 +91,8 @@ def test_best_response_single_action():
     })
     tree, utils = load_game_text(text)
     subs = {"z": spne_in_subgame(tree, utils, root="z")}
-    action, key = _best_response(tree, utils, "r", subs, 1)
-    assert action == "only" and key[0] == 4
+    action, value = _best_response(tree, utils, "r", subs)
+    assert action == "only" and value == 4
 
 
 def test_best_response_tie_takes_first_declared():
@@ -92,15 +102,32 @@ def test_best_response_tie_takes_first_declared():
     })
     tree, utils = load_game_text(text)
     subs = {z: spne_in_subgame(tree, utils, root=z) for z in ("z1", "z2")}
-    action, _ = _best_response(tree, utils, "r", subs, 1)
-    assert action == "a"
+    action, value = _best_response(tree, utils, "r", subs)
+    assert action == "a" and value == 2
+
+
+@pytest.mark.parametrize("payoffs, want", [
+    # The coalition's value is its members' minimum, 1 under both actions.
+    (([1, 3, 0], [3, 1, 0]), "b"),  # member 1 gains under the second action
+    (([1, 2, 0], [1, 5, 0]), "b"),  # member 1 ties, member 2 gains
+    (([2, 2, 0], [2, 2, 5]), "a"),  # the members tie too: first declared
+])
+def test_best_response_merged_tie_goes_to_the_lowest_member(payoffs, want):
+    text = make_game_text({
+        "r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},
+        "z1": payoffs[0], "z2": payoffs[1],
+    })
+    tree, utils = load_game_text(text)
+    subs = {z: spne_in_subgame(tree, utils, root=z) for z in ("z1", "z2")}
+    action, value = _best_response(tree, utils, "r", subs, ((1, 2), (3,)))
+    assert action == want and value == min(payoffs[0][:2])
 
 
 def test_one_node_layer_game_equals_best_response(abortion, example2,
                                                   example2_modified):
-    # SPNE answers a one-node layer by `best_response` instead of playing it
-    # as a LayerGame; both must pick the same action and dist.
-    # random_game payoffs are distinct, so a game with a tie at every
+    # `layer_play` answers a one-node layer by its owner's best response
+    # instead of playing its normal form; both must pick the same action and
+    # dist. random_game payoffs are distinct, so a game with a tie at every
     # node checks that both take the first maximizer.
     ties = load_game_text(make_game_text({
         "r": {"player": 1, "actions": {"a": "m1", "b": "m2"}},
@@ -116,13 +143,9 @@ def test_one_node_layer_game_equals_best_response(abortion, example2,
         for g in tree.decision_ids:
             continuation = {y: spne_in_subgame(tree, utils, root=y).dist
                             for y in tree.frontier_of(g)}
-            node = tree.nodes[g]
             valuation = Valuation(tree, utils)
-            label, _ = best_response(valuation, base, (node.player,), node,
-                                     continuation)
-            game = LayerGame(valuation, base, g, continuation)
-            assert game.solve() == ({tree.info_set_of(g): label},
-                                    continuation[node.child(label)])
+            assert layer_play(valuation, base, g, continuation) == \
+                _layer_equilibrium(valuation, base, g, continuation, {})
 
 
 MATCHING_PENNIES = make_game_text({
@@ -319,25 +342,33 @@ def _random_layer(rng, n, m):
     return make_game_text(nodes, players=n, info_sets=info_sets)
 
 
-def test_layer_game_matches_its_definition():
-    # Pure equilibria: the first row-major profile that no unilateral
-    # deviation strictly improves. Without one, two players mix by support
-    # enumeration over the payoff matrices built here; three players raise.
+def _layer_sweep():
+    """Seeded 2x2, 2x3 and 3x2 layers: (tree, utils, n, m, each pure
+    profile's payoffs in row-major order)."""
     rng = random.Random(5)
-    seen = {"pure": 0, "mixed": 0, "none": 0}
     for n, m in [(2, 2)] * 100 + [(2, 3)] * 100 + [(3, 2)] * 100:
         tree, utils = load_game_text(_random_layer(rng, n, m))
         pay = {profile: tree.nodes["z" + "".join(map(str, profile))].payoffs
                for profile in product(range(m), repeat=n)}
+        yield tree, utils, n, m, pay
+
+
+def test_layer_game_matches_its_definition():
+    # Pure equilibria: the first row-major profile that no unilateral
+    # deviation strictly improves. Without one, two players mix by support
+    # enumeration over the payoff matrices built here; three players raise.
+    seen = {"pure": 0, "mixed": 0, "none": 0}
+    for tree, utils, n, m, pay in _layer_sweep():
         sets = ["r"] + [f"h{k}" for k in range(2, n + 1)]
-        game = LayerGame(Valuation(tree, utils), singleton_partition(n), "r", {})
+        def play():
+            return layer_play(Valuation(tree, utils), singleton_partition(n), "r", {})
         pure = next((p for p in pay if all(
             pay[p[:k] + (alt,) + p[k + 1:]][k] <= pay[p][k]
             for k in range(n) for alt in range(m))), None)
         if pure is not None:
             want = {sid: "abc"[k] + str(pure[k]) for k, sid in enumerate(sets)}
             dist = (("z" + "".join(map(str, pure)), Fraction(1)),)
-            assert game.solve() == (want, dist)
+            assert play() == (want, dist)
             seen["pure"] += 1
             continue
         found = None
@@ -347,7 +378,7 @@ def test_layer_game_matches_its_definition():
             found = support_enumeration(A, B)
         if found is None:
             with pytest.raises(MixedEquilibriumUnsupported):
-                game.solve()
+                play()
             seen["none"] += 1
             continue
         x, y = found
@@ -355,8 +386,51 @@ def test_layer_game_matches_its_definition():
                 "h2": tuple((f"b{j}", y[j]) for j in range(m))}
         dist = tuple(sorted((f"z{i}{j}", x[i] * y[j])
                             for i in range(m) for j in range(m) if x[i] * y[j]))
-        assert game.solve() == (want, dist)
+        assert play() == (want, dist)
         seen["mixed"] += 1
+    assert all(seen.values()), seen
+
+
+def test_pinned_layer_matches_its_definition():
+    # RI's index point above pinned sets re-solves the layer with them
+    # fixed. Pinning each set in turn to each of its actions, the free sets
+    # play the first row-major pure equilibrium of what is left; without
+    # one, two free players mix so that neither gains by a pure deviation.
+    def expected(k, probs):  # player k's payoff when player i mixes probs[i]
+        return sum(prod(probs[i].get(p[i], 0) for i in range(n)) * pay[p][k]
+                   for p in pay)
+
+    seen = {"pure": 0, "mixed": 0}
+    for tree, utils, n, m, pay in _layer_sweep():
+        sets = ["r"] + [f"h{k}" for k in range(2, n + 1)]
+        valuation = Valuation(tree, utils)
+        for pin, pinned in enumerate(sets):
+            free = [k for k in range(n) if k != pin]
+            for a in range(m):
+                own, dist = layer_play(valuation, singleton_partition(n), "r",
+                                       {}, {pinned: "abc"[pin] + str(a)})
+                pure = next((p for p in pay if p[pin] == a and all(
+                    pay[p[:k] + (alt,) + p[k + 1:]][k] <= pay[p][k]
+                    for k in free for alt in range(m))), None)
+                if pure is not None:
+                    want = {sets[k]: "abc"[k] + str(pure[k]) for k in free}
+                    reached = (("z" + "".join(map(str, pure)), Fraction(1)),)
+                    assert (own, dist) == (want, reached)
+                    seen["pure"] += 1
+                    continue
+                assert len(free) == 2 and set(own) == {sets[k] for k in free}
+                probs = [{a: 1} if k == pin else
+                         {int(label[1:]): p for label, p in own[sets[k]]}
+                         for k in range(n)]
+                for k in free:
+                    held = expected(k, probs)
+                    for alt in range(m):
+                        deviated = probs[:k] + [{alt: 1}] + probs[k + 1:]
+                        assert expected(k, deviated) <= held
+                assert dist == tuple(sorted(
+                    ("z" + "".join(map(str, p)), w) for p in pay
+                    if (w := prod(probs[i].get(p[i], 0) for i in range(n)))))
+                seen["mixed"] += 1
     assert all(seen.values()), seen
 
 
@@ -386,11 +460,11 @@ def test_layer_at_the_profile_bound_is_accepted_and_above_it_refused(
     tree, utils = load_game_text(wide_layer_text(4))
     base = singleton_partition(2)
     monkeypatch.setattr(noncoop, "_MAX_LAYER_PROFILES", 64)
-    assignment, _ = LayerGame(Valuation(tree, utils), base, "r", {}).solve()
+    assignment, _ = layer_play(Valuation(tree, utils), base, "r", {})
     assert len(assignment) == 6
     monkeypatch.setattr(noncoop, "_MAX_LAYER_PROFILES", 63)
     with pytest.raises(TooLarge, match="layer at r has 64 pure profiles"):
-        LayerGame(Valuation(tree, utils), base, "r", {})
+        layer_play(Valuation(tree, utils), base, "r", {})
     with pytest.raises(TooLarge):
         solve_game(tree, utils)
     with pytest.raises(TooLarge):
@@ -407,7 +481,7 @@ def test_one_player_layer_scan_is_linear_in_its_profiles():
             node["payoffs"] = [9, 9] if nid == "nbbbbbb" else [0, 0]
     tree, utils = load_game_text(json.dumps(doc))
     start = time.perf_counter()
-    assignment, dist = LayerGame(Valuation(tree, utils), ((1, 2),), "r", {}).solve()
+    assignment, dist = layer_play(Valuation(tree, utils), ((1, 2),), "r", {})
     assert time.perf_counter() - start < 5.0
     assert dist == (("nbbbbbb", 1),)
     assert len(assignment) == 14
