@@ -149,9 +149,11 @@ def parse_game(text: str) -> GameSpec:
     for key in ("format_version", "players", "root", "nodes"):
         if key not in raw:
             _fail("MissingField", f"required field {key!r} missing")
-    if (isinstance(raw["format_version"], bool)
-            or raw["format_version"] != FORMAT_VERSION):
-        _fail("UnknownField", f"unsupported format_version {raw['format_version']!r}")
+    version = raw["format_version"]
+    # An int, as for player numbers: `true` and `1.0` equal 1 but are not it.
+    if (not isinstance(version, int) or isinstance(version, bool)
+            or version != FORMAT_VERSION):
+        _fail("UnknownField", f"unsupported format_version {version!r}")
     if not isinstance(raw["root"], str):
         _fail("SyntaxError", "root must be a node id")
     players = raw["players"]

@@ -160,6 +160,10 @@ class GameTree:
                 layer_sets[layer_of[nid]][covered[nid]] = None
         self._frontier = {g: tuple(f) for g, f in frontier.items()}
         self._layer_sets = {g: tuple(sets) for g, sets in layer_sets.items()}
+        # The subgame roots whose layer is the root alone, in a singleton set.
+        self.one_node_layers = frozenset(
+            g for g, sets in self._layer_sets.items()
+            if len(sets) == 1 and self.info_sets[sets[0]] == (g,))
 
     # -- basic structure ---------------------------------------------------
 

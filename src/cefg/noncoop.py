@@ -254,11 +254,10 @@ def layer_play(valuation, partition, g, continuation, fixed=None) -> tuple:
     is its normal form's equilibrium, with the sets in `fixed` playing their
     pinned (pure or mixed) actions."""
     tree = valuation.tree
-    node = tree.nodes[g]
-    layer = tree.layer_info_sets(g)
-    if fixed or len(layer) != 1 or tree.info_sets[layer[0]] != (g,):
+    if fixed or g not in tree.one_node_layers:
         return _layer_equilibrium(valuation, partition, g, continuation,
                                   fixed or {})
+    node = tree.nodes[g]
     # The owner's best response, selected as the module docstring says;
     # members' values are read only where the block's own value ties.
     block = block_containing(partition, node.player)
@@ -271,7 +270,7 @@ def layer_play(valuation, partition, g, continuation, fixed=None) -> tuple:
         label, child = max(tied, key=lambda a: tuple(
             block_value((i,), continuation[a[1]], partition, valuation)
             for i in block))
-    return {layer[0]: label}, continuation[child]
+    return {tree.info_set_of(g): label}, continuation[child]
 
 
 def spne_in_subgame(tree, utils, root=None) -> LocalSolution:

@@ -188,40 +188,31 @@ class _Solver:
     # -- one subgame ---------------------------------------------------------
 
     def _solve(self, g: str, view: tuple) -> Entry:
-        node = self.tree.nodes[g]
+        tree = self.tree
+        node = tree.nodes[g]
         if node.is_terminal:
             dist = ((g, Fraction(1)),)
             return Entry(g, {}, dist, node.payoffs, view, None, {})
         # `solve` walks innermost first, so every kid is in the memo.
-        kids = {y: self.memo[y, view] for y in self.tree.frontier_of(g)}
+        kids = {y: self.memo[y, view] for y in tree.frontier_of(g)}
         continuation = {y: kid.dist for y, kid in kids.items()}
         # The layer's noncooperative play: at a one-node layer, the index
         # point; otherwise the equilibrium the layer's steps start from.
-        nu = self._point(g, view, kids, *layer_play(self.valuation, view, g,
-                                                    continuation))
-        layer = self.tree.layer_info_sets(g)
-        if len(layer) == 1 and self.tree.info_sets[layer[0]] == (g,):
-            return self._adopt(g, view, block_containing(view, node.player), nu)
-        return self._solve_layer(g, view, layer, continuation, nu)
-
-    def _point(self, g: str, view: tuple, kids: dict, own: dict, dist) -> Entry:
-        """The unadopted solution at `g` whose own information sets play
-        `own`, reaching `dist`, over the solved subgames `kids`."""
-        return Entry(g, dict(own), dist, dist_payoffs(dist, self.tree),
-                     view, None, dict(kids))
-
-    def _solve_layer(self, g: str, view: tuple, layer, continuation: dict,
-                     nu: Entry) -> Entry:
-        """Step over the layer of subgame `g` when it is more than one
-        decision node (an imperfect-information layer, or the chance root's
-        layer, which has no information sets), from its equilibrium `nu`."""
-        tree = self.tree
+        own, dist = layer_play(self.valuation, view, g, continuation)
+        nu = Entry(g, own, dist, dist_payoffs(dist, tree), view, None, kids)
+        # A one-node layer's set adopts, its steps named after the node. In
+        # a wider layer (an imperfect-information layer, or the chance
+        # root's) the sets adopt bottom-up, and a set with no decision node
+        # below it keeps the equilibrium play.
+        one_node = g in tree.one_node_layers
+        layer = tree.layer_info_sets(g)
         pinned: dict = {}  # info set -> the action adopted there
         entry = nu
-        for sid in _layer_bottom_up(tree, layer):
-            if not any(tree.movers[child] for m in tree.info_sets[sid]
-                       for _, child in tree.nodes[m].actions):
-                continue  # terminal layer: equilibrium play as is
+        for sid in layer if one_node else _layer_bottom_up(tree, layer):
+            if not one_node and not any(
+                    tree.movers[child] for m in tree.info_sets[sid]
+                    for _, child in tree.nodes[m].actions):
+                continue
             # The index point is the SPNE extension of the actions pinned
             # at the sets below `sid`.
             fixed = {other: act for other, act in pinned.items()
@@ -230,10 +221,10 @@ class _Solver:
             if fixed:
                 assignment, dist = layer_play(self.valuation, view, g,
                                               continuation, fixed)
-                r0 = self._point(g, view, nu.children,
-                                 {**nu.own, **fixed, **assignment}, dist)
+                r0 = Entry(g, {**own, **fixed, **assignment}, dist,
+                           dist_payoffs(dist, tree), view, None, kids)
             block = block_containing(view, tree.info_set_player(sid))
-            entry = self._adopt(g, view, block, r0, step_node=sid)
+            entry = self._adopt(g, view, block, r0, g if one_node else sid)
             # An index point that kept the equilibrium pins nothing, so the
             # sets above it are not pinned to a copy of it.
             if r0 is not nu or entry.coalition is not None:
@@ -264,10 +255,10 @@ class _Solver:
         return out
 
     def _adopt(self, g: str, view: tuple, block: tuple, r0: Entry,
-               step_node: str | None = None) -> Entry:
-        """Run the reference-point sequence and IR chain at one node."""
+               at: str) -> Entry:
+        """Run the reference-point sequence and IR chain of `block` in
+        subgame `g` from `r0`, naming the steps `at`."""
         tree, valuation = self.tree, self.valuation
-        at = step_node or g
         steps = []
         r0_value = block_value(block, r0.dist, r0.partition, valuation)
         steps.append(SolveStep(at, "index-point", None, r0.outcome,

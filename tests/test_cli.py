@@ -304,6 +304,8 @@ def _chance_root_in_a_set(doc):
         "BadWeight", id="weight-of-no-player"),
     pytest.param(_malformed(lambda doc: doc.update(format_version=True)),
                  "UnknownField", id="boolean-format-version"),
+    pytest.param(_malformed(lambda doc: doc.update(format_version=1.0)),
+                 "UnknownField", id="float-format-version"),
     pytest.param(_malformed(lambda doc: doc["nodes"]["z1"].update(
         payoffs=[float("nan"), 2, 0])), "SyntaxError", id="nan-payoff"),
     pytest.param(_malformed(lambda doc: None, chance={"z1": 0.5, "z2": 0.5}),

@@ -8,8 +8,12 @@ from pathlib import Path
 import pytest
 
 from cefg import (
+    CefgError,
+    GameValidationError,
     MixedEquilibriumUnsupported,
+    TooLarge,
     bracket_summary,
+    check_ir_invariants,
     load_game,
     load_game_text,
     render_trace,
@@ -217,3 +221,68 @@ def test_pinned_set_index_point():
     assert bracket_summary(prof) == (
         "[{R0b,C1a,mix(R2a=1/2,R2b=1/2)},"
         "{C0b,R1a,mix(C2a=17/36,C2b=19/36)}; 1,2]")
+
+
+def _imperfect_games(seed, draws):
+    """Seeded 2-3 player games of depth at most 3, with payoffs in 0..6 so
+    that values tie, and same-player decision nodes of equal width paired
+    into information sets; yields the draws that validate and have a
+    non-singleton set."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        players, nodes = rng.randint(2, 3), {}
+
+        def build(depth):
+            nid = f"n{len(nodes)}"
+            nodes[nid] = None  # reserve the id before the children take theirs
+            if depth == 3 or (depth and rng.random() < 0.3):
+                nodes[nid] = [rng.randint(0, 6) for _ in range(players)]
+            else:
+                labels = "abc"[:rng.choice((2, 2, 3))]
+                nodes[nid] = {"player": rng.randint(1, players),
+                              "actions": {a: build(depth + 1) for a in labels}}
+            return nid
+
+        build(0)
+        groups: dict = {}
+        for nid, body in nodes.items():
+            if isinstance(body, dict):
+                groups.setdefault((body["player"], len(body["actions"])), []).append(nid)
+        info_sets = {}
+        for members in groups.values():
+            rng.shuffle(members)
+            for k in range(0, len(members) - 1, 2):
+                if rng.random() < 0.7:
+                    info_sets[f"h{len(info_sets)}"] = members[k:k + 2]
+        if not info_sets:
+            continue
+        try:
+            yield load_game_text(make_game_text(nodes, players=players,
+                                                info_sets=info_sets))
+        except GameValidationError:
+            continue
+
+
+def test_reduction_and_ir_invariants_on_imperfect_information():
+    # With only singletons feasible, RI is the SPNE, also where the sets of
+    # a wider layer adopt bottom-up; the full solve keeps the acceptance
+    # rule's invariants.
+    checked = set_steps = 0
+    for seed in (1, 2):
+        for tree, utils in _imperfect_games(seed, 2000):
+            try:
+                single = solve_game(tree, utils, singletons_only=True)
+                spne = spne_in_subgame(tree, utils)
+                full = solve_game(tree, utils)
+            except (MixedEquilibriumUnsupported, TooLarge):
+                continue
+            except CefgError as exc:  # refused, as `test_solver_error_exits_3` pins
+                assert "information-set order has a cycle" in str(exc)
+                continue
+            assert single.outcome == spne.outcome
+            assert single.root_entry.actions == spne.actions
+            check_ir_invariants(full)
+            checked += 1
+            set_steps += sum(len(tree.info_sets.get(step.node, ())) > 1
+                             for step in full.audit)
+    assert checked >= 200 and set_steps >= 200

@@ -1,6 +1,7 @@
 """Model layer: validation, utilities, merged views, subgame structure."""
 
 import ast
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -387,6 +388,25 @@ def test_layer_decomposition_is_a_lookup_on_subgame_roots():
     assert tree.frontier_of("root") == ("a0", "b0")
     assert tree.layer_info_sets("root") == ()
     assert tree.layer_info_sets("b0") == ("b0", "hb")
+
+
+def test_one_node_layers_are_roots_alone_in_their_layer(example2):
+    tree, _ = example2
+    decision_roots = tree.subgame_roots - set(tree.terminal_ids)
+    assert decision_roots and tree.one_node_layers == decision_roots
+    golden = Path(__file__).resolve().parent / "golden"
+    tree, _ = cefg.load_game(golden / "layered.game")
+    assert {"r0", "r1", "r2"} <= tree.subgame_roots
+    assert tree.one_node_layers == frozenset()
+    tree, _ = cefg.load_game(golden / "chance-layers.game")
+    assert tree.nodes["root"].player is None and "root" in tree.subgame_roots
+    assert "root" not in tree.one_node_layers
+    assert not tree.one_node_layers & set(tree.terminal_ids)
+    # A singleton set named apart from its node is still a one-node layer.
+    doc = json.loads((GAMES / "example2.game").read_text())
+    doc["info_sets"] = {"h": ["x5"]}
+    tree, _ = load_game_text(json.dumps(doc))
+    assert tree.layer_info_sets("x5") == ("h",) and "x5" in tree.one_node_layers
 
 
 SIMULTANEOUS_GADGET = make_game_text({
