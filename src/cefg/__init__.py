@@ -9,6 +9,7 @@ from .errors import (
     MixedEquilibriumUnsupported,
     OutputError,
     TooLarge,
+    UntimeableLayer,
 )
 from .gamefile import (
     GameSpec,

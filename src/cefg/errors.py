@@ -52,6 +52,12 @@ class MixedEquilibriumUnsupported(CefgError):
     """No pure equilibrium exists and the contested layer is not two-player."""
 
 
+class UntimeableLayer(CefgError):
+    """A layer's information sets have no bottom-up order, because two of
+    them each hold a node above a node of the other. RI has no rule for such
+    a layer; `spne_in_subgame` solves the game."""
+
+
 class TooLarge(CefgError):
     """Input exceeds the brute-force oracle's size envelope, a layer game has
     more pure profiles than `noncoop._MAX_LAYER_PROFILES` (the message names

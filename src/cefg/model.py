@@ -164,6 +164,29 @@ class GameTree:
         self.one_node_layers = frozenset(
             g for g, sets in self._layer_sets.items()
             if len(sets) == 1 and self.info_sets[sets[0]] == (g,))
+        # Each layer's sets bottom-up: a set follows the sets of its layer
+        # with a node below one of its nodes (`sets_below`, kept for layers of
+        # two or more sets), and of the sets ready, the one whose first node
+        # is deepest, then first in preorder, goes first. A layer with no such
+        # order (two sets each above the other) is untimeable.
+        self.sets_below: dict[str, frozenset] = {}  # info set -> sets below it
+        self.layer_order: dict[str, tuple] = {}  # subgame root -> its sets
+        for g, sets in self._layer_sets.items():
+            if len(sets) < 2:
+                self.layer_order[g] = sets
+                continue
+            self.sets_below.update({s: frozenset(
+                o for o in sets if o != s and any(
+                    self.in_subtree(a, b) for a in self.info_sets[o]
+                    for b in self.info_sets[s])) for s in sets})
+            order, left = [], set(sets)
+            while ready := [s for s in left if not self.sets_below[s] & left]:
+                order.append(min(ready, key=lambda s: (
+                    -self._depth[self.info_sets[s][0]], self._pos[self.info_sets[s][0]])))
+                left.remove(order[-1])
+            if not left:
+                self.layer_order[g] = tuple(order)
+        self.untimeable_layers = frozenset(self._layer_sets.keys() - self.layer_order.keys())
 
     # -- basic structure ---------------------------------------------------
 

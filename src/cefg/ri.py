@@ -26,12 +26,12 @@ supertrees, i.e. merged views of the same smallest subgame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
+from typing import NamedTuple
 
-from .errors import CefgError
+from .errors import CefgError, UntimeableLayer
 from .model import (
     GameTree,
     UtilitySystem,
@@ -46,8 +46,7 @@ from .model import (
 from .noncoop import layer_play
 
 
-@dataclass(frozen=True)
-class SolveStep:
+class SolveStep(NamedTuple):
     """One event in the solution narrative at a node (or information set)."""
 
     node: str
@@ -60,8 +59,7 @@ class SolveStep:
     comparisons: tuple = ()  # ((agent, candidate value, incumbent value), ...)
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     """Adopted solution of one subgame under one view.
 
     `own` maps each information set of the subgame's own layer to its
@@ -178,11 +176,12 @@ class _Solver:
             node, kids_done = stack.pop()
             if (node, view) in self.memo:
                 continue
-            if kids_done:
+            frontier = self.tree.frontier_of(node)
+            if kids_done or not frontier:
                 self.memo[node, view] = self._solve(node, view)
             else:
                 stack.append((node, True))
-                stack.extend((y, False) for y in reversed(self.tree.frontier_of(node)))
+                stack.extend((y, False) for y in reversed(frontier))
         return self.memo[g, view]
 
     # -- one subgame ---------------------------------------------------------
@@ -200,15 +199,16 @@ class _Solver:
         # point; otherwise the equilibrium the layer's steps start from.
         own, dist = layer_play(self.valuation, view, g, continuation)
         nu = Entry(g, own, dist, dist_payoffs(dist, tree), view, None, kids)
+        if g in tree.untimeable_layers:
+            raise UntimeableLayer(f"information-set order has a cycle in the layer at {g}")
         # A one-node layer's set adopts, its steps named after the node. In
         # a wider layer (an imperfect-information layer, or the chance
         # root's) the sets adopt bottom-up, and a set with no decision node
         # below it keeps the equilibrium play.
         one_node = g in tree.one_node_layers
-        layer = tree.layer_info_sets(g)
         pinned: dict = {}  # info set -> the action adopted there
         entry = nu
-        for sid in layer if one_node else _layer_bottom_up(tree, layer):
+        for sid in tree.layer_order[g]:
             if not one_node and not any(
                     tree.movers[child] for m in tree.info_sets[sid]
                     for _, child in tree.nodes[m].actions):
@@ -216,7 +216,7 @@ class _Solver:
             # The index point is the SPNE extension of the actions pinned
             # at the sets below `sid`.
             fixed = {other: act for other, act in pinned.items()
-                     if _set_below(tree, other, sid)}
+                     if other in tree.sets_below[sid]}
             r0 = nu
             if fixed:
                 assignment, dist = layer_play(self.valuation, view, g,
@@ -302,30 +302,6 @@ class _Solver:
                      accepted.partition, accepted_coalition, accepted.children)
 
 
-def _set_below(tree, sid_a, sid_b) -> bool:
-    """True when some node of info set a lies strictly below some node of
-    info set b."""
-    return any(a != b and tree.in_subtree(a, b)
-               for a in tree.info_sets[sid_a] for b in tree.info_sets[sid_b])
-
-
-def _layer_bottom_up(tree, layer):
-    remaining = list(layer)
-    done: list = []
-    while remaining:
-        ready = [s for s in remaining
-                 if not any(_set_below(tree, other, s)
-                            for other in remaining if other != s)]
-        if not ready:
-            raise CefgError("information-set order has a cycle")
-        ready.sort(key=lambda s: (-tree.depth_of(tree.info_sets[s][0]),
-                                  tree.position(tree.info_sets[s][0])))
-        first = ready[0]
-        remaining.remove(first)
-        done.append(first)
-    return done
-
-
 # -- public API ----------------------------------------------------------------
 
 
@@ -361,14 +337,8 @@ def check_ir_invariants(profile: SolutionProfile):
     first violated invariant.
     """
     tree = profile.tree
-    groups: list[list[SolveStep]] = []
-    current_key = None
-    for step in profile.audit:
-        key = (step.node, step.view)
-        if key != current_key:
-            groups.append([])
-            current_key = key
-        groups[-1].append(step)
+    groups = [list(group) for _, group in groupby(
+        profile.audit, key=lambda step: (step.node, step.view))]
     accepted_total = 0
     for group in groups:
         block = block_containing(group[0].view, tree.owner(group[0].node))

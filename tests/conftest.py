@@ -85,6 +85,21 @@ def wide_layer_text(depth):
     return make_game_text(nodes, players=2, root="r", info_sets=info_sets)
 
 
+def cycle_text():
+    """A valid game whose one layer has no bottom-up order of its sets: P1's
+    set A = {a1, a2} and P2's set B = {b1, b2}, where b1 lies below a1 and
+    a2 below b2. RI refuses it; the SPNE solves it."""
+    nodes = {
+        "r": {"player": 3, "actions": {"L": "a1", "R": "b2"}},
+        "a1": {"player": 1, "actions": {"x": "b1", "y": "z1"}},
+        "b1": {"player": 2, "actions": {"u": "z2", "v": "z3"}},
+        "b2": {"player": 2, "actions": {"u": "a2", "v": "z4"}},
+        "a2": {"player": 1, "actions": {"x": "z5", "y": "z6"}},
+        **{f"z{k}": [0, 0, 0] for k in range(1, 7)},
+    }
+    return make_game_text(nodes, info_sets={"A": ["a1", "a2"], "B": ["b1", "b2"]})
+
+
 def chain_text(depth):
     """A 2-player centipede `depth` decision nodes deep."""
     nodes = {}

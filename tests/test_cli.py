@@ -8,8 +8,8 @@ import pytest
 from cefg import GameFormatError, GameValidationError, load_game_text
 from cefg.cli import main
 from cefg.oracle import OracleReport
-from conftest import (chain_text, expand_v1_entries, game_path, make_game_text,
-                      wide_layer_text)
+from conftest import (chain_text, cycle_text, expand_v1_entries, game_path,
+                      make_game_text, wide_layer_text)
 from test_imperfect import JORDAN_NODES
 
 
@@ -170,15 +170,6 @@ def test_validation_error_exits_2(tmp_path, capsys):
     assert "PayoffLengthMismatch" in err
 
 
-CYCLE_NODES = {  # b1 lies below A's a1, and a2 below B's b2
-    "r": {"player": 3, "actions": {"L": "a1", "R": "b2"}},
-    "a1": {"player": 1, "actions": {"x": "b1", "y": "z1"}},
-    "b1": {"player": 2, "actions": {"u": "z2", "v": "z3"}},
-    "b2": {"player": 2, "actions": {"u": "a2", "v": "z4"}},
-    "a2": {"player": 1, "actions": {"x": "z5", "y": "z6"}},
-    **{f"z{k}": [0, 0, 0] for k in range(1, 7)},
-}
-
 # P1 moves at r, P2 at H without seeing it, then P1 at Sa or Sb. No pure
 # equilibrium, and P1 holds three of the layer's information sets.
 SEVERAL_SETS_NODES = {
@@ -196,9 +187,8 @@ SEVERAL_SETS_NODES = {
     pytest.param(make_game_text(JORDAN_NODES, info_sets={
         "h2": ["rh", "rt"], "h3": ["a1", "a2", "a3", "a4"]}),
         "3 players are involved", id="three-player-mixed-layer"),
-    pytest.param(make_game_text(CYCLE_NODES, info_sets={
-        "A": ["a1", "a2"], "B": ["b1", "b2"]}),
-        "information-set order has a cycle", id="info-set-cycle"),
+    pytest.param(cycle_text(), "information-set order has a cycle",
+                 id="info-set-cycle"),
     pytest.param(make_game_text(SEVERAL_SETS_NODES, players=2, info_sets={
         "H": ["ha", "hb"], "Sa": ["sah", "sat"], "Sb": ["sbh", "sbt"]}),
         "mixed play across several information sets",

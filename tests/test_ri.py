@@ -1,7 +1,6 @@
 """Recursive-induction solver: fixtures, the audit's reference points and IR
 chains, properties."""
 
-import dataclasses
 import inspect
 import random
 import sys
@@ -13,6 +12,7 @@ import pytest
 
 from cefg import (
     CefgError,
+    UntimeableLayer,
     backward_induction,
     check_ir_invariants,
     load_game,
@@ -30,8 +30,8 @@ from cefg.render import (
     render_solution,
     render_trace,
 )
-from cefg.ri import SolutionProfile, _Solver, walk_entries
-from conftest import GAMES, chain_text, make_game_text
+from cefg.ri import Entry, SolutionProfile, SolveStep, _Solver, walk_entries
+from conftest import GAMES, chain_text, cycle_text, make_game_text
 
 
 def test_abortion_ri(abortion):
@@ -596,10 +596,33 @@ def test_ir_invariants_catch_a_falling_singleton_value(example2):
     prof = solve_game(tree, utils)
     step = next(s for s in prof.audit if s.kind == "ir-accepted"
                 and all(len(b) == 1 for b in s.view))
-    bad = dataclasses.replace(step, active_value=step.active_value - 100)
+    bad = step._replace(active_value=step.active_value - 100)
     prof.audit = tuple(bad if s is step else s for s in prof.audit)
     with pytest.raises(CefgError, match="does not increase"):
         check_ir_invariants(prof)
+
+
+def test_steps_and_entries_are_immutable_named_tuples(example2):
+    tree, utils = example2
+    prof = solve_game(tree, utils)
+    step, entry = prof.audit[0], prof.root_entry
+    with pytest.raises(AttributeError):
+        step.kind = "adopted"
+    with pytest.raises(AttributeError):
+        entry.outcome = ()
+    assert SolveStep._fields == ("node", "kind", "coalition", "outcome", "reason",
+                                 "view", "active_value", "comparisons")
+    assert Entry._fields == ("node", "own", "dist", "outcome", "partition",
+                             "coalition", "children")
+    assert repr(step).startswith("SolveStep(node=")
+
+
+def test_untimeable_layer_is_refused_by_type():
+    tree, utils = load_game_text(cycle_text())
+    assert tree.untimeable_layers == {"r"}
+    with pytest.raises(UntimeableLayer, match="information-set order has a cycle"):
+        solve_game(tree, utils)
+    assert set(spne_in_subgame(tree, utils).actions) == {"r", "A", "B"}
 
 
 # Each game's audit steps by kind, its distinct views and its step count.
