@@ -13,8 +13,10 @@ comparison made by the solvers is exact and runs are bit-reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 from .errors import InfeasibleCoalition
@@ -164,29 +166,7 @@ class GameTree:
         self.one_node_layers = frozenset(
             g for g, sets in self._layer_sets.items()
             if len(sets) == 1 and self.info_sets[sets[0]] == (g,))
-        # Each layer's sets bottom-up: a set follows the sets of its layer
-        # with a node below one of its nodes (`sets_below`, kept for layers of
-        # two or more sets), and of the sets ready, the one whose first node
-        # is deepest, then first in preorder, goes first. A layer with no such
-        # order (two sets each above the other) is untimeable.
-        self.sets_below: dict[str, frozenset] = {}  # info set -> sets below it
-        self.layer_order: dict[str, tuple] = {}  # subgame root -> its sets
-        for g, sets in self._layer_sets.items():
-            if len(sets) < 2:
-                self.layer_order[g] = sets
-                continue
-            self.sets_below.update({s: frozenset(
-                o for o in sets if o != s and any(
-                    self.in_subtree(a, b) for a in self.info_sets[o]
-                    for b in self.info_sets[s])) for s in sets})
-            order, left = [], set(sets)
-            while ready := [s for s in left if not self.sets_below[s] & left]:
-                order.append(min(ready, key=lambda s: (
-                    -self._depth[self.info_sets[s][0]], self._pos[self.info_sets[s][0]])))
-                left.remove(order[-1])
-            if not left:
-                self.layer_order[g] = tuple(order)
-        self.untimeable_layers = frozenset(self._layer_sets.keys() - self.layer_order.keys())
+        self._layer_orders: dict[str, tuple | None] = {}  # see layer_order
 
     # -- basic structure ---------------------------------------------------
 
@@ -246,6 +226,47 @@ class GameTree:
         """Information sets of the subgame root `g`'s layer (its decision
         nodes that no proper subgame contains), in preorder."""
         return self._layer_sets[g]
+
+    def layer_order(self, g: str) -> tuple | None:
+        """The information sets of the subgame root `g`'s layer bottom-up,
+        each as (set, the sets of the layer with a node below one of its
+        nodes); None when the layer has no such order, because two sets each
+        hold a node above a node of the other.
+
+        A set is ready once every set below it has gone, and of the ready
+        sets the one whose first node is deepest, then first in preorder,
+        goes first. Worked out on first use, so only a solver that has
+        already bounded the layer pays for it.
+        """
+        if g in self._layer_orders:
+            return self._layer_orders[g]
+        sets = self._layer_sets[g]
+        # The layer's nodes inside a node's subtree are a run of `nodes`.
+        nodes = sorted((m for s in sets for m in self.info_sets[s]), key=self._pos.__getitem__)
+        pos = [self._pos[m] for m in nodes]
+        below = {s: frozenset(
+            self._info_set_of[m] for b in self.info_sets[s]
+            for m in nodes[bisect_right(pos, self._pos[b]):bisect_left(pos, self._end[b])]) - {s}
+            for s in sets}
+        above: dict[str, list] = {s: [] for s in sets}
+        for s in sets:
+            for o in below[s]:
+                above[o].append(s)
+        waiting = {s: len(below[s]) for s in sets}
+        key = {s: (-self._depth[self.info_sets[s][0]], self._pos[self.info_sets[s][0]], s)
+               for s in sets}
+        ready = [key[s] for s in sets if not waiting[s]]
+        heapify(ready)
+        order = []
+        while ready:
+            s = heappop(ready)[2]
+            order.append((s, below[s]))
+            for t in above[s]:
+                waiting[t] -= 1
+                if not waiting[t]:
+                    heappush(ready, key[t])
+        self._layer_orders[g] = tuple(order) if len(order) == len(sets) else None
+        return self._layer_orders[g]
 
 
 # -- utility system ---------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import CefgError, UntimeableLayer
@@ -199,7 +199,8 @@ class _Solver:
         # point; otherwise the equilibrium the layer's steps start from.
         own, dist = layer_play(self.valuation, view, g, continuation)
         nu = Entry(g, own, dist, dist_payoffs(dist, tree), view, None, kids)
-        if g in tree.untimeable_layers:
+        order = tree.layer_order(g)
+        if order is None:
             raise UntimeableLayer(f"information-set order has a cycle in the layer at {g}")
         # A one-node layer's set adopts, its steps named after the node. In
         # a wider layer (an imperfect-information layer, or the chance
@@ -208,7 +209,7 @@ class _Solver:
         one_node = g in tree.one_node_layers
         pinned: dict = {}  # info set -> the action adopted there
         entry = nu
-        for sid in tree.layer_order[g]:
+        for sid, below in order:
             if not one_node and not any(
                     tree.movers[child] for m in tree.info_sets[sid]
                     for _, child in tree.nodes[m].actions):
@@ -216,7 +217,7 @@ class _Solver:
             # The index point is the SPNE extension of the actions pinned
             # at the sets below `sid`.
             fixed = {other: act for other, act in pinned.items()
-                     if other in tree.sets_below[sid]}
+                     if other in below}
             r0 = nu
             if fixed:
                 assignment, dist = layer_play(self.valuation, view, g,
@@ -337,8 +338,14 @@ def check_ir_invariants(profile: SolutionProfile):
     first violated invariant.
     """
     tree = profile.tree
-    groups = [list(group) for _, group in groupby(
-        profile.audit, key=lambda step: (step.node, step.view))]
+    groups: list[list[SolveStep]] = []
+    current_key = None
+    for step in profile.audit:
+        key = (step.node, step.view)
+        if key != current_key:
+            groups.append([])
+            current_key = key
+        groups[-1].append(step)
     accepted_total = 0
     for group in groups:
         block = block_containing(group[0].view, tree.owner(group[0].node))

@@ -9,7 +9,7 @@ from cefg import GameFormatError, GameValidationError, load_game_text
 from cefg.cli import main
 from cefg.oracle import OracleReport
 from conftest import (chain_text, cycle_text, expand_v1_entries, game_path,
-                      make_game_text, wide_layer_text)
+                      make_game_text, spanning_set_text, wide_layer_text)
 from test_imperfect import JORDAN_NODES
 
 
@@ -408,3 +408,16 @@ def test_wide_layer_beyond_the_profile_bound_is_a_solver_error(
         assert "layer at r has 4194304 pure profiles" in err
     else:
         assert out.startswith("outcome: ")
+
+
+def test_layer_of_many_sets_is_refused_before_its_sets_are_ordered(tmp_path, capsys):
+    # 5,002 binary sets in the root layer: the profile bound refuses the
+    # layer before any work grows with the square of its sets.
+    game = tmp_path / "spanning.game"
+    game.write_text(spanning_set_text(5000))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", str(game))
+    assert code == 3
+    assert time.perf_counter() - start < 5.0
+    assert out == ""
+    assert "the layer at r has" in err and "pure profiles" in err

@@ -619,7 +619,7 @@ def test_steps_and_entries_are_immutable_named_tuples(example2):
 
 def test_untimeable_layer_is_refused_by_type():
     tree, utils = load_game_text(cycle_text())
-    assert tree.untimeable_layers == {"r"}
+    assert tree.layer_order("r") is None
     with pytest.raises(UntimeableLayer, match="information-set order has a cycle"):
         solve_game(tree, utils)
     assert set(spne_in_subgame(tree, utils).actions) == {"r", "A", "B"}
