@@ -241,6 +241,9 @@ class GameTree:
         if g in self._layer_orders:
             return self._layer_orders[g]
         sets = self._layer_sets[g]
+        if len(sets) < 2:  # most layers: nothing to order
+            self._layer_orders[g] = tuple((s, frozenset()) for s in sets)
+            return self._layer_orders[g]
         # The layer's nodes inside a node's subtree are a run of `nodes`.
         nodes = sorted((m for s in sets for m in self.info_sets[s]), key=self._pos.__getitem__)
         pos = [self._pos[m] for m in nodes]
