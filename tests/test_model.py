@@ -31,7 +31,7 @@ from cefg.model import (
 )
 from cefg.oracle import random_game
 from cefg.ri import _Solver, walk_entries
-from conftest import GAMES, make_game_text
+from conftest import GAMES, cycle_text, make_game_text, spanning_set_text
 
 
 def test_abortion_fixture_validates(abortion):
@@ -407,6 +407,21 @@ def test_one_node_layers_are_roots_alone_in_their_layer(example2):
     doc["info_sets"] = {"h": ["x5"]}
     tree, _ = load_game_text(json.dumps(doc))
     assert tree.layer_info_sets("x5") == ("h",) and "x5" in tree.one_node_layers
+
+
+def test_layer_order_puts_each_set_after_the_sets_below_it():
+    # H = {a1, a2} has a1 under the chain r, c1, c2, c3 and a2 beside it.
+    tree, _ = load_game_text(spanning_set_text(3))
+    order = tree.layer_order("r")
+    assert order == (
+        ("H", frozenset()),
+        ("c3", frozenset({"H"})),
+        ("c2", frozenset({"c3", "H"})),
+        ("c1", frozenset({"c2", "c3", "H"})),
+        ("r", frozenset({"c1", "c2", "c3", "H"})))
+    assert tree.layer_order("r") is order
+    tree, _ = load_game_text(cycle_text())
+    assert tree.layer_order("r") is None
 
 
 SIMULTANEOUS_GADGET = make_game_text({
