@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
@@ -194,6 +195,13 @@ class GameTree:
 
     def info_set_player(self, set_id: str) -> int:
         return self.nodes[self.info_sets[set_id][0]].player
+
+    @cached_property
+    def set_rank(self) -> dict:
+        """Each information set -> (its index in the order of (player, position
+        of the first node), its player): brackets list sets in this order."""
+        key = {s: (self.nodes[m[0]].player, self._pos[m[0]]) for s, m in self.info_sets.items()}
+        return {s: (k, key[s][0]) for k, s in enumerate(sorted(key, key=key.__getitem__))}
 
     def owner(self, unit: str) -> int:
         """The player who moves at an information-set id or a node id."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm, prod
+from math import lcm, log10, prod
 
 from .errors import ImperfectInformation, MixedEquilibriumUnsupported, TooLarge
 from .model import (
@@ -114,8 +114,14 @@ def _layer_equilibrium(valuation, partition, g, continuation, fixed) -> tuple:
     labels = {s: tree.nodes[tree.info_sets[s][0]].action_labels() for s in free}
     count = prod(len(ls) for ls in labels.values())
     if count > _MAX_LAYER_PROFILES:
+        if count < 10 ** 18:
+            size = str(count)
+        else:  # a layer of thousands of sets has a count of thousands of digits
+            digits = int(log10(count)) + 1
+            digits += (count >= 10 ** digits) - (count < 10 ** (digits - 1))
+            size = f"a {digits}-digit number of"
         raise TooLarge(
-            f"the layer at {g} has {count} pure profiles, more than the "
+            f"the layer at {g} has {size} pure profiles, more than the "
             f"{_MAX_LAYER_PROFILES} its normal form may hold")
     owners = {s: block_containing(partition, tree.info_set_player(s)) for s in free}
     players = sorted(set(owners.values()), key=lambda b: b[0])

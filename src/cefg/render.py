@@ -29,9 +29,21 @@ from .ri import Entry, SolutionProfile, reach_nodes, walk_entries
 
 def fmt_value(v) -> str:
     """A number as text: an integer when integral, else `p/q`."""
-    if not isinstance(v, Fraction):
-        v = Fraction(v)
-    return str(v.numerator) if v.denominator == 1 else str(v)
+    return str(v) if type(v) in (Fraction, int) else str(Fraction(v))
+
+
+def _memo(fmt):
+    """`fmt`, made once per value object for one render call. Keyed by `id`,
+    as hashing a Fraction costs twice what formatting it does; each text is
+    kept beside its object, so no id is reused while the memo lives."""
+    seen: dict = {}
+
+    def text(v) -> str:
+        hit = seen.get(id(v))
+        if hit is None:
+            hit = seen[id(v)] = (v, fmt(v))
+        return hit[1]
+    return text
 
 
 def outcome_str(vec) -> str:
@@ -68,16 +80,12 @@ def _acting_blocks(tree, entry):
 def _bracket(tree, entry, pairs) -> str:
     """Bracket of (info set, action) pairs grouped by owner, players in id
     order, then `entry`'s partition blocks."""
-    per_player: dict = {}
-    for sid, act in pairs:
-        per_player.setdefault(tree.info_set_player(sid), []).append((sid, act))
-    groups = []
-    for player in sorted(per_player):
-        sets = sorted(per_player[player],
-                      key=lambda item: tree.position(tree.info_sets[item[0]][0]))
-        groups.append("{" + ",".join(_action_str(a) for _, a in sets) + "}")
+    rank = tree.set_rank
+    groups: dict = {}
+    for (_, player), act in sorted([(rank[sid], act) for sid, act in pairs]):
+        groups.setdefault(player, []).append(_action_str(act))
     blocks = ",".join(block_str(b) for b in _acting_blocks(tree, entry))
-    return "[" + ",".join(groups) + "; " + blocks + "]"
+    return "[" + ",".join("{" + ",".join(g) + "}" for g in groups.values()) + "; " + blocks + "]"
 
 
 def bracket_entry(tree, entry: Entry) -> str:
@@ -95,30 +103,28 @@ def _bracket_entry(tree, entry: Entry, actions: dict) -> str:
 
 
 def bracket_summary(profile: SolutionProfile) -> str:
-    """The root summary: adopted path plus individual off-path responses."""
+    """The root summary: adopted path plus individual off-path responses,
+    worked out once per profile."""
+    if profile._summary is not None:
+        return profile._summary
     tree = profile.tree
     top = profile.root_entry
     actions = top.actions
     family = profile.root_context
     valuation = Valuation(tree, profile.utils)
     on_path = set(reach_nodes(tree, top))
-    pairs, seen = [], set()
-    for nid in tree.preorder:
+    pairs = []
+    for sid, (nid, *more) in tree.info_sets.items():  # `_bracket` puts them in order
         node = tree.nodes[nid]
-        if node.is_terminal or node.player is None:
-            continue
-        sid = tree.info_set_of(nid)
-        if sid in seen:
-            continue
-        seen.add(sid)
-        if (nid in on_path or len(tree.info_sets[sid]) > 1
+        if (nid in on_path or more
                 or any(c not in family for _, c in node.actions)):
             pairs.append((sid, actions[sid]))
             continue
         label, _ = max(node.actions, key=lambda a: block_value(
             (node.player,), family[a[1]].dist, family[a[1]].partition, valuation))
         pairs.append((sid, label))
-    return _bracket(tree, top, pairs)
+    profile._summary = _bracket(tree, top, pairs)
+    return profile._summary
 
 
 def partition_str(partition) -> str:
@@ -135,31 +141,32 @@ def _unit_name(tree, view, unit) -> str:
     return block_str(block)
 
 
-def _step_line(tree, step) -> str:
+def _step_line(tree, step, num, outcome, block) -> str:
+    """One step's line, its texts from the render call's memos."""
     where = f"[{step.node}]"
     if step.kind == "index-point":
-        return f"{where} index point -> {outcome_str(step.outcome)}"
-    coal = block_str(step.coalition) if step.coalition else "index point"
+        return f"{where} index point -> {outcome(step.outcome)}"
+    coal = block(step.coalition) if step.coalition else "index point"
     if step.kind == "supergame-solved":
         active = _unit_name(tree, step.view, step.node)
         note = ""
         if step.reason.startswith("idle:"):
             idle = step.reason.split(":", 1)[1]
             note = f" (no moves: {idle})"
-        return (f"{where} supergame {coal} -> {outcome_str(step.outcome)}, "
-                f"value {fmt_value(step.active_value)} for {active}{note}")
+        return (f"{where} supergame {coal} -> {outcome(step.outcome)}, "
+                f"value {num(step.active_value)} for {active}{note}")
     if step.kind == "ir-accepted":
         gains = ", ".join(
-            f"{tree.player_name(i)} {fmt_value(cand)} > {fmt_value(held)}"
+            f"{tree.player_name(i)} {num(cand)} > {num(held)}"
             for i, cand, held in step.comparisons)
-        return f"{where} ir-accepted {coal} -> {outcome_str(step.outcome)}: {gains}"
+        return f"{where} ir-accepted {coal} -> {outcome(step.outcome)}: {gains}"
     if step.kind == "ir-rejected":
         blocker = int(step.reason.split(":", 1)[1])
         cand, held = next((c, h) for i, c, h in step.comparisons if i == blocker)
-        return (f"{where} ir-rejected {coal} -> {outcome_str(step.outcome)}: "
+        return (f"{where} ir-rejected {coal} -> {outcome(step.outcome)}: "
                 f"blocked by {tree.player_name(blocker)} "
-                f"({fmt_value(cand)} <= {fmt_value(held)})")
-    return f"{where} adopted {coal} -> {outcome_str(step.outcome)}"
+                f"({num(cand)} <= {num(held)})")
+    return f"{where} adopted {coal} -> {outcome(step.outcome)}"
 
 
 def render_trace(profile: SolutionProfile, verbosity: str = "summary") -> str:
@@ -169,22 +176,20 @@ def render_trace(profile: SolutionProfile, verbosity: str = "summary") -> str:
     taken inside the supergame recursions, tagged with their view.
     """
     tree = profile.tree
+    memos = _memo(fmt_value), _memo(outcome_str), _memo(block_str)
+    view_text = _memo(partition_str)
     lines = []
     base = singleton_partition(tree.n_players)
     for step in profile.audit:
         if step.view == base:
-            lines.append(_step_line(tree, step))
+            lines.append(_step_line(tree, step, *memos))
         elif verbosity == "full":
-            lines.append(f"  (view {partition_str(step.view)}) "
-                         + _step_line(tree, step))
+            lines.append(f"  (view {view_text(step.view)}) "
+                         + _step_line(tree, step, *memos))
     return "\n".join(lines)
 
 
 # -- complete solution (nested per-subgame listing) -----------------------------
-
-
-def _entry_line(entry: Entry, bracket: str) -> str:
-    return f"{entry.node}: {bracket} -> {outcome_str(entry.outcome)}"
 
 
 # The most characters the nested listing's blocks may hold. The listing
@@ -213,6 +218,7 @@ def render_solution(profile: SolutionProfile) -> str:
     tops = [root] + [profile.standalone_entry(nid) for nid in standalone]
     blocks: dict = {}
     actions: dict = {}
+    outcome = _memo(outcome_str)
     size, stack = 0, [(entry, False) for entry in reversed(tops)]
     while stack:
         entry, kids_done = stack.pop()
@@ -228,8 +234,9 @@ def render_solution(profile: SolutionProfile) -> str:
         for kid in kids:
             full.update(actions[id(kid)])
         actions[id(entry)] = full
-        block = [_entry_line(entry, bracket_summary(profile) if entry is root
-                             else _bracket_entry(tree, entry, full))]
+        bracket = (bracket_summary(profile) if entry is root
+                   else _bracket_entry(tree, entry, full))
+        block = [f"{entry.node}: {bracket} -> {outcome(entry.outcome)}"]
         for kid in kids:
             block.extend(["  " + line for line in blocks[id(kid)]])
         size += sum(map(len, block))
@@ -302,7 +309,10 @@ def export_dot(tree, profile: SolutionProfile | None = None) -> str:
 # gives the equivalent body, built from strings directly: the standard
 # library's indenting encoder is pure Python and took most of a request's
 # time on deep games. Each helper gets the number of containers its value
-# sits in (`level`), which fixes its indentation.
+# sits in (`level`), which fixes its indentation. Entries and trace steps
+# fill fixed-key templates; only the objects whose keys vary sort them. A
+# `profile_to_json` call formats each value object once, in memos keyed by
+# identity that live for that call alone (`_memo`).
 
 _str = json.encoder.encode_basestring_ascii  # the string encoder json.dumps uses
 
@@ -321,13 +331,20 @@ def _array(items: list, level: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
 
 
-def _object(pairs, level: int) -> str:
-    """An object of (key, already encoded value) pairs, keys sorted."""
+def _object(pairs: list, level: int) -> str:
+    """An object of (key, already encoded value) pairs, in the given order."""
     if not pairs:
         return "{}"
     pad = "\n" + "  " * (level + 1)
-    return ("{" + pad + ("," + pad).join(_str(k) + ": " + v for k, v in sorted(pairs))
+    return ("{" + pad + ("," + pad).join(_str(k) + ": " + v for k, v in pairs)
             + "\n" + "  " * level + "}")
+
+
+# An entry's and a trace step's objects, in sorted-key order; `%` fills in values.
+_ENTRY = _object([(k, "%s") for k in ("actions", "children", "coalition", "outcome",
+                                      "partition", "terminals")], 2)
+_STEP = _object([(k, "%s") for k in ("coalition", "comparisons", "kind", "node",
+                                     "outcome", "reason")], 2)
 
 
 def _nums_text(values, level: int) -> str:
@@ -347,9 +364,10 @@ def _partition_text(partition, level: int) -> str:
 
 
 def _actions_text(actions: dict, level: int) -> str:
-    return _object([(sid, _object([(label, _num_text(p)) for label, p in act], level + 1)
-                     if isinstance(act, tuple) else _str(act))
-                    for sid, act in actions.items()], level)
+    return _object(sorted(
+        (sid, _object(sorted((label, _num_text(p)) for label, p in act), level + 1)
+         if isinstance(act, tuple) else _str(act))
+        for sid, act in actions.items()), level)
 
 
 def solution_to_json(sol: LocalSolution) -> str:
@@ -372,30 +390,32 @@ def profile_to_json(profile: SolutionProfile) -> str:
     """
     contexts = profile.contexts()
     order = list(walk_entries(contexts.values()))
-    ids = {id(entry): i for i, entry in enumerate(order)}  # `order` keeps them alive
-    entries = []
-    for entry in order:
-        entries.append(_object([
-            ("actions", _actions_text(entry.own, 3)),
-            ("children", _object([(node, str(ids[id(child)]))
-                                  for node, child in entry.children.items()], 3)),
-            ("coalition", _coalition_text(entry.coalition, 3)),
-            ("outcome", _nums_text(entry.outcome, 3)),
-            ("partition", _partition_text(entry.partition, 3)),
-            ("terminals", _object([(z, _num_text(p)) for z, p in entry.dist], 3)),
-        ], 2))
-    trace = [_object([
-        ("coalition", _coalition_text(s.coalition, 3)),
-        ("comparisons", _array([_nums_text(c, 4) for c in s.comparisons], 3)),
-        ("kind", _str(s.kind)),
-        ("node", _str(s.node)),
-        ("outcome", _nums_text(s.outcome, 3)),
-        ("reason", _str(s.reason)),
-    ], 2) for s in profile.trace_steps()]
+    ids = {id(entry): str(i) for i, entry in enumerate(order)}  # `order` keeps them alive
+    num = _memo(_num_text)
+    nums = _memo(lambda vec: _array(list(map(num, vec)), 3))
+    coalition = _memo(lambda block: _coalition_text(block, 3))
+    partition = _memo(lambda part: _partition_text(part, 3))
+    terminals = _memo(lambda dist: _object(sorted((z, num(p)) for z, p in dist), 3))
+    entries = [_ENTRY % (
+        _actions_text(entry.own, 3),
+        _object(sorted((node, ids[id(kid)]) for node, kid in entry.children.items()), 3),
+        coalition(entry.coalition),
+        nums(entry.outcome),
+        partition(entry.partition),
+        terminals(entry.dist),
+    ) for entry in order]
+    trace = [_STEP % (
+        coalition(s.coalition),
+        _array([_array(list(map(num, c)), 4) for c in s.comparisons], 3),
+        _str(s.kind),
+        _str(s.node),
+        nums(s.outcome),
+        _str(s.reason),
+    ) for s in profile.trace_steps()]
     return _object([
         ("coalition", _coalition_text(profile.coalition, 1)),
-        ("contexts", _object([(ctx, str(ids[id(entry)]))
-                              for ctx, entry in contexts.items()], 1)),
+        ("contexts", _object(sorted((ctx, ids[id(entry)])
+                                    for ctx, entry in contexts.items()), 1)),
         ("entries", _array(entries, 1)),
         ("outcome", _nums_text(profile.outcome, 1)),
         ("partition", _partition_text(profile.partition, 1)),

@@ -107,6 +107,7 @@ class SolutionProfile:
         self._memo = dict(memo)
         self.audit = tuple(audit)
         self._base = singleton_partition(tree.n_players)
+        self._summary = None  # render.bracket_summary's text, made on first use
 
     @property
     def outcome(self) -> tuple:

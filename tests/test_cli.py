@@ -421,3 +421,6 @@ def test_layer_of_many_sets_is_refused_before_its_sets_are_ordered(tmp_path, cap
     assert time.perf_counter() - start < 5.0
     assert out == ""
     assert "the layer at r has" in err and "pure profiles" in err
+    # 2 ** 5002 profiles, a number of 1,506 digits: the message gives its length.
+    assert "has a 1506-digit number of pure profiles" in err
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200

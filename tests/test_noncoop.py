@@ -27,7 +27,7 @@ from cefg.model import (
 )
 from cefg.noncoop import _layer_equilibrium, layer_play, support_enumeration
 from cefg.oracle import random_game
-from conftest import make_game_text, wide_layer_text
+from conftest import make_game_text, spanning_set_text, wide_layer_text
 
 
 def test_bi_abortion(abortion):
@@ -469,6 +469,18 @@ def test_layer_at_the_profile_bound_is_accepted_and_above_it_refused(
         solve_game(tree, utils)
     with pytest.raises(TooLarge):
         spne_in_subgame(tree, utils)
+
+
+@pytest.mark.parametrize("depth,size", [
+    (57, "576460752303423488"),  # 2 ** 59: 18 digits still print in full
+    (58, "a 19-digit number of"),
+    (15_000, "a 4517-digit number of"),  # past the 4,300 digits `str` allows
+])
+def test_refusal_of_a_wide_layer_names_a_long_count_by_its_digits(depth, size):
+    # The root layer of `spanning_set_text(depth)` has 2 ** (depth + 2) profiles.
+    tree, utils = load_game_text(spanning_set_text(depth))
+    with pytest.raises(TooLarge, match=f"layer at r has {size} pure profiles, more than"):
+        layer_play(Valuation(tree, utils), singleton_partition(2), "r", {})
 
 
 def test_one_player_layer_scan_is_linear_in_its_profiles():

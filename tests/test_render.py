@@ -349,6 +349,37 @@ def test_memoized_renderers_match_naive_with_adopted_coalitions():
     _assert_matches_naive(prof)
 
 
+def _renders(profile):
+    return (bracket_summary(profile), render_trace(profile), render_trace(profile, "full"),
+            render_solution(profile), profile_to_json(profile),
+            export_dot(profile.tree, profile))
+
+
+def test_render_memos_stay_with_their_call():
+    # Two profiles rendered A, B, A, each render call with its own memos:
+    # neither may see a text made for the other.
+    centipede = make_game_text(_centipede_nodes(30), players=2,
+                               utility={"combinator": "sum"})
+    mixed = make_game_text({
+        "top": {"player": 1, "actions": {"out": "d0", "in": "y"}},
+        "y": {"player": 2, "actions": {"H": "yh", "T": "yt"}},
+        "yh": {"player": 1, "actions": {"h": "z1", "t": "z2"}},
+        "yt": {"player": 1, "actions": {"h": "z3", "t": "z4"}},
+        "z1": [1, -1], "z2": [-1, 1], "z3": [-1, 1], "z4": [1, -1],
+        **_centipede_nodes(12, prefix="d"),
+    }, players=2, root="top", info_sets={"h1": ["yh", "yt"]})
+    a = solve_game(*load_game_text(centipede))
+    b = solve_game(*load_game_text(mixed))
+    first = {"a": _renders(a), "b": _renders(b)}
+    assert _renders(a) == first["a"] and first["a"] != first["b"]
+    for name, prof, text in (("a", a, centipede), ("b", b, mixed)):
+        summary, _, _, listing, js, _ = first[name]
+        assert summary == bracket_summary(solve_game(*load_game_text(text)))
+        assert listing == _naive_render_solution(prof)
+        assert expand_v1(js) == _naive_profile_json(prof)
+        assert _renders(solve_game(*load_game_text(text))) == first[name]
+
+
 @pytest.mark.parametrize("fixture", ["abortion", "example2", "example2_modified"])
 def test_json_expands_to_naive_on_fixtures(fixture, request):
     _assert_json_matches_naive(solve_game(*request.getfixturevalue(fixture)))

@@ -625,6 +625,41 @@ def test_untimeable_layer_is_refused_by_type():
     assert set(spne_in_subgame(tree, utils).actions) == {"r", "A", "B"}
 
 
+# The root layer holds S = {s1, s2}, whose first node s1 lies under u, and
+# T = {t1, t2}: neither lies above the other, and S's first node is the deeper.
+READY_SETS_NODES = {
+    "r": {"player": 1, "actions": {"a": "u", "b": "t1", "c": "s2", "d": "t2"}},
+    "u": {"player": 1, "actions": {"x": "s1", "y": "z0"}},
+    "s1": {"player": 2, "actions": {"l": "k1", "m": "z1"}},
+    "s2": {"player": 2, "actions": {"l": "z2", "m": "z3"}},
+    "t1": {"player": 2, "actions": {"p": "k2", "q": "z4"}},
+    "t2": {"player": 2, "actions": {"p": "z5", "q": "z6"}},
+    "k1": {"player": 1, "actions": {"e": "z7", "f": "z8"}},
+    "k2": {"player": 1, "actions": {"e": "z9", "f": "z10"}},
+    "z0": [0, 0], "z1": [0, 1], "z2": [3, 1], "z3": [4, 0], "z4": [4, 4], "z5": [0, 3],
+    "z6": [1, 0], "z7": [1, 4], "z8": [3, 3], "z9": [1, 2], "z10": [2, 3],
+}
+
+
+def test_ready_sets_go_deepest_first_then_in_preorder():
+    tree, utils = load_game_text(make_game_text(
+        READY_SETS_NODES, players=2, root="r",
+        info_sets={"S": ["s1", "s2"], "T": ["t1", "t2"]}))
+    # S and T are ready at once: S is deeper, so it goes first. Then u and
+    # T are ready at the same depth, and u comes first in preorder.
+    assert tree.layer_order("r") == (
+        ("S", frozenset()), ("u", frozenset({"S"})), ("T", frozenset()),
+        ("r", frozenset({"S", "T", "u"})))
+    prof = solve_game(tree, utils)
+    adopted = [(s.node, s.coalition) for s in prof.trace_steps() if s.kind == "adopted"]
+    assert adopted == [("k1", None), ("k2", None), ("S", (1, 2)), ("u", (1, 2)),
+                       ("T", (1, 2)), ("r", None)]
+    root = prof.root_entry
+    assert root.own == {"r": "b", "u": "x", "S": "l", "T": "q"}
+    assert (root.dist, root.outcome) == ((("z4", 1),), (4, 4))
+    assert (root.partition, root.coalition) == (((1,), (2,)), None)
+
+
 # Each game's audit steps by kind, its distinct views and its step count.
 # The counts are deterministic, so a change that solves more supergames shows
 # here as an exact diff; one that moves them on purpose says why in CHANGES.md.
