@@ -14,6 +14,7 @@ comparison made by the solvers is exact and runs are bit-reproducible.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -236,34 +237,32 @@ class GameTree:
         return self._layer_sets[g]
 
     def layer_order(self, g: str) -> tuple | None:
-        """The information sets of the subgame root `g`'s layer bottom-up,
-        each as (set, the sets of the layer with a node below one of its
-        nodes); None when the layer has no such order, because two sets each
-        hold a node above a node of the other.
+        """The information sets of the subgame root `g`'s layer bottom-up;
+        None when the layer has no such order, because two sets each hold a
+        node above a node of the other.
 
-        A set is ready once every set below it has gone, and of the ready
-        sets the one whose first node is deepest, then first in preorder,
-        goes first. Worked out on first use, so only a solver that has
-        already bounded the layer pays for it.
+        A set is ready once every set with a node below one of its nodes
+        (`set_below`) has gone, and of the ready sets the one whose first
+        node is deepest, then first in preorder, goes first. A set below a
+        node holds one of its nearest layer descendants or a node below one,
+        so a set waits on those alone. Worked out on first use, so only a
+        solver that has already bounded the layer pays for it.
         """
         if g in self._layer_orders:
             return self._layer_orders[g]
         sets = self._layer_sets[g]
         if len(sets) < 2:  # most layers: nothing to order
-            self._layer_orders[g] = tuple((s, frozenset()) for s in sets)
-            return self._layer_orders[g]
-        # The layer's nodes inside a node's subtree are a run of `nodes`.
-        nodes = sorted((m for s in sets for m in self.info_sets[s]), key=self._pos.__getitem__)
-        pos = [self._pos[m] for m in nodes]
-        below = {s: frozenset(
-            self._info_set_of[m] for b in self.info_sets[s]
-            for m in nodes[bisect_right(pos, self._pos[b]):bisect_left(pos, self._end[b])]) - {s}
-            for s in sets}
-        above: dict[str, list] = {s: [] for s in sets}
-        for s in sets:
-            for o in below[s]:
-                above[o].append(s)
-        waiting = {s: len(below[s]) for s in sets}
+            self._layer_orders[g] = sets
+            return sets
+        above: dict[str, dict] = {s: {} for s in sets}  # set -> the sets waiting on it
+        stack = []  # the layer ancestors of the node at hand, nearest last
+        for m in sorted((m for s in sets for m in self.info_sets[s]), key=self._pos.__getitem__):
+            while stack and self._end[stack[-1]] <= self._pos[m]:
+                stack.pop()
+            if stack and self._info_set_of[stack[-1]] != self._info_set_of[m]:
+                above[self._info_set_of[m]][self._info_set_of[stack[-1]]] = None
+            stack.append(m)
+        waiting = Counter(s for waiters in above.values() for s in waiters)
         key = {s: (-self._depth[self.info_sets[s][0]], self._pos[self.info_sets[s][0]], s)
                for s in sets}
         ready = [key[s] for s in sets if not waiting[s]]
@@ -271,13 +270,20 @@ class GameTree:
         order = []
         while ready:
             s = heappop(ready)[2]
-            order.append((s, below[s]))
+            order.append(s)
             for t in above[s]:
                 waiting[t] -= 1
                 if not waiting[t]:
                     heappush(ready, key[t])
         self._layer_orders[g] = tuple(order) if len(order) == len(sets) else None
         return self._layer_orders[g]
+
+    def set_below(self, s: str, t: str) -> bool:
+        """True when a node of information set `s` lies strictly below a
+        node of information set `t`."""
+        pos = [self._pos[m] for m in self.info_sets[s]]  # members are in preorder
+        return any(bisect_right(pos, self._pos[b]) < bisect_left(pos, self._end[b])
+                   for b in self.info_sets[t])
 
 
 # -- utility system ---------------------------------------------------------
@@ -372,7 +378,8 @@ def dist_payoffs(dist, tree: GameTree) -> tuple:
 class Valuation:
     """One solve's tables over `tree`: coalition values per (feasible block,
     terminal), each filled on first read from the definition in `utils`, and
-    synergies per (player, terminal), first listed first. Read by `block_value`."""
+    synergies per (player, terminal), first listed first, and the terminals
+    they name. Read by `block_value` and `individual_values`."""
 
     def __init__(self, tree: GameTree, utils: UtilitySystem):
         self.tree, self.utils = tree, utils
@@ -381,6 +388,7 @@ class Valuation:
         for s in utils.synergies:
             self.synergies.setdefault((s.player, s.terminal), []).append(
                 (s.block, s.value))
+        self.synergy_terminals = frozenset(z for _, z in self.synergies)
 
 
 def block_value(block, dist, partition, valuation: Valuation) -> Fraction:
@@ -401,3 +409,13 @@ def block_value(block, dist, partition, valuation: Valuation) -> Fraction:
             return value
         total += p * value
     return total
+
+
+def individual_values(dist, partition, valuation: Valuation) -> tuple:
+    """Each player's individual value from `dist`, player i's at i - 1: what
+    `block_value((i,), ...)` gives, and from it unless `dist` is pure on a
+    terminal no synergy names, whose payoff vector is returned as is."""
+    if len(dist) == 1 and dist[0][0] not in valuation.synergy_terminals:
+        return valuation.tree.nodes[dist[0][0]].payoffs
+    return tuple(block_value((i,), dist, partition, valuation)
+                 for i in range(1, valuation.tree.n_players + 1))

@@ -180,10 +180,10 @@ def render_trace(profile: SolutionProfile, verbosity: str = "summary") -> str:
     view_text = _memo(partition_str)
     lines = []
     base = singleton_partition(tree.n_players)
-    for step in profile.audit:
+    for step in profile.audit if verbosity == "full" else profile.trace_steps():
         if step.view == base:
             lines.append(_step_line(tree, step, *memos))
-        elif verbosity == "full":
+        else:
             lines.append(f"  (view {view_text(step.view)}) "
                          + _step_line(tree, step, *memos))
     return "\n".join(lines)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CefgError, UntimeableLayer
@@ -41,9 +42,12 @@ from .model import (
     canon_block,
     canon_partition,
     dist_payoffs,
+    individual_values,
     singleton_partition,
 )
 from .noncoop import layer_play
+
+_ONE = Fraction(1)  # every terminal's dist holds this one object
 
 
 class SolveStep(NamedTuple):
@@ -100,14 +104,21 @@ class SolutionProfile:
     """The family of per-(context, subgame) solutions plus the solve trace."""
 
     def __init__(self, tree: GameTree, utils: UtilitySystem, root_entry: Entry,
-                 memo: dict, audit):
+                 memo: dict, rows):
         self.tree = tree
         self.utils = utils
         self.root_entry = root_entry
         self._memo = dict(memo)
-        self.audit = tuple(audit)
+        self._rows = tuple(rows)  # the audit's steps as plain tuples
         self._base = singleton_partition(tree.n_players)
+        self._trace = None  # trace_steps(), made on first use
         self._summary = None  # render.bracket_summary's text, made on first use
+
+    @cached_property
+    def audit(self) -> tuple:
+        """Every step of the solve, the supergame recursions' too, in
+        emission order; made on first read."""
+        return tuple(map(SolveStep._make, self._rows))
 
     @property
     def outcome(self) -> tuple:
@@ -123,7 +134,10 @@ class SolutionProfile:
 
     def trace_steps(self) -> tuple:
         """Steps of the base-view recursion, in emission order."""
-        return tuple(s for s in self.audit if s.view == self._base)
+        if self._trace is None:
+            self._trace = tuple(SolveStep._make(r) for r in self._rows
+                                if r[5] == self._base)
+        return self._trace
 
     def standalone_entry(self, node: str) -> Entry:
         """The solution of the subgame at `node` solved on its own."""
@@ -167,7 +181,7 @@ class _Solver:
         self.valuation = Valuation(tree, utils)
         self.memo: dict = {}
         self.merges: dict = {}  # (view, block) -> its supergames, in order
-        self.audit: list[SolveStep] = []
+        self.audit: list[tuple] = []  # SolveStep fields, as plain tuples
 
     def solve(self, g: str, view: tuple) -> Entry:
         """Solve and memoize the subgames under `g` innermost first, in the
@@ -191,11 +205,12 @@ class _Solver:
         tree = self.tree
         node = tree.nodes[g]
         if node.is_terminal:
-            dist = ((g, Fraction(1)),)
-            return Entry(g, {}, dist, node.payoffs, view, None, {})
+            return Entry(g, {}, ((g, _ONE),), node.payoffs, view, None, {})
         # `solve` walks innermost first, so every kid is in the memo.
-        kids = {y: self.memo[y, view] for y in tree.frontier_of(g)}
-        continuation = {y: kid.dist for y, kid in kids.items()}
+        kids, continuation = {}, {}
+        for y in tree.frontier_of(g):
+            kid = kids[y] = self.memo[y, view]
+            continuation[y] = kid.dist
         # The layer's noncooperative play: at a one-node layer, the index
         # point; otherwise the equilibrium the layer's steps start from.
         own, dist = layer_play(self.valuation, view, g, continuation)
@@ -210,7 +225,7 @@ class _Solver:
         one_node = g in tree.one_node_layers
         pinned: dict = {}  # info set -> the action adopted there
         entry = nu
-        for sid, below in order:
+        for sid in order:
             if not one_node and not any(
                     tree.movers[child] for m in tree.info_sets[sid]
                     for _, child in tree.nodes[m].actions):
@@ -218,7 +233,7 @@ class _Solver:
             # The index point is the SPNE extension of the actions pinned
             # at the sets below `sid`.
             fixed = {other: act for other, act in pinned.items()
-                     if other in below}
+                     if tree.set_below(other, sid)}
             r0 = nu
             if fixed:
                 assignment, dist = layer_play(self.valuation, view, g,
@@ -250,54 +265,49 @@ class _Solver:
             self.merges[view, block] = sorted(merges)
         out = []
         for _, union, merged in self.merges[view, block]:
-            entry = self.solve(g, merged)
+            # An Entry is a non-empty tuple, so only a miss runs the stack.
+            entry = self.memo.get((g, merged)) or self.solve(g, merged)
             value = block_value(block, entry.dist, entry.partition, self.valuation)
             out.append((value, union, entry))
-        out.sort(key=lambda item: (item[0], len(item[1]), item[1]))
+        # The merges are in (size, members) order, and the sort is stable.
+        out.sort(key=itemgetter(0))
         return out
 
     def _adopt(self, g: str, view: tuple, block: tuple, r0: Entry,
                at: str) -> Entry:
         """Run the reference-point sequence and IR chain of `block` in
         subgame `g` from `r0`, naming the steps `at`."""
-        tree, valuation = self.tree, self.valuation
-        steps = []
+        valuation = self.valuation
+        # Each step as SolveStep's fields in order; the profile makes them
+        # SolveSteps when they are read.
         r0_value = block_value(block, r0.dist, r0.partition, valuation)
-        steps.append(SolveStep(at, "index-point", None, r0.outcome,
-                               "best-response", view, active_value=r0_value))
+        steps = [(at, "index-point", None, r0.outcome, "best-response", view, r0_value, ())]
         accepted, accepted_value, accepted_coalition = r0, r0_value, None
-        held_values: dict = {}  # agent -> value under `accepted`
-        movers = tree.movers[g]
+        held = individual_values(r0.dist, r0.partition, valuation)  # under `accepted`
+        movers = self.tree.movers[g]
         for value, union, entry in self._candidates(g, view, block):
             idle = [i for i in union if i not in movers]
             note = "idle:" + ",".join(map(str, idle)) if idle else ""
-            steps.append(SolveStep(at, "supergame-solved", union, entry.outcome,
-                                   note, view, active_value=value))
+            steps.append((at, "supergame-solved", union, entry.outcome, note, view, value, ()))
             # The IR test: every member of the candidate's block that holds
             # `union` must strictly gain on the accepted point.
+            cand = individual_values(entry.dist, entry.partition, valuation)
             comparisons, failing = [], None
             for agent in block_containing(entry.partition, union[0]):
-                cand = block_value((agent,), entry.dist, entry.partition, valuation)
-                held = held_values.get(agent)
-                if held is None:
-                    held = held_values[agent] = block_value(
-                        (agent,), accepted.dist, accepted.partition, valuation)
-                comparisons.append((agent, cand, held))
-                if failing is None and not cand > held:
+                comparisons.append((agent, cand[agent - 1], held[agent - 1]))
+                if failing is None and not cand[agent - 1] > held[agent - 1]:
                     failing = agent
             kind, reason = (("ir-accepted", "strict-improvement")
                             if failing is None
                             else ("ir-rejected", f"blocked-by:{failing}"))
-            steps.append(SolveStep(at, kind, union, entry.outcome, reason, view,
-                                   active_value=value,
-                                   comparisons=tuple(comparisons)))
+            steps.append((at, kind, union, entry.outcome, reason, view, value,
+                          tuple(comparisons)))
             if failing is None:
                 accepted, accepted_value, accepted_coalition = entry, value, union
-                held_values.clear()
-        steps.append(SolveStep(at, "adopted", accepted_coalition,
-                               accepted.outcome,
-                               "greatest-ir" if accepted_coalition else "index",
-                               view, active_value=accepted_value))
+                held = cand
+        steps.append((at, "adopted", accepted_coalition, accepted.outcome,
+                      "greatest-ir" if accepted_coalition else "index",
+                      view, accepted_value, ()))
         # The nested supergame solves emitted their steps first.
         self.audit.extend(steps)
         return Entry(g, accepted.own, accepted.dist, accepted.outcome,

@@ -100,17 +100,20 @@ def cycle_text():
     return make_game_text(nodes, info_sets={"A": ["a1", "a2"], "B": ["b1", "b2"]})
 
 
-def spanning_set_text(depth):
-    """A valid game whose root layer holds `depth` + 2 binary information
-    sets: P2 moves at r and down a chain c1 .. c<depth>, and P1's one set
-    H = {a1, a2} has a1 under the chain's end and a2 beside the chain, so no
-    chain node roots a subgame. The layer has 2 ** (depth + 2) pure
-    profiles."""
+def spanning_set_text(depth, exits=True):
+    """A valid game whose root layer holds `depth` + 2 information sets: P2
+    moves at r and down a chain c1 .. c<depth>, and P1's one set H = {a1, a2}
+    has a1 under the chain's end and a2 beside the chain, so no chain node
+    roots a subgame. Every set is binary, and the layer has 2 ** (depth + 2)
+    pure profiles; with `exits=False` the chain nodes lose their `y` exits,
+    each set of the chain has one action and the layer has 4 profiles."""
     nodes = {"r": {"player": 2, "actions": {"a": "c1", "b": "a2"}}}
     for k in range(1, depth + 1):
         nodes[f"c{k}"] = {"player": 2, "actions": {
-            "x": f"c{k + 1}" if k < depth else "a1", "y": f"z{k}"}}
-        nodes[f"z{k}"] = [0, k % 3]
+            "x": f"c{k + 1}" if k < depth else "a1"}}
+        if exits:
+            nodes[f"c{k}"]["actions"]["y"] = f"z{k}"
+            nodes[f"z{k}"] = [0, k % 3]
     for a in ("a1", "a2"):
         nodes[a] = {"player": 1, "actions": {"x": f"{a}x", "y": f"{a}y"}}
         nodes[f"{a}x"], nodes[f"{a}y"] = [1, 0], [0, 1]

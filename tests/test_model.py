@@ -27,6 +27,7 @@ from cefg.model import (
     block_containing,
     block_value,
     dist_payoffs,
+    individual_values,
     singleton_partition,
 )
 from cefg.oracle import random_game
@@ -202,6 +203,40 @@ def test_infeasible_coalition_rejected():
         with pytest.raises(InfeasibleCoalition):
             block_value(block, pure, (block,), valuation)
     assert set(valuation.coalitions) == {((2, 3), "z1")}
+
+
+def test_individual_values_are_each_players_block_value():
+    # Every memo entry's dist and partition in solves of the goldens (the
+    # chance root, mixed layers), of example2 under a chance root with a
+    # synergy, and of random draws with synergies or tables.
+    from test_oracle import _digest_game, _with_utility_kind
+    golden = sorted(GAMES.glob("*.game"))
+    golden += sorted((Path(__file__).parent / "golden").glob("*.game"))
+    games = [load_game(path) for path in golden]
+    games.append(load_game_text(json.dumps(_digest_game())))
+    rng = random.Random(2323)
+    for kind in ("synergy", "table") * 40:
+        tree, utils = random_game(rng, max_players=4, max_nodes=20)
+        games.append((tree, _with_utility_kind(rng, tree, utils, kind)))
+    seen = {"named": 0, "overridden": 0, "mixed": 0}
+    for tree, utils in games:
+        solver = _Solver(tree, utils)
+        solver.solve(tree.root, singleton_partition(tree.n_players))
+        named = {s.terminal for s in utils.synergies}
+        for entry in solver.memo.values():
+            dist, partition = entry.dist, entry.partition
+            values = individual_values(dist, partition, solver.valuation)
+            assert values == tuple(block_value((i,), dist, partition, solver.valuation)
+                                   for i in range(1, tree.n_players + 1))
+            payoffs = tree.nodes[dist[0][0]].payoffs
+            if len(dist) > 1:
+                seen["mixed"] += 1
+            elif dist[0][0] not in named:
+                assert values is payoffs
+            else:
+                seen["named"] += 1
+                seen["overridden"] += values != payoffs
+    assert all(seen.values()), seen
 
 
 def test_repeated_member_is_not_a_coalition(example2):
@@ -413,13 +448,12 @@ def test_layer_order_puts_each_set_after_the_sets_below_it():
     # H = {a1, a2} has a1 under the chain r, c1, c2, c3 and a2 beside it.
     tree, _ = load_game_text(spanning_set_text(3))
     order = tree.layer_order("r")
-    assert order == (
-        ("H", frozenset()),
-        ("c3", frozenset({"H"})),
-        ("c2", frozenset({"c3", "H"})),
-        ("c1", frozenset({"c2", "c3", "H"})),
-        ("r", frozenset({"c1", "c2", "c3", "H"})))
+    assert order == ("H", "c3", "c2", "c1", "r")
     assert tree.layer_order("r") is order
+    below = {"H": set(), "c3": {"H"}, "c2": {"c3", "H"}, "c1": {"c2", "c3", "H"},
+             "r": {"c1", "c2", "c3", "H"}}
+    assert {(s, t) for s in order for t in order if s != t and tree.set_below(s, t)} == {
+        (s, t) for t in order for s in below[t]}
     tree, _ = load_game_text(cycle_text())
     assert tree.layer_order("r") is None
 

@@ -647,9 +647,10 @@ def test_ready_sets_go_deepest_first_then_in_preorder():
         info_sets={"S": ["s1", "s2"], "T": ["t1", "t2"]}))
     # S and T are ready at once: S is deeper, so it goes first. Then u and
     # T are ready at the same depth, and u comes first in preorder.
-    assert tree.layer_order("r") == (
-        ("S", frozenset()), ("u", frozenset({"S"})), ("T", frozenset()),
-        ("r", frozenset({"S", "T", "u"})))
+    assert tree.layer_order("r") == ("S", "u", "T", "r")
+    below = {"S": set(), "u": {"S"}, "T": set(), "r": {"S", "T", "u"}}
+    assert {(s, t) for s in below for t in below if s != t and tree.set_below(s, t)} == {
+        (s, t) for t in below for s in below[t]}
     prof = solve_game(tree, utils)
     adopted = [(s.node, s.coalition) for s in prof.trace_steps() if s.kind == "adopted"]
     assert adopted == [("k1", None), ("k2", None), ("S", (1, 2)), ("u", (1, 2)),
@@ -692,3 +693,29 @@ def test_work_counts_are_pinned(path):
     assert Counter(step.kind for step in audit) == kinds
     assert len({step.view for step in audit}) == views
     assert len(audit) == steps
+
+
+@pytest.mark.parametrize("path", sorted(GAMES.glob("*.game"))
+                         + sorted(_GOLDEN_GAMES.glob("*.game")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("first", ["audit", "trace_steps"])
+def test_audit_steps_are_made_once_whichever_is_read_first(path, first):
+    golden = (_GOLDEN_GAMES / f"{path.stem}.solve.txt").read_text()
+    golden_full = (_GOLDEN_GAMES / f"{path.stem}.solve-full.txt").read_text()
+    tree, utils = load_game(path)
+    prof = solve_game(tree, utils)
+    if first == "audit":
+        audit = prof.audit
+        trace = prof.trace_steps()
+    else:
+        trace = prof.trace_steps()
+        audit = prof.audit
+    assert type(audit) is tuple and all(type(s) is SolveStep for s in audit)
+    assert prof.audit is audit and prof.trace_steps() is trace
+    assert trace == tuple(s for s in audit if s.view == singleton_partition(tree.n_players))
+    assert render_trace(prof) == golden.split("\ntrace:\n", 1)[1][:-1]
+    assert render_trace(prof, "full") == golden_full.split("\ntrace:\n", 1)[1][:-1]
+    check_ir_invariants(prof)
+    # The audit is an attribute a caller may replace, as the invariant
+    # tests above do.
+    prof.audit = audit[:1]
+    assert prof.audit == audit[:1]
