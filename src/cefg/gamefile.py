@@ -24,9 +24,10 @@ The format is JSON with a fixed schema::
 
 Every number (payoffs, chance probabilities, weights, table and synergy
 values) is a JSON number or an exact rational string "p/q" (integers,
-q > 0). Action maps preserve declaration order, which fixes every tie-break
-downstream. `parse_game` reports the first syntax error with line/column;
-schema problems raise GameFormatError with a code.
+q > 0); `validate_game` loads it as an `int` when integral, else as a
+`Fraction`. Action maps preserve declaration order, which fixes every
+tie-break downstream. `parse_game` reports the first syntax error with
+line/column; schema problems raise GameFormatError with a code.
 """
 
 from __future__ import annotations
@@ -278,12 +279,14 @@ def parse_game(text: str) -> GameSpec:
 # -- validation ---------------------------------------------------------------
 
 
-def to_number(value) -> Fraction:
-    """Convert a parsed JSON number or "p/q" string to an exact Fraction."""
+def to_number(value) -> int | Fraction:
+    """Convert a parsed JSON number or "p/q" string to an exact rational: an
+    `int` when integral, so that comparisons and sums of integral values run
+    in C, else a `Fraction`."""
     exact = value if isinstance(value, Fraction) else _exact(value)
     if exact is None:
         raise TypeError(f"not a number: {value!r}")
-    return exact
+    return exact.numerator if exact.denominator == 1 else exact
 
 
 def validate_game(spec) -> tuple[GameTree, UtilitySystem]:

@@ -7,8 +7,9 @@ utility function to every feasible coalition. Players are the integers
 1..n; a coalition is a frozenset of players; a partition is a tuple of
 sorted member tuples, ordered by smallest member.
 
-All payoffs and probabilities are kept as `fractions.Fraction` so that every
-comparison made by the solvers is exact and runs are bit-reproducible.
+All payoffs and probabilities are exact rationals, an `int` when integral and
+a `fractions.Fraction` otherwise, so that every comparison made by the solvers
+is exact and runs are bit-reproducible; the two compare, hash and print alike.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Node:
     id: str
     player: int | None = None
     actions: tuple = ()  # tuple[(label, child id), ...], declaration order
-    payoffs: tuple | None = None  # Fractions, terminal only
+    payoffs: tuple | None = None  # exact rationals, terminal only
 
     @property
     def is_terminal(self) -> bool:
@@ -78,7 +79,7 @@ class GameTree:
 
     def __init__(self, nodes: Mapping[str, Node], root: str, players,
                  info_sets: Mapping[str, tuple] | None = None,
-                 chance_at_root: Mapping[str, Fraction] | None = None):
+                 chance_at_root: Mapping[str, int | Fraction] | None = None):
         self.nodes = dict(nodes)
         self.root = root
         self.players = tuple(players)
@@ -299,7 +300,7 @@ class Synergy:
     player: int
     block: tuple
     terminal: str
-    value: Fraction
+    value: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -309,8 +310,8 @@ class UtilitySystem:
     n_players: int
     feasible: frozenset | None = None  # canon member tuples; None: every coalition
     combinator: str | None = "min"  # "min" | "sum" | "weighted"; None => table
-    weights: tuple | None = None  # per-player Fractions for "weighted"
-    table: Mapping | None = None  # block tuple -> {terminal id -> Fraction}
+    weights: tuple | None = None  # per-player exact rationals for "weighted"
+    table: Mapping | None = None  # block tuple -> {terminal id -> exact rational}
     synergies: tuple = ()
 
     def is_feasible(self, members: Iterable[int]) -> bool:
@@ -324,7 +325,7 @@ class UtilitySystem:
 
     # -- valuations ----------------------------------------------------------
 
-    def coalition_value(self, members, terminal: str, tree: GameTree) -> Fraction:
+    def coalition_value(self, members, terminal: str, tree: GameTree) -> int | Fraction:
         m = canon_block(members)
         if not self.is_feasible(m):
             raise InfeasibleCoalition(f"coalition {m} is not feasible")
@@ -343,7 +344,7 @@ class UtilitySystem:
         raise ValueError(f"unknown combinator {self.combinator!r}")
 
     def individual_value(self, i: int, terminal: str,
-                         partition: PartitionKey, tree: GameTree) -> Fraction:
+                         partition: PartitionKey, tree: GameTree) -> int | Fraction:
         for entry in self.synergies:
             if (entry.player == i and entry.terminal == terminal
                     and entry.block in partition):
@@ -352,18 +353,19 @@ class UtilitySystem:
 
 
 # -- expected values over terminal distributions -----------------------------
-# A "dist" is a tuple of (terminal id, Fraction probability) pairs, sorted by
-# terminal id, so that mixed equilibria stay exact. Its probabilities are
-# positive and sum to exactly 1: a terminal solves to ((z, 1),), chance is
-# validated exactly, mixed equilibria are exact and `make_dist` drops zeros.
+# A "dist" is a tuple of (terminal id, exact probability) pairs, sorted by
+# terminal id, so that mixed equilibria stay exact; a probability is an `int`
+# when integral and a `Fraction` otherwise. Its probabilities are positive
+# and sum to exactly 1: a terminal solves to ((z, 1),), chance is validated
+# exactly, mixed equilibria are exact and `make_dist` drops zeros.
 # So a one-terminal dist is pure, and `block_value` takes its value as is.
 
 
 def make_dist(pairs) -> tuple:
-    acc: dict[str, Fraction] = {}
+    acc: dict = {}
     for terminal, p in pairs:
         if p:
-            acc[terminal] = acc.get(terminal, Fraction(0)) + p
+            acc[terminal] = acc.get(terminal, 0) + p
     return tuple(sorted(acc.items()))
 
 
@@ -383,7 +385,7 @@ class Valuation:
 
     def __init__(self, tree: GameTree, utils: UtilitySystem):
         self.tree, self.utils = tree, utils
-        self.coalitions: dict = {}  # (block, terminal) -> Fraction
+        self.coalitions: dict = {}  # (block, terminal) -> exact rational
         self.synergies: dict = {}  # (player, terminal) -> [(block, value), ...]
         for s in utils.synergies:
             self.synergies.setdefault((s.player, s.terminal), []).append(
@@ -391,7 +393,7 @@ class Valuation:
         self.synergy_terminals = frozenset(z for _, z in self.synergies)
 
 
-def block_value(block, dist, partition, valuation: Valuation) -> Fraction:
+def block_value(block, dist, partition, valuation: Valuation) -> int | Fraction:
     """What `block` expects from `dist`: a singleton's individual value, else
     the coalition's value. Every expected utility of a block is read here."""
     total = 0

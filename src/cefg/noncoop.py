@@ -92,7 +92,7 @@ def _layer_walk(tree, g, continuation, assignment) -> tuple:
             nid = node.child(act)
             node = nodes[nid]
         else:
-            dist = ((nid, Fraction(1)),) if node.is_terminal else continuation[nid]
+            dist = ((nid, 1),) if node.is_terminal else continuation[nid]
             if prob == 1 and not stack and not pairs:
                 return dist  # pure play: the only end, kept as is
             pairs.extend((z, prob * q) for z, q in dist)
@@ -292,7 +292,7 @@ def spne_in_subgame(tree, utils, root=None) -> LocalSolution:
     dists: dict = {}
     for g in reversed(tree.subtree_nodes(root)):
         if tree.nodes[g].is_terminal:
-            dists[g] = ((g, Fraction(1)),)
+            dists[g] = ((g, 1),)
         elif g in tree.subgame_roots:
             continuation = {y: dists[y] for y in tree.frontier_of(g)}
             assignment, dists[g] = layer_play(valuation, partition, g, continuation)

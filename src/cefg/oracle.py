@@ -269,7 +269,8 @@ def equivalence_check(tree: GameTree, utils: UtilitySystem,
 
 def random_game(rng, max_players=3, max_depth=4, max_nodes=15,
                 min_players=2) -> tuple[GameTree, UtilitySystem]:
-    """A small random game with globally distinct integer payoffs.
+    """A small random game with globally distinct `int` payoffs, as the
+    parser loads integral numbers.
 
     Distinct payoffs across all terminals and players keep every value
     comparison tie-free, so solver/oracle agreement cannot hinge on the
@@ -315,8 +316,7 @@ def random_game(rng, max_players=3, max_depth=4, max_nodes=15,
             built[nid] = Node(id=nid, player=body["player"],
                               actions=tuple(body["actions"]))
         else:
-            built[nid] = Node(id=nid, payoffs=tuple(Fraction(v)
-                                                    for v in body["payoffs"]))
+            built[nid] = Node(id=nid, payoffs=tuple(body["payoffs"]))
     tree = GameTree(built, root, [f"P{i}" for i in range(1, n + 1)])
     utils = UtilitySystem(n)
     return tree, utils

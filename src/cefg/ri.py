@@ -47,8 +47,6 @@ from .model import (
 )
 from .noncoop import layer_play
 
-_ONE = Fraction(1)  # every terminal's dist holds this one object
-
 
 class SolveStep(NamedTuple):
     """One event in the solution narrative at a node (or information set)."""
@@ -59,7 +57,7 @@ class SolveStep(NamedTuple):
     outcome: tuple
     reason: str
     view: tuple
-    active_value: Fraction | None = None
+    active_value: int | Fraction | None = None
     comparisons: tuple = ()  # ((agent, candidate value, incumbent value), ...)
 
 
@@ -205,7 +203,7 @@ class _Solver:
         tree = self.tree
         node = tree.nodes[g]
         if node.is_terminal:
-            return Entry(g, {}, ((g, _ONE),), node.payoffs, view, None, {})
+            return Entry(g, {}, ((g, 1),), node.payoffs, view, None, {})
         # `solve` walks innermost first, so every kid is in the memo.
         kids, continuation = {}, {}
         for y in tree.frontier_of(g):

@@ -20,6 +20,7 @@ from cefg import (
     serialize_game,
     solve_game,
 )
+from cefg.cli import main
 from cefg.gamefile import to_number
 from conftest import game_path, make_game_text
 
@@ -155,6 +156,69 @@ def test_rational_strings_are_exact_and_round_trip():
     assert parse_game(serialize_game(spec)) == spec
     tree, utils = load_game_text(text)
     assert utils.coalition_value((1, 2), "z1", tree) == Fraction(10, 3)
+
+
+# -- the number contract: int when integral, Fraction otherwise --------------
+
+INTEGRAL = [(3, 3), (3.0, 3), (-0.0, 0), ("6/2", 3), ("-4/2", -2)]
+FRACTIONAL = [(0.5, Fraction(1, 2)), ("1/3", Fraction(1, 3)), ("6/4", Fraction(3, 2))]
+
+
+# Each number site's loaded values, from a game `_number_game` wrote.
+READ = {
+    "payoff": lambda tree, utils: [tree.nodes["z1"].payoffs[0]],
+    "chance": lambda tree, utils: list(tree.chance_at_root.values()),
+    "table": lambda tree, utils: [utils.table[1, 2]["z1"]],
+    "weights": lambda tree, utils: [utils.weights[0]],
+    "synergy": lambda tree, utils: [utils.synergies[0].value],
+}
+
+
+def _number_game(site, v, w=0):
+    """A two-player game text with `v` at `site`; under "chance", `w` is the
+    other branch's probability."""
+    nodes = {"r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},
+             "z1": [0, 1], "z2": [1, 0]}
+    kw = {}
+    if site == "payoff":
+        nodes["z1"] = [v, 1]
+    elif site == "chance":
+        del nodes["r"]["player"]
+        kw["chance"] = {"z1": v, "z2": w}
+    elif site == "table":
+        kw["utility"] = {"table": {"1,2": {"z1": v, "z2": 0}}}
+    elif site == "weights":
+        kw["utility"] = {"combinator": "weighted", "weights": {"1": v, "2": 1}}
+    else:
+        kw["synergies"] = [{"player": 1, "block": [1, 2], "terminal": "z1",
+                            "value": v}]
+    return make_game_text(nodes, players=2, **kw)
+
+
+@pytest.mark.parametrize("site", ["payoff", "table", "weights", "synergy"])
+@pytest.mark.parametrize("raw,want", INTEGRAL + FRACTIONAL)
+def test_integral_numbers_load_as_int_and_others_as_fractions(site, raw, want):
+    [got] = READ[site](*load_game_text(_number_game(site, raw)))
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("pair,types", [
+    ((1, -0.0), (int, int)), ((1.0, "0/3"), (int, int)), (("2/2", 0), (int, int)),
+    ((0.5, "1/2"), (Fraction, Fraction)), (("1/3", "4/6"), (Fraction, Fraction)),
+])
+def test_chance_probabilities_follow_the_number_contract(pair, types):
+    got = READ["chance"](*load_game_text(_number_game("chance", *pair)))
+    assert tuple(map(type, got)) == types and sum(got) == 1
+
+
+@pytest.mark.parametrize("site", ["payoff", "chance", "table", "weights", "synergy"])
+@pytest.mark.parametrize("bad", [True, False, "1/0"])
+def test_booleans_and_zero_denominators_still_exit_2(site, bad, tmp_path, capsys):
+    path = tmp_path / "bad.game"
+    path.write_text(_number_game(site, bad, 1))
+    assert main(["solve", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # -- parser totality ---------------------------------------------------------

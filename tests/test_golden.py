@@ -13,10 +13,13 @@ a mixed one at the bottom, and `chance-layers.game`, a chance root over a
 2x2 layer with a pure equilibrium and a matching-pennies layer with none.
 """
 
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cefg import GameTree, cli, load_game
 from cefg.cli import main
 from conftest import game_path
 
@@ -65,3 +68,32 @@ def test_imperfect_cli_output_matches_golden(capsys, game, argv, suffix):
 def test_bi_refuses_imperfect_golden_game(capsys, game):
     assert main(["bi", str(GOLDEN / f"{game}.game")]) == 3
     assert capsys.readouterr().out == ""
+
+
+def _as_fractions(tree):
+    """The same tree with every payoff and chance probability a `Fraction`,
+    as a hand-built game may hold them; the parser loads integral numbers as
+    `int`. (No golden game has tables, weights or synergies.)"""
+    nodes = {nid: replace(node, payoffs=tuple(map(Fraction, node.payoffs)))
+             if node.is_terminal else node for nid, node in tree.nodes.items()}
+    chance = tree.chance_at_root and {
+        c: Fraction(p) for c, p in tree.chance_at_root.items()}
+    return GameTree(nodes, tree.root, tree.players, tree.info_sets, chance)
+
+
+@pytest.mark.parametrize("game", GAMES + CHANCE_GAMES + IMPERFECT_GAMES)
+def test_fraction_numbers_print_the_parsed_games_bytes(monkeypatch, capsys, game):
+    # int and Fraction compare, hash and print alike, so a game whose
+    # integral numbers are Fractions must give every golden byte for byte.
+    path = game_path(f"{game}.game") if game in GAMES else GOLDEN / f"{game}.game"
+    tree, utils = load_game(path)
+    assert any(type(v) is int for z in tree.terminal_ids for v in tree.nodes[z].payoffs)
+    rebuilt = _as_fractions(tree)
+    assert all(type(v) is Fraction
+               for z in tree.terminal_ids for v in rebuilt.nodes[z].payoffs)
+    loads = []
+    monkeypatch.setattr(cli, "load_game", lambda p: loads.append(p) or (rebuilt, utils))
+    commands = IMPERFECT_COMMANDS if game in IMPERFECT_GAMES else COMMANDS
+    for argv, suffix in commands:
+        _check_golden(capsys, path, game, argv, suffix)
+    assert len(loads) == len(commands)

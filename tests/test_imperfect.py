@@ -223,6 +223,29 @@ def test_pinned_set_index_point():
         "{C0b,R1a,mix(C2a=17/36,C2b=19/36)}; 1,2]")
 
 
+def test_pinned_set_index_point_at_the_root():
+    # The root n0 (player 1) shares its layer with h0 = {n2, n7} (player 2).
+    # h0 adopts first and pins its action, so n0's index point re-solves
+    # the layer against that pin; starting from the layer equilibrium
+    # instead ends at (3, 5, 0) with {1,2} merged. This pins today's answer,
+    # found by a search over `_imperfect_games` at seeds 1-4; it is not an
+    # independent reference.
+    tree, utils = load_game_text(make_game_text({
+        "n0": {"player": 1, "actions": {"a": "n1", "b": "n2", "c": "n7"}},
+        "n1": [1, 4, 0],
+        "n2": {"player": 2, "actions": {"a": "n3", "b": "n4"}},
+        "n3": [2, 0, 3],
+        "n4": {"player": 3, "actions": {"a": "n5", "b": "n6"}},
+        "n5": [6, 0, 3], "n6": [0, 5, 1],
+        "n7": {"player": 2, "actions": {"a": "n8", "b": "n9"}},
+        "n8": [2, 5, 6], "n9": [3, 5, 0],
+    }, info_sets={"h0": ["n2", "n7"]}))
+    prof = solve_game(tree, utils)
+    assert prof.outcome == (6, 0, 3)
+    assert prof.partition == ((1,), (2,), (3,))
+    assert bracket_summary(prof) == "[{b},{b},{a}; 1,2,3]"
+
+
 def _imperfect_games(seed, draws):
     """Seeded 2-3 player games of depth at most 3, with payoffs in 0..6 so
     that values tie, and same-player decision nodes of equal width paired

@@ -188,7 +188,8 @@ def test_json_handles_mixed_profiles():
 
 
 def _naive_render_solution(profile):
-    """Every (context, subgame) entry rendered from scratch."""
+    """Every (context, subgame) entry rendered from scratch; the root line
+    comes from a fresh solve, not from the summary `profile` keeps."""
     tree = profile.tree
     lines = []
 
@@ -203,7 +204,7 @@ def _naive_render_solution(profile):
 
     root = profile.root_entry
     lines.append(f"=== solution at {root.node} (root) ===")
-    family(root, 0, top_line=bracket_summary(profile))
+    family(root, 0, top_line=bracket_summary(solve_game(tree, profile.utils)))
     standalone = sorted(
         (nid for nid in tree.subgame_roots
          if nid in tree.decision_ids and nid != root.node),
