@@ -76,15 +76,15 @@ _RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
 _TABLE_KEY = re.compile(r"[0-9]+(,[0-9]+)*")
 
 
-def _exact(value) -> Fraction | None:
+def _exact(value) -> int | Fraction | None:
     """The exact value of a game-file number, else None: a finite JSON
     number that is not a boolean (Python's JSON reader takes NaN, Infinity
-    and 1e400), or a "p/q" string (integers, q > 0). A float goes through
-    Decimal(str(...)), so `0.1` means one tenth, not the nearest float."""
+    and 1e400; an int is its own value), or a "p/q" string (integers,
+    q > 0). A float goes through Decimal(str(...)): `0.1` is one tenth."""
     if isinstance(value, float):
         return Fraction(Decimal(str(value))) if math.isfinite(value) else None
     if isinstance(value, int):
-        return None if isinstance(value, bool) else Fraction(value)
+        return None if isinstance(value, bool) else value
     if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
         return None
     p, q = value.split("/")

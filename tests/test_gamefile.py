@@ -221,6 +221,88 @@ def test_booleans_and_zero_denominators_still_exit_2(site, bad, tmp_path, capsys
     assert "Traceback" not in capsys.readouterr().err
 
 
+# -- every validation code that text can trigger -----------------------------
+
+
+def _two_player(change=lambda doc: None, **kw):
+    """A two-player game text, its document edited by `change`."""
+    doc = json.loads(make_game_text({
+        "r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},
+        "z1": [0, 1], "z2": [1, 0]}, players=2, **kw))
+    change(doc)
+    return json.dumps(doc)
+
+
+def _chance(probs):
+    return _two_player(lambda doc: doc["nodes"]["r"].pop("player"), chance=probs)
+
+
+# One information set holds m1 and m2: P1's and P2's under P3's root, both
+# P1's under a chance root, where neither branch then roots a subgame.
+_SPLIT = {"r": {"player": 3, "actions": {"a": "m1", "b": "m2"}},
+          "m1": {"player": 1, "actions": {"x": "z1", "y": "z2"}},
+          "m2": {"player": 2, "actions": {"x": "z3", "y": "z4"}},
+          "z1": [0, 0, 0], "z2": [0, 0, 0], "z3": [0, 0, 0], "z4": [0, 0, 0]}
+_CHANCE_SPLIT = {**_SPLIT, "r": {"actions": {"a": "m1", "b": "m2"}},
+                 "m2": {"player": 1, "actions": {"x": "z3", "y": "z4"}}}
+
+TEXT_ERRORS = {
+    "top level not an object": ("[]", GameFormatError, "SyntaxError"),
+    "root not a string": (
+        _two_player(lambda doc: doc.update(root=1)), GameFormatError, "SyntaxError"),
+    "required field missing": (
+        _two_player(lambda doc: doc.pop("nodes")), GameFormatError, "MissingField"),
+    "synergies not a list": (
+        _two_player(lambda doc: doc.update(synergies={"player": 1})),
+        GameFormatError, "SyntaxError"),
+    "synergy entry lacks a field": (
+        _two_player(synergies=[{"player": 1, "block": [1, 2], "terminal": "z1"}]),
+        GameFormatError, "MissingField"),
+    "feasible neither all nor a list": (
+        _two_player(feasible="some"), GameFormatError, "SyntaxError"),
+    "utility neither combinator nor table": (
+        _two_player(utility={"weights": {"1": 2}}), GameFormatError, "SyntaxError"),
+    "missing root": (
+        _two_player(lambda doc: doc.update(root="nowhere")),
+        GameValidationError, "MissingRoot"),
+    "decision node without a player": (
+        _two_player(lambda doc: doc["nodes"]["r"].pop("player")),
+        GameValidationError, "MissingPlayer"),
+    "list-form actions repeat a label": (
+        _two_player(lambda doc: doc["nodes"]["r"].update(
+            actions=[["a", "z1"], ["a", "z2"]])),
+        GameValidationError, "DuplicateAction"),
+    "chance keys not the root's children": (
+        _chance({"z1": "1/2", "z3": "1/2"}), GameValidationError, "BadChanceDistribution"),
+    "negative chance probability": (
+        _chance({"z1": "-1/2", "z2": "3/2"}), GameValidationError, "BadChanceDistribution"),
+    "one set, two players": (
+        make_game_text(_SPLIT, info_sets={"h": ["m1", "m2"]}),
+        GameValidationError, "InfoSetActionMismatch"),
+    "synergy at a decision node": (
+        _two_player(synergies=[{"player": 1, "block": [1, 2], "terminal": "r",
+                                "value": 1}]),
+        GameValidationError, "BadSynergy"),
+    "chance branch not a subgame": (
+        make_game_text(_CHANCE_SPLIT, info_sets={"h": ["m1", "m2"]},
+                       chance={"m1": "1/2", "m2": "1/2"}),
+        GameValidationError, "ChanceBranchNotSubgame"),
+}
+
+
+@pytest.mark.parametrize("case", list(TEXT_ERRORS))
+def test_every_validation_code_text_can_trigger_exits_2(case, tmp_path, capsys):
+    text, error, code = TEXT_ERRORS[case]
+    with pytest.raises(error) as err:
+        load_game_text(text)
+    codes = err.value.codes() if error is GameValidationError else [err.value.code]
+    assert set(codes) == {code}  # both chance branches break the last case
+    path = tmp_path / "bad.game"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # -- parser totality ---------------------------------------------------------
 
 # Fields the bundled games leave out; a mutation may create them.

@@ -499,6 +499,24 @@ def test_one_player_layer_scan_is_linear_in_its_profiles():
     assert len(assignment) == 14
 
 
+@pytest.mark.parametrize("depth,bound,dist,labels", [
+    (4, 64, "naaab", "aaaaba"),
+    (6, 16_384, "naaabaa", "aaaabaaaaaaaaa"),
+])
+def test_layer_reads_only_the_profiles_its_scan_needs(monkeypatch, depth, bound,
+                                                      dist, labels):
+    # The wide layer has `bound` pure profiles and an early pure equilibrium:
+    # the scan walks fewer profiles than the layer holds, and still selects
+    # the first pure equilibrium row-major, pinned here.
+    walk, calls = noncoop._layer_walk, []
+    monkeypatch.setattr(noncoop, "_layer_walk",
+                        lambda *args: calls.append(1) or walk(*args))
+    sol = spne_in_subgame(*load_game_text(wide_layer_text(depth)))
+    assert len(calls) < bound
+    assert sol.dist == ((dist, 1),)
+    assert "".join(label for _, label in sorted(sol.actions.items())) == labels
+
+
 def test_bi_profile_is_nash_under_single_node_deviations():
     rng = random.Random(5)
     for _ in range(120):

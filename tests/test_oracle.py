@@ -116,6 +116,34 @@ def test_equivalence_check_corrupted_stub(example2):
     assert report.first_divergence == ("x7", "outcome")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("outcome", (9, 9, 9)),
+    ("partition", ((1, 2, 3),)),
+])
+def test_equivalence_check_localizes_a_divergence_below_the_root(example2, field,
+                                                                 value):
+    # The stub differs at the root and, standing alone, at x5 alone.
+    tree, utils = example2
+
+    def corrupted(t, u):
+        profile = solve_game(t, u)
+
+        class Fake:
+            outcome = tuple(v + 1 for v in profile.outcome)
+            partition = profile.partition
+
+            @staticmethod
+            def standalone_entry(nid):
+                entry = profile.standalone_entry(nid)
+                return entry._replace(**{field: value}) if nid == "x5" else entry
+
+        return Fake()
+
+    report = equivalence_check(tree, utils, solver=corrupted)
+    assert not report.match
+    assert report.first_divergence == ("x5", field)
+
+
 def test_equivalence_check_refuses_before_solving(example2):
     tree, utils = example2
 

@@ -602,6 +602,27 @@ def test_ir_invariants_catch_a_falling_singleton_value(example2):
         check_ir_invariants(prof)
 
 
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda comparisons, owner: (), "lacks comparisons"),
+    (lambda comparisons, owner: tuple(c for c in comparisons if c[0] != owner),
+     "does not compare every member of the active block"),
+    (lambda comparisons, owner: ((comparisons[0][0], comparisons[0][2],
+                                  comparisons[0][2]),) + comparisons[1:],
+     "does not strictly improve"),
+])
+def test_ir_invariants_catch_a_corrupted_accepted_step(example2, corrupt, message):
+    # The first accepted step, under the base view, changed in one way.
+    tree, utils = example2
+    prof = solve_game(tree, utils)
+    rows = [SolveStep._make(r) for r in prof._rows]
+    k = next(k for k, s in enumerate(rows) if s.kind == "ir-accepted")
+    rows[k] = rows[k]._replace(comparisons=corrupt(
+        rows[k].comparisons, tree.owner(rows[k].node)))
+    bad = SolutionProfile(tree, utils, prof.root_entry, prof._memo, rows)
+    with pytest.raises(CefgError, match=message):
+        check_ir_invariants(bad)
+
+
 def test_steps_and_entries_are_immutable_named_tuples(example2):
     tree, utils = example2
     prof = solve_game(tree, utils)
