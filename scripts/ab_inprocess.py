@@ -1,0 +1,99 @@
+"""Interleaved A/B of two checkouts' solve and render time, in one process.
+
+    python scripts/ab_inprocess.py CHECKOUT_A CHECKOUT_B --workload coalitions \\
+        --seed 1 --repeats 7
+
+Both checkouts' `cefg` packages are loaded side by side, each from its own
+`src/`. The workload's games come from CHECKOUT_A's `perfbench/gen.py` and
+are parsed and validated once per side, untimed. Then, for each repeat and
+each game, both sides solve the game and render its four outputs (the solve
+text, the nested listing, JSON and DOT); the side that runs first alternates
+per game and per repeat. It prints one line: each side's sum over the games
+of that game's least time, and B / A, and how many games gave different
+outputs on the two sides.
+
+The two sides share one heap and one interpreter, so a ratio from this
+script sizes a lever on a noisy host; it is not a measurement to claim a
+gain from. Claims come from `scripts/bench_pairs.py`, which runs the
+benchmark itself in fresh processes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import sys
+import time
+from pathlib import Path
+
+
+def _unload() -> dict:
+    return {name: sys.modules.pop(name) for name in list(sys.modules)
+            if name == "cefg" or name.startswith("cefg.")}
+
+
+def load_side(checkout: Path):
+    """`checkout`'s cefg package, held apart from any other copy."""
+    src = checkout.resolve() / "src"
+    _unload()
+    sys.path.insert(0, str(src))
+    try:
+        cefg = importlib.import_module("cefg")
+        importlib.import_module("cefg.render")
+    finally:
+        sys.path.remove(str(src))
+    if Path(cefg.__file__).resolve().parent != src / "cefg":
+        sys.exit(f"ab_inprocess: imported cefg from {cefg.__file__}, not from {src}")
+    _unload()  # the loaded modules keep their references to each other
+    return cefg
+
+
+def request(cefg, tree, utils) -> tuple:
+    """Solve one game and render the four outputs of a benchmark request."""
+    render = cefg.render
+    profile = cefg.solve_game(tree, utils)
+    text = "\n".join([
+        f"outcome: {render.outcome_str(profile.outcome)}",
+        f"partition: {render.partition_str(profile.partition)}",
+        f"summary: {cefg.bracket_summary(profile)}",
+        "trace:",
+        cefg.render_trace(profile),
+    ]) + "\n"
+    return (text, cefg.render_solution(profile), cefg.profile_to_json(profile),
+            cefg.export_dot(tree, profile))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a", type=Path, metavar="CHECKOUT_A")
+    parser.add_argument("b", type=Path, metavar="CHECKOUT_B")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.a.resolve() / "perfbench"))
+    import gen
+    texts = [text for _, text in gen.workload_games(args.workload, args.seed)]
+    sides = [load_side(args.a), load_side(args.b)]
+    games = [[cefg.validate_game(cefg.parse_game(text)) for text in texts]
+             for cefg in sides]
+    best = [[float("inf")] * len(texts) for _ in sides]
+    outputs: list = [[None] * len(texts) for _ in sides]
+    for repeat in range(args.repeats):
+        for k in range(len(texts)):
+            first = (repeat + k) % 2
+            for s in (first, 1 - first):
+                start = time.perf_counter()
+                out = request(sides[s], *games[s][k])
+                best[s][k] = min(best[s][k], time.perf_counter() - start)
+                outputs[s][k] = out
+    differ = sum(a != b for a, b in zip(*outputs))
+    total_a, total_b = sum(best[0]), sum(best[1])
+    print(f"{args.workload} seed {args.seed}, {len(texts)} games x {args.repeats}: "
+          f"A {total_a * 1000:.1f} ms  B {total_b * 1000:.1f} ms  "
+          f"B/A {total_b / total_a:.3f}  outputs differ in {differ} games")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -396,6 +396,8 @@ class Valuation:
 def block_value(block, dist, partition, valuation: Valuation) -> int | Fraction:
     """What `block` expects from `dist`: a singleton's individual value, else
     the coalition's value. Every expected utility of a block is read here."""
+    if len(dist) == 1 and len(block) == 1 and dist[0][0] not in valuation.synergy_terminals:
+        return valuation.tree.nodes[dist[0][0]].payoffs[block[0] - 1]
     total = 0
     for z, p in dist:
         if len(block) == 1:

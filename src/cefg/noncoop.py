@@ -34,10 +34,10 @@ from .model import (
 
 
 # The most pure profiles a layer's normal form may have. `_layer_equilibrium`
-# reads profiles on demand, but a layer whose equilibrium comes late reads
-# and keeps every one. With Python 3.11 on a 2-CPU host, `solve_game` on a
-# layer of 16,384 profiles takes under 0.5 s; tabulating all 4,194,304 of a
-# wider one ran out of a 2 GB address space.
+# reads profiles on demand, but a layer of several players whose equilibrium
+# comes late reads and keeps every one. With Python 3.11 on a 2-CPU host,
+# `solve_game` on a layer of 16,384 profiles takes under 0.5 s; tabulating
+# all 4,194,304 of a wider one ran out of a 2 GB address space.
 _MAX_LAYER_PROFILES = 1 << 14
 
 
@@ -108,7 +108,8 @@ def _layer_equilibrium(valuation, partition, g, continuation, fixed) -> tuple:
 
     The normal form is read on demand: a pure profile's assignment, dist
     and block values are computed the first time the pure scan, or the
-    bimatrix of support enumeration, reads that profile.
+    bimatrix of support enumeration, reads that profile. A one-player
+    layer reads each strategy once, keeping only the best so far.
     """
     tree = valuation.tree
     free = [s for s in tree.layer_info_sets(g) if s not in fixed]
@@ -127,6 +128,11 @@ def _layer_equilibrium(valuation, partition, g, continuation, fixed) -> tuple:
     owners = {s: block_containing(partition, tree.info_set_player(s)) for s in free}
     players = sorted(set(owners.values()), key=lambda b: b[0])
     sets_of = [tuple(s for s in free if owners[s] == b) for b in players]
+    if len(players) == 1:  # its first strategy with the best value, in one pass
+        assignments = (dict(zip(sets_of[0], strategy))
+                       for strategy in product(*(labels[s] for s in sets_of[0])))
+        plays = ((a, _layer_walk(tree, g, continuation, {**fixed, **a})) for a in assignments)
+        return max(plays, key=lambda play: block_value(players[0], play[1], partition, valuation))
     strategies = [list(product(*(labels[s] for s in sets))) for sets in sets_of]
     memo: dict = {}  # pure profile -> (assignment, dist, each player's block value)
 

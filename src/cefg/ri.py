@@ -12,9 +12,9 @@ the subgame's solution.
 
 Subgames are solved innermost first on an explicit stack. A supergame is
 solved by a nested walk with fewer effective players, so solves nest at most
-once per player. Solutions are memoized by (subgame root, view partition);
-the memo doubles as the store of standalone per-subgame solutions that the
-trace renders.
+once per player. Solutions are memoized by view partition, then subgame
+root; the base view's memo doubles as the store of standalone per-subgame
+solutions that the trace renders.
 
 Imperfect information is handled at the subgame scale: a layer containing
 non-singleton information sets is solved as a reduced normal-form game
@@ -39,8 +39,6 @@ from .model import (
     Valuation,
     block_containing,
     block_value,
-    canon_block,
-    canon_partition,
     dist_payoffs,
     individual_values,
     singleton_partition,
@@ -106,17 +104,30 @@ class SolutionProfile:
         self.tree = tree
         self.utils = utils
         self.root_entry = root_entry
-        self._memo = dict(memo)
-        self._rows = tuple(rows)  # the audit's steps as plain tuples
+        self._memo = memo  # view -> {subgame root -> Entry}
+        # The audit as plain tuples: a step's fields, or one candidate's IR
+        # step's fields and its subgame root, which `_steps` reads as two steps.
+        self._rows = tuple(rows)
         self._base = singleton_partition(tree.n_players)
         self._trace = None  # trace_steps(), made on first use
         self._summary = None  # render.bracket_summary's text, made on first use
+
+    def _steps(self, rows):
+        movers = self.tree.movers
+        for row in rows:
+            if len(row) == 9:  # its supergame-solved step, then its IR step
+                at, _, union, outcome, _, view, value, _, g = row
+                idle = ",".join(str(i) for i in union if i not in movers[g])
+                yield SolveStep(at, "supergame-solved", union, outcome,
+                                idle and "idle:" + idle, view, value, ())
+                row = row[:8]
+            yield SolveStep._make(row)
 
     @cached_property
     def audit(self) -> tuple:
         """Every step of the solve, the supergame recursions' too, in
         emission order; made on first read."""
-        return tuple(map(SolveStep._make, self._rows))
+        return tuple(self._steps(self._rows))
 
     @property
     def outcome(self) -> tuple:
@@ -133,13 +144,13 @@ class SolutionProfile:
     def trace_steps(self) -> tuple:
         """Steps of the base-view recursion, in emission order."""
         if self._trace is None:
-            self._trace = tuple(SolveStep._make(r) for r in self._rows
-                                if r[5] == self._base)
+            self._trace = tuple(self._steps(r for r in self._rows
+                                            if r[5] == self._base))
         return self._trace
 
     def standalone_entry(self, node: str) -> Entry:
         """The solution of the subgame at `node` solved on its own."""
-        return self._memo[(node, self._base)]
+        return self._memo[self._base][node]
 
     @cached_property
     def root_context(self) -> dict:
@@ -151,9 +162,8 @@ class SolutionProfile:
         """Context root -> its Entry: the root context, then every subgame
         solved on its own (terminals included), in memo order."""
         out = {self.root_entry.node: self.root_entry}
-        for (node, view), entry in self._memo.items():
-            if view == self._base:
-                out.setdefault(node, entry)
+        for node, entry in self._memo[self._base].items():
+            out.setdefault(node, entry)
         return out
 
     def entries(self) -> dict:
@@ -177,38 +187,37 @@ class _Solver:
     def __init__(self, tree: GameTree, utils: UtilitySystem):
         self.tree = tree
         self.valuation = Valuation(tree, utils)
-        self.memo: dict = {}
-        self.merges: dict = {}  # (view, block) -> its supergames, in order
-        self.audit: list[tuple] = []  # SolveStep fields, as plain tuples
+        self.memo: dict = {}  # view -> {subgame root -> Entry}
+        self.merges: dict = {}  # (view, block) -> [(union, merged view, its memo), ...]
+        self.audit: list[tuple] = []  # SolutionProfile's rows
 
     def solve(self, g: str, view: tuple) -> Entry:
         """Solve and memoize the subgames under `g` innermost first, in the
         order a recursion down the tree would finish them."""
+        tree, memo = self.tree, self.memo.setdefault(view, {})
         stack = [(g, False)]
         while stack:
             node, kids_done = stack.pop()
-            if (node, view) in self.memo:
+            if node in memo:
                 continue
-            frontier = self.tree.frontier_of(node)
-            if kids_done or not frontier:
-                self.memo[node, view] = self._solve(node, view)
+            frontier = tree.frontier_of(node)
+            if not frontier:  # a terminal
+                memo[node] = Entry(node, {}, ((node, 1),), tree.nodes[node].payoffs,
+                                   view, None, {})
+            elif kids_done:
+                memo[node] = self._solve(node, view)
             else:
                 stack.append((node, True))
                 stack.extend((y, False) for y in reversed(frontier))
-        return self.memo[g, view]
+        return memo[g]
 
     # -- one subgame ---------------------------------------------------------
 
     def _solve(self, g: str, view: tuple) -> Entry:
-        tree = self.tree
-        node = tree.nodes[g]
-        if node.is_terminal:
-            return Entry(g, {}, ((g, 1),), node.payoffs, view, None, {})
         # `solve` walks innermost first, so every kid is in the memo.
-        kids, continuation = {}, {}
-        for y in tree.frontier_of(g):
-            kid = kids[y] = self.memo[y, view]
-            continuation[y] = kid.dist
+        tree, memo = self.tree, self.memo[view]
+        kids = {y: memo[y] for y in tree.frontier_of(g)}
+        continuation = {y: kid.dist for y, kid in kids.items()}
         # The layer's noncooperative play: at a one-node layer, the index
         # point; otherwise the equilibrium the layer's steps start from.
         own, dist = layer_play(self.valuation, view, g, continuation)
@@ -251,20 +260,25 @@ class _Solver:
     def _candidates(self, g: str, view: tuple, block: tuple):
         """Supergames of `block` with some other blocks of `view`, by value;
         their merged views depend on the pair alone, so each pair lists them once."""
-        if (view, block) not in self.merges:
+        merges = self.merges.get((view, block))
+        if merges is None:
+            # A union of two or more members is feasible when `feasible` is None
+            # or lists it. Disjoint blocks sort into min-member order.
+            feasible, found = self.valuation.utils.feasible, []
             others = [b for b in view if b != block]
-            merges = []
             for size in range(1, len(others) + 1):
                 for combo in combinations(others, size):
-                    union = canon_block(block + sum(combo, ()))
-                    if self.valuation.utils.is_feasible(union):
+                    union = tuple(sorted(block + sum(combo, ())))
+                    if feasible is None or union in feasible:
                         kept = [b for b in others if b not in combo]
-                        merges.append((len(union), union, canon_partition(kept + [union])))
-            self.merges[view, block] = sorted(merges)
+                        found.append((len(union), union, tuple(sorted(kept + [union]))))
+            merges = self.merges[view, block] = [
+                (union, merged, self.memo.setdefault(merged, {}))
+                for _, union, merged in sorted(found)]
         out = []
-        for _, union, merged in self.merges[view, block]:
+        for union, merged, memo in merges:
             # An Entry is a non-empty tuple, so only a miss runs the stack.
-            entry = self.memo.get((g, merged)) or self.solve(g, merged)
+            entry = memo.get(g) or self.solve(g, merged)
             value = block_value(block, entry.dist, entry.partition, self.valuation)
             out.append((value, union, entry))
         # The merges are in (size, members) order, and the sort is stable.
@@ -276,17 +290,14 @@ class _Solver:
         """Run the reference-point sequence and IR chain of `block` in
         subgame `g` from `r0`, naming the steps `at`."""
         valuation = self.valuation
-        # Each step as SolveStep's fields in order; the profile makes them
-        # SolveSteps when they are read.
+        # Rows as SolutionProfile reads them: the index point and the
+        # adoption as SolveStep's fields, each candidate as its IR step's
+        # fields and then `g`, from which its supergame-solved step is made.
         r0_value = block_value(block, r0.dist, r0.partition, valuation)
         steps = [(at, "index-point", None, r0.outcome, "best-response", view, r0_value, ())]
         accepted, accepted_value, accepted_coalition = r0, r0_value, None
         held = individual_values(r0.dist, r0.partition, valuation)  # under `accepted`
-        movers = self.tree.movers[g]
         for value, union, entry in self._candidates(g, view, block):
-            idle = [i for i in union if i not in movers]
-            note = "idle:" + ",".join(map(str, idle)) if idle else ""
-            steps.append((at, "supergame-solved", union, entry.outcome, note, view, value, ()))
             # The IR test: every member of the candidate's block that holds
             # `union` must strictly gain on the accepted point.
             cand = individual_values(entry.dist, entry.partition, valuation)
@@ -299,7 +310,7 @@ class _Solver:
                             if failing is None
                             else ("ir-rejected", f"blocked-by:{failing}"))
             steps.append((at, kind, union, entry.outcome, reason, view, value,
-                          tuple(comparisons)))
+                          tuple(comparisons), g))
             if failing is None:
                 accepted, accepted_value, accepted_coalition = entry, value, union
                 held = cand
@@ -308,6 +319,8 @@ class _Solver:
                       view, accepted_value, ()))
         # The nested supergame solves emitted their steps first.
         self.audit.extend(steps)
+        if accepted_coalition is None:
+            return r0
         return Entry(g, accepted.own, accepted.dist, accepted.outcome,
                      accepted.partition, accepted_coalition, accepted.children)
 

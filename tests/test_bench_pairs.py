@@ -1,5 +1,7 @@
-"""The summary of `scripts/bench_pairs.py`, on synthetic runs."""
+"""The summary of `scripts/bench_pairs.py`, on synthetic runs, and a smoke run
+of `scripts/ab_inprocess.py`."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +37,16 @@ def test_summary_gives_quartiles_per_side_and_counts_the_change_wins():
 ])
 def test_quartiles_of_few_runs(values, expected):
     assert quartiles(values) == expected
+
+
+def test_in_process_ab_of_a_checkout_against_itself():
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "ab_inprocess.py"), str(root), str(root),
+         "--workload", "chains", "--repeats", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("chains seed 1, ")
+    assert lines[0].endswith("outputs differ in 0 games")

@@ -223,7 +223,7 @@ def test_individual_values_are_each_players_block_value():
         solver = _Solver(tree, utils)
         solver.solve(tree.root, singleton_partition(tree.n_players))
         named = {s.terminal for s in utils.synergies}
-        for entry in solver.memo.values():
+        for entry in (e for memo in solver.memo.values() for e in memo.values()):
             dist, partition = entry.dist, entry.partition
             values = individual_values(dist, partition, solver.valuation)
             assert values == tuple(block_value((i,), dist, partition, solver.valuation)
@@ -354,7 +354,7 @@ def test_valuation_tables_match_the_definition():
         valuation = solver.valuation
         for (block, z), value in valuation.coalitions.items():
             assert value == utils.coalition_value(block, z, tree)
-        for view in {view for _, view in solver.memo}:
+        for view in solver.memo:
             for block, z in product(view, tree.terminal_ids):
                 assert utils.is_feasible(block)
                 direct = (utils.individual_value(block[0], z, view, tree)

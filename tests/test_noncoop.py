@@ -47,7 +47,7 @@ def test_bi_example2(example2):
 def test_bi_supergame_example2(example2):
     # The solver's own entry for the {1,3} supergame: BI with 1 and 3 merged.
     tree, utils = example2
-    sol = solve_game(tree, utils)._memo[("x7", ((1, 3), (2,)))]
+    sol = solve_game(tree, utils)._memo[((1, 3), (2,))]["x7"]
     assert sol.outcome == (6, 3, 5)
     assert sol.actions["x7"] == "R"
     assert sol.actions["x6"] == "d"

@@ -6,6 +6,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from cefg import (
     solve_game,
     spne_in_subgame,
 )
-from cefg.model import singleton_partition
+from cefg.model import canon_block, canon_partition, singleton_partition
 from cefg.oracle import random_game
 from cefg.render import (
     bracket_summary,
@@ -331,8 +332,9 @@ def test_memoization_is_transparent(example2):
         def solve(self, g, view):
             for y in self.tree.frontier_of(g):
                 self.solve(y, view)
-            self.memo[g, view] = self._solve(g, view)
-            return self.memo[g, view]
+            # The kids are solved afresh; the memoized walk then solves only `g`.
+            self.memo.setdefault(view, {}).pop(g, None)
+            return super().solve(g, view)
 
     solver = Unmemoized(tree, utils)
     root_entry = solver.solve(tree.root, singleton_partition(tree.n_players))
@@ -488,8 +490,8 @@ def test_positive_affine_rescaling_preserves_structure(example2):
 def test_recursion_shrinks_effective_players(example2):
     tree, utils = example2
     prof = solve_game(tree, utils)
-    for (node, view) in prof._memo:
-        assert 1 <= len(view) <= tree.n_players
+    for view, memo in prof._memo.items():
+        assert memo and 1 <= len(view) <= tree.n_players
 
 
 def test_adopting_block_may_be_a_strict_superset():
@@ -614,7 +616,7 @@ def test_ir_invariants_catch_a_corrupted_accepted_step(example2, corrupt, messag
     # The first accepted step, under the base view, changed in one way.
     tree, utils = example2
     prof = solve_game(tree, utils)
-    rows = [SolveStep._make(r) for r in prof._rows]
+    rows = list(prof.audit)
     k = next(k for k, s in enumerate(rows) if s.kind == "ir-accepted")
     rows[k] = rows[k]._replace(comparisons=corrupt(
         rows[k].comparisons, tree.owner(rows[k].node)))
@@ -740,3 +742,103 @@ def test_audit_steps_are_made_once_whichever_is_read_first(path, first):
     # tests above do.
     prof.audit = audit[:1]
     assert prof.audit == audit[:1]
+
+
+def _golden_and_restricted_games(seed):
+    """Every golden game, then 40 random 4-5 player games, each with a
+    random list of feasible coalitions."""
+    from test_oracle import _with_utility_kind
+    games = [load_game(p) for p in sorted(GAMES.glob("*.game"))
+             + sorted(_GOLDEN_GAMES.glob("*.game"))]
+    rng = random.Random(seed)
+    for _ in range(40):
+        tree, utils = random_game(rng, max_players=5, min_players=4, max_nodes=12)
+        games.append((tree, _with_utility_kind(rng, tree, utils, "feasible")))
+    return games
+
+
+def test_each_candidate_is_a_supergame_step_then_its_ir_step():
+    # A candidate's supergame-solved step and its IR step are read from one
+    # row; checked here from their definition. A step is named after its
+    # subgame root in a one-node layer and after its information set in a
+    # wider one (`layered`, `chance-layers`), so its root comes from the set.
+    wide_seen = 0
+    for tree, utils in _golden_and_restricted_games(2626):
+        layer_root = {sid: g for g in tree.subgame_roots
+                      for sid in tree.layer_info_sets(g)}
+        prof = solve_game(tree, utils)
+        audit = prof.audit
+        candidates = 0
+        for k, step in enumerate(audit):
+            if step.kind in ("ir-accepted", "ir-rejected"):
+                assert audit[k - 1].kind == "supergame-solved"
+            if step.kind != "supergame-solved":
+                continue
+            candidates += 1
+            ir = audit[k + 1]
+            assert ir.kind in ("ir-accepted", "ir-rejected")
+            assert ((ir.node, ir.coalition, ir.outcome, ir.view, ir.active_value)
+                    == (step.node, step.coalition, step.outcome, step.view,
+                        step.active_value))
+            root = step.node if step.node in tree.one_node_layers else layer_root[step.node]
+            wide_seen += root != step.node
+            idle = [str(i) for i in step.coalition if i not in tree.movers[root]]
+            assert step.reason == ("idle:" + ",".join(idle) if idle else "")
+            assert step.comparisons == ()
+        # One stored row per candidate, and no idle note among them.
+        assert len(prof._rows) == len(audit) - candidates
+        assert not any(str(row[4]).startswith("idle") for row in prof._rows)
+    assert wide_seen
+
+
+@pytest.mark.parametrize("restrict", ["all", "feasible", "singletons_only"])
+def test_merge_lists_match_their_definition(restrict):
+    # For each (view, block) a solve fills: every feasible union of `block`
+    # with some other blocks, its merged view, and that view's memo, in
+    # (size, union) order.
+    from test_oracle import _with_utility_kind
+    rng = random.Random(2627)
+    games = [load_game(p) for p in sorted(GAMES.glob("*.game"))
+             + sorted(_GOLDEN_GAMES.glob("*.game"))]
+    games += [random_game(rng, max_players=5, min_players=4, max_nodes=12)
+              for _ in range(20)]
+    filled = 0
+    for tree, utils in games:
+        if restrict == "feasible":
+            utils = _with_utility_kind(rng, tree, utils, "feasible")
+        elif restrict == "singletons_only":
+            utils = utils.restricted_to_singletons()
+        solver = _Solver(tree, utils)
+        solver.solve(tree.root, singleton_partition(tree.n_players))
+        for (view, block), merges in solver.merges.items():
+            others = [b for b in view if b != block]
+            expected = []
+            for size in range(1, len(others) + 1):
+                for combo in combinations(others, size):
+                    union = canon_block(block + sum(combo, ()))
+                    if utils.is_feasible(union):
+                        kept = [b for b in others if b not in combo]
+                        expected.append((union, canon_partition(kept + [union])))
+            expected.sort(key=lambda pair: (len(pair[0]), pair[0]))
+            assert [(union, merged) for union, merged, _ in merges] == expected
+            assert all(memo is solver.memo[merged] for _, merged, memo in merges)
+            filled += bool(merges)
+    assert filled if restrict != "singletons_only" else not filled
+
+
+# Three 6-player draws: (distinct views, audit steps) of each solve.
+_SIX_PLAYER_COUNTS = [(188, 8744), (184, 7688), (188, 9380)]
+
+
+def test_six_player_games_solve_and_reduce_to_backward_induction():
+    rng = random.Random(606)
+    for views, steps in _SIX_PLAYER_COUNTS:
+        tree, utils = random_game(rng, max_players=6, min_players=6, max_nodes=15)
+        assert tree.n_players == 6
+        prof = solve_game(tree, utils)
+        check_ir_invariants(prof)
+        assert (len({step.view for step in prof.audit}), len(prof.audit)) == (views, steps)
+        reduced = solve_game(tree, utils, singletons_only=True)
+        reference = backward_induction(tree, utils)
+        assert reduced.outcome == reference.outcome
+        assert reduced.root_entry.actions == reference.actions
