@@ -1,16 +1,17 @@
-"""Interleaved A/B of two checkouts' solve and render time, in one process.
+"""Interleaved A/B of two checkouts' request time, in one process.
 
     python scripts/ab_inprocess.py CHECKOUT_A CHECKOUT_B --workload coalitions \\
         --seed 1 --repeats 7
 
 Both checkouts' `cefg` packages are loaded side by side, each from its own
-`src/`. The workload's games come from CHECKOUT_A's `perfbench/gen.py` and
-are parsed and validated once per side, untimed. Then, for each repeat and
-each game, both sides solve the game and render its four outputs (the solve
-text, the nested listing, JSON and DOT); the side that runs first alternates
-per game and per repeat. It prints one line: each side's sum over the games
-of that game's least time, and B / A, and how many games gave different
-outputs on the two sides.
+`src/`. The workload's games come from CHECKOUT_A's `perfbench/gen.py`. For
+each repeat and each game, both sides run the request that
+`perfbench/bench.request` times: parse the game text, validate it, solve it,
+run the noncooperative baseline and render the four outputs (the solve text,
+the nested listing, JSON and DOT); the side that runs first alternates per
+game and per repeat. It prints one line: each side's sum over the games of
+that game's least time, and B / A, and how many games gave different outputs
+on the two sides.
 
 The two sides share one heap and one interpreter, so a ratio from this
 script sizes a lever on a noisy host; it is not a measurement to claim a
@@ -48,10 +49,14 @@ def load_side(checkout: Path):
     return cefg
 
 
-def request(cefg, tree, utils) -> tuple:
-    """Solve one game and render the four outputs of a benchmark request."""
+def request(cefg, text: str) -> tuple:
+    """One benchmark request on a game text; returns its four outputs."""
     render = cefg.render
+    tree, utils = cefg.validate_game(cefg.parse_game(text))
     profile = cefg.solve_game(tree, utils)
+    baseline = (cefg.backward_induction if tree.is_perfect_information
+                else cefg.spne_in_subgame)
+    baseline(tree, utils)
     text = "\n".join([
         f"outcome: {render.outcome_str(profile.outcome)}",
         f"partition: {render.partition_str(profile.partition)}",
@@ -75,8 +80,6 @@ def main(argv=None) -> int:
     import gen
     texts = [text for _, text in gen.workload_games(args.workload, args.seed)]
     sides = [load_side(args.a), load_side(args.b)]
-    games = [[cefg.validate_game(cefg.parse_game(text)) for text in texts]
-             for cefg in sides]
     best = [[float("inf")] * len(texts) for _ in sides]
     outputs: list = [[None] * len(texts) for _ in sides]
     for repeat in range(args.repeats):
@@ -84,7 +87,7 @@ def main(argv=None) -> int:
             first = (repeat + k) % 2
             for s in (first, 1 - first):
                 start = time.perf_counter()
-                out = request(sides[s], *games[s][k])
+                out = request(sides[s], texts[k])
                 best[s][k] = min(best[s][k], time.perf_counter() - start)
                 outputs[s][k] = out
     differ = sum(a != b for a, b in zip(*outputs))

@@ -24,10 +24,11 @@ The format is JSON with a fixed schema::
 
 Every number (payoffs, chance probabilities, weights, table and synergy
 values) is a JSON number or an exact rational string "p/q" (integers,
-q > 0); `validate_game` loads it as an `int` when integral, else as a
-`Fraction`. Action maps preserve declaration order, which fixes every
-tie-break downstream. `parse_game` reports the first syntax error with
-line/column; schema problems raise GameFormatError with a code.
+q > 0); `parse_game` loads it as an `int` when integral, else as a
+`Fraction`, and stores each node as the model's `Node`. Action maps
+preserve declaration order, which fixes every tie-break downstream.
+`parse_game` reports the first syntax error with line/column; schema
+problems raise GameFormatError with a code.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class GameSpec:
     format_version: int
     players: list
     root: str
-    nodes: dict  # id -> {"player": int, "actions": [(label, child)]} | {"payoffs": [...]}
+    nodes: dict  # id -> Node; every number of the spec is an int or a Fraction
     chance: dict | None = None
     info_sets: dict | None = None
     feasible: object = "all"  # "all" or list of member lists
@@ -80,26 +81,31 @@ def _exact(value) -> int | Fraction | None:
     """The exact value of a game-file number, else None: a finite JSON
     number that is not a boolean (Python's JSON reader takes NaN, Infinity
     and 1e400; an int is its own value), or a "p/q" string (integers,
-    q > 0). A float goes through Decimal(str(...)): `0.1` is one tenth."""
+    q > 0). A float goes through Decimal(str(...)): `0.1` is one tenth. The
+    value is an `int` when integral, so that comparisons and sums of
+    integral values run in C, else a `Fraction`."""
     if isinstance(value, float):
-        return Fraction(Decimal(str(value))) if math.isfinite(value) else None
-    if isinstance(value, int):
+        if not math.isfinite(value):
+            return None
+        exact = Fraction(Decimal(str(value)))
+    elif isinstance(value, int):
         return None if isinstance(value, bool) else value
-    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+    elif isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            exact = Fraction(value)
+        except (ValueError, ZeroDivisionError):  # more digits than int() converts, q = 0
+            return None
+    else:
         return None
-    p, q = value.split("/")
-    try:
-        p, q = int(p), int(q)
-    except ValueError:  # more digits than int() converts
-        return None
-    return Fraction(p, q) if q > 0 else None
+    return exact.numerator if exact.denominator == 1 else exact
 
 
-def _number(value, where):
-    if _exact(value) is None:
+def _number(value, where) -> int | Fraction:
+    exact = _exact(value)
+    if exact is None:
         _fail("SyntaxError", f"{where} must be a number or a \"p/q\" string, "
                              f"not {value!r}")
-    return value
+    return exact
 
 
 def _object(value, where) -> dict:
@@ -188,13 +194,14 @@ def parse_game(text: str) -> GameSpec:
                        for label, child in pairs):
                 _fail("SyntaxError",
                       f"node {nid}: action labels and children must be strings")
-            nodes[nid] = {"player": body.get("player"), "actions": pairs}
+            nodes[nid] = Node(nid, body.get("player"), tuple(pairs))
         else:
             payoffs = body["payoffs"]
-            if not isinstance(payoffs, list) or any(_exact(v) is None for v in payoffs):
+            payoffs = tuple(map(_exact, payoffs)) if isinstance(payoffs, list) else None
+            if payoffs is None or None in payoffs:
                 _fail("SyntaxError", f"node {nid}: payoffs must be a list of numbers "
                                      f"or \"p/q\" strings")
-            nodes[nid] = {"payoffs": list(payoffs)}
+            nodes[nid] = Node(nid, payoffs=payoffs)
 
     coalitions = _object(raw.get("coalitions") or {}, "coalitions")
     _known_fields(coalitions, _COALITION_KEYS, "coalitions")
@@ -231,8 +238,9 @@ def parse_game(text: str) -> GameSpec:
     elif "weights" in utility and utility["combinator"] != "weighted":
         _fail("SyntaxError", "coalitions.utility.weights needs the weighted combinator")
     elif utility.get("weights") is not None:
-        for i, w in _object(utility["weights"], "coalitions.utility.weights").items():
-            _number(w, f"weight of player {i}")
+        utility = {**utility, "weights": {
+            i: _number(w, f"weight of player {i}")
+            for i, w in _object(utility["weights"], "coalitions.utility.weights").items()}}
 
     synergies = []
     raw_synergies = raw.get("synergies") or []
@@ -256,7 +264,6 @@ def parse_game(text: str) -> GameSpec:
                    and all(isinstance(m, str) for m in members)
                    for members in info_sets.values()):
             _fail("SyntaxError", "info_sets must map names to lists of node ids")
-        info_sets = {sid: list(members) for sid, members in info_sets.items()}
 
     chance = raw.get("chance")
     if chance:
@@ -279,14 +286,12 @@ def parse_game(text: str) -> GameSpec:
 # -- validation ---------------------------------------------------------------
 
 
-def to_number(value) -> int | Fraction:
-    """Convert a parsed JSON number or "p/q" string to an exact rational: an
-    `int` when integral, so that comparisons and sums of integral values run
-    in C, else a `Fraction`."""
-    exact = value if isinstance(value, Fraction) else _exact(value)
-    if exact is None:
-        raise TypeError(f"not a number: {value!r}")
-    return exact.numerator if exact.denominator == 1 else exact
+def _check_exact(values) -> None:
+    """Raise TypeError unless every value is an `int` (not a boolean) or a
+    `Fraction`, as `parse_game` stores numbers; a spec built in code skips
+    the parser."""
+    if not {int, Fraction}.issuperset(map(type, values)):
+        raise TypeError(f"numbers must be int or Fraction: {list(values)!r}")
 
 
 def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
@@ -296,9 +301,9 @@ def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
     `spec` is a `GameSpec` (or any object with the same fields).
     """
     bad: list[tuple[str, str]] = []
-    nodes_raw = spec.nodes
+    nodes = spec.nodes
 
-    if spec.root not in nodes_raw:
+    if spec.root not in nodes:
         raise GameValidationError([("MissingRoot", f"root {spec.root!r} is not a node")])
 
     n = len(spec.players)
@@ -307,39 +312,32 @@ def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
         bad.append(("DuplicatePlayer",
                     f"player names repeated: {', '.join(repeated)}"))
     referenced: dict[str, str] = {}
-    built: dict[str, Node] = {}
-    for nid, raw in nodes_raw.items():
-        if raw.get("actions") is not None:
-            labels = [a for a, _ in raw["actions"]]
-            if len(set(labels)) != len(labels):
-                bad.append(("DuplicateAction", f"node {nid} repeats an action label"))
-            if not labels:
-                bad.append(("NoActions", f"decision node {nid} has no actions"))
-            for label, child in raw["actions"]:
-                if child not in nodes_raw:
-                    bad.append(("UnknownChild", f"node {nid} action {label!r} -> missing node {child!r}"))
-                elif child in referenced:
-                    bad.append(("CycleDetected", f"node {child} has two parents ({referenced[child]} and {nid})"))
-                elif child == spec.root:
-                    bad.append(("CycleDetected", f"root {child} appears as a child of {nid}"))
-                else:
-                    referenced[child] = nid
-            player = raw.get("player")
-            if player is None:
-                if nid != spec.root or spec.chance is None:
-                    bad.append(("MissingPlayer", f"decision node {nid} has no player"))
-            elif not _is_player(player, n):
-                bad.append(("BadPlayer", f"node {nid}: player {player!r} not in 1..{n}"))
-            built[nid] = Node(id=nid, player=player, actions=tuple(raw["actions"]))
-        else:
-            payoffs = raw.get("payoffs")
-            if payoffs is None:
-                bad.append(("EmptyNode", f"node {nid} has neither actions nor payoffs"))
-                continue
-            if len(payoffs) != n:
+    for nid, node in nodes.items():
+        if node.is_terminal:
+            _check_exact(node.payoffs)
+            if len(node.payoffs) != n:
                 bad.append(("PayoffLengthMismatch",
-                            f"terminal {nid} has {len(payoffs)} payoffs for {n} players"))
-            built[nid] = Node(id=nid, payoffs=tuple(to_number(v) for v in payoffs))
+                            f"terminal {nid} has {len(node.payoffs)} payoffs for {n} players"))
+            continue
+        labels = node.action_labels()
+        if len(set(labels)) != len(labels):
+            bad.append(("DuplicateAction", f"node {nid} repeats an action label"))
+        if not labels:
+            bad.append(("NoActions", f"decision node {nid} has no actions"))
+        for label, child in node.actions:
+            if child not in nodes:
+                bad.append(("UnknownChild", f"node {nid} action {label!r} -> missing node {child!r}"))
+            elif child in referenced:
+                bad.append(("CycleDetected", f"node {child} has two parents ({referenced[child]} and {nid})"))
+            elif child == spec.root:
+                bad.append(("CycleDetected", f"root {child} appears as a child of {nid}"))
+            else:
+                referenced[child] = nid
+        if node.player is None:
+            if nid != spec.root or spec.chance is None:
+                bad.append(("MissingPlayer", f"decision node {nid} has no player"))
+        elif not _is_player(node.player, n):
+            bad.append(("BadPlayer", f"node {nid}: player {node.player!r} not in 1..{n}"))
 
     # Reachability plus cycle detection via a walk from the root.
     if not any(code == "UnknownChild" for code, _ in bad):
@@ -351,24 +349,22 @@ def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
                 bad.append(("CycleDetected", f"node {nid} reached twice from the root"))
                 break
             seen.add(nid)
-            raw = nodes_raw[nid]
-            stack.extend(c for _, c in (raw.get("actions") or ()))
+            stack.extend(c for _, c in nodes[nid].actions)
         else:
-            unreachable = sorted(set(nodes_raw) - seen)
+            unreachable = sorted(set(nodes) - seen)
             if unreachable:
                 bad.append(("UnreachableNode", f"nodes not reachable from root: {', '.join(unreachable)}"))
 
     if bad:
         raise GameValidationError(bad)
 
-    chance = None
-    if spec.chance is not None:
-        chance = {child: to_number(p) for child, p in spec.chance.items()}
-        root_children = [c for _, c in nodes_raw[spec.root].get("actions") or ()]
-        if sorted(chance) != sorted(root_children):
+    chance = spec.chance
+    if chance is not None:
+        _check_exact(chance.values())
+        if sorted(chance) != sorted(c for _, c in nodes[spec.root].actions):
             bad.append(("BadChanceDistribution",
                         "chance distribution keys must be exactly the root's children"))
-        if built[spec.root].player is not None:
+        if nodes[spec.root].player is not None:
             bad.append(("BadChanceDistribution",
                         f"chance root {spec.root} also names a player"))
         if any(p < 0 for p in chance.values()):
@@ -386,12 +382,12 @@ def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
                 bad.append(("BadInfoSet", f"info set {set_id} has no members"))
             # GameTree names the set of an undeclared decision node after
             # the node, so no other set may take that name.
-            if (set_id not in members and set_id in built
-                    and built[set_id].player is not None):
+            if (set_id not in members and set_id in nodes
+                    and nodes[set_id].player is not None):
                 bad.append(("BadInfoSet", f"info set {set_id} is named after "
                                           f"decision node {set_id} but does not hold it"))
             for m in members:
-                if m not in built or built[m].player is None:
+                if m not in nodes or nodes[m].player is None:
                     bad.append(("BadInfoSet", f"info set {set_id}: {m!r} is not a decision node"))
                 elif m in placed:
                     bad.append(("BadInfoSet", f"node {m} appears in two info sets"))
@@ -400,7 +396,7 @@ def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
         if bad:
             raise GameValidationError(bad)
 
-    tree = GameTree(built, spec.root, spec.players,
+    tree = GameTree(nodes, spec.root, spec.players,
                     info_sets=info_sets, chance_at_root=chance)
 
     for set_id, members in tree.info_sets.items():
@@ -490,7 +486,8 @@ def _build_utils(spec, tree: GameTree):
             elif (first := keys.setdefault(canon_block(key), key)) != key:
                 bad.append(("BadCoalition", f"table keys {list(first)} and "
                                             f"{list(key)} name the same coalition"))
-            table[canon_block(key)] = {z: to_number(v) for z, v in per_terminal.items()}
+            _check_exact(per_terminal.values())
+            table[canon_block(key)] = dict(per_terminal)
         non_singletons = ([m for m in feasible if len(m) > 1] if feasible is not None
                           else [canon_block(c) for size in range(2, n + 1)
                                 for c in combinations(range(1, n + 1), size)])
@@ -510,7 +507,8 @@ def _build_utils(spec, tree: GameTree):
             unknown = [k for k in raw if k not in keys]
             if unknown:
                 bad.append(("BadWeight", f"weights for {unknown} name no player in 1..{n}"))
-            weights = tuple(to_number(raw.get(k, 1)) for k in keys)
+            weights = tuple(raw.get(k, 1) for k in keys)
+            _check_exact(weights)
 
     synergies = []
     for entry in spec.synergies or ():
@@ -525,7 +523,8 @@ def _build_utils(spec, tree: GameTree):
         if terminal not in tree.terminal_ids:
             bad.append(("BadSynergy", f"synergy terminal {terminal!r} is not a terminal"))
             continue
-        synergies.append(Synergy(player, canon_block(block), terminal, to_number(value)))
+        _check_exact((value,))
+        synergies.append(Synergy(player, canon_block(block), terminal, value))
 
     utils = UtilitySystem(n, feasible, combinator=combinator,
                           weights=weights, table=table, synergies=tuple(synergies))
@@ -533,22 +532,21 @@ def _build_utils(spec, tree: GameTree):
 
 
 def serialize_game(spec: GameSpec) -> str:
-    """Render a GameSpec back to canonical file text (round-trip stable)."""
+    """Render a GameSpec back to canonical file text (round-trip stable);
+    a number that is not integral is written as its "p/q" string."""
     out = {
         "format_version": spec.format_version,
         "players": spec.players,
         "root": spec.root,
         "nodes": {},
     }
-    for nid, body in spec.nodes.items():
-        if "actions" in body:
-            entry = {}
-            if body.get("player") is not None:
-                entry["player"] = body["player"]
-            entry["actions"] = {label: child for label, child in body["actions"]}
-            out["nodes"][nid] = entry
+    for nid, node in spec.nodes.items():
+        if node.is_terminal:
+            out["nodes"][nid] = {"payoffs": list(node.payoffs)}
         else:
-            out["nodes"][nid] = {"payoffs": body["payoffs"]}
+            entry = {} if node.player is None else {"player": node.player}
+            entry["actions"] = dict(node.actions)
+            out["nodes"][nid] = entry
     if spec.chance:
         out["chance"] = spec.chance
     if spec.info_sets:
@@ -562,7 +560,7 @@ def serialize_game(spec: GameSpec) -> str:
         out["synergies"] = [
             {"player": p, "block": list(b), "terminal": z, "value": v}
             for p, b, z, v in spec.synergies]
-    return json.dumps(out, indent=2) + "\n"
+    return json.dumps(out, indent=2, default=str) + "\n"  # a Fraction as "p/q"
 
 
 def load_game(path) -> tuple[GameTree, UtilitySystem]:

@@ -195,9 +195,6 @@ class GameTree:
     def info_set_of(self, nid: str) -> str:
         return self._info_set_of[nid]
 
-    def info_set_player(self, set_id: str) -> int:
-        return self.nodes[self.info_sets[set_id][0]].player
-
     @cached_property
     def set_rank(self) -> dict:
         """Each information set -> (its index in the order of (player, position
@@ -208,7 +205,7 @@ class GameTree:
     def owner(self, unit: str) -> int:
         """The player who moves at an information-set id or a node id."""
         if unit in self.info_sets:
-            return self.info_set_player(unit)
+            return self.nodes[self.info_sets[unit][0]].player
         return self.nodes[unit].player
 
     @property

@@ -125,7 +125,7 @@ def _layer_equilibrium(valuation, partition, g, continuation, fixed) -> tuple:
         raise TooLarge(
             f"the layer at {g} has {size} pure profiles, more than the "
             f"{_MAX_LAYER_PROFILES} its normal form may hold")
-    owners = {s: block_containing(partition, tree.info_set_player(s)) for s in free}
+    owners = {s: block_containing(partition, tree.owner(s)) for s in free}
     players = sorted(set(owners.values()), key=lambda b: b[0])
     sets_of = [tuple(s for s in free if owners[s] == b) for b in players]
     if len(players) == 1:  # its first strategy with the best value, in one pass

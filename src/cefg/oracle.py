@@ -291,32 +291,22 @@ def random_game(rng, max_players=3, max_depth=4, max_nodes=15,
                          or (not force_decision and rng.random() < 0.3))
         nid = fresh("t" if make_terminal else "n")
         if make_terminal:
-            nodes[nid] = {"payoffs": None}
+            nodes[nid] = None  # its payoffs come once every terminal is known
             return nid
         width = 2 if budget[0] < 4 else rng.choice((2, 2, 3))
         width = min(width, budget[0])
         budget[0] -= width
         children = [build(depth + 1) for _ in range(width)]
         labels = [chr(ord("a") + k) for k in range(width)]
-        nodes[nid] = {"player": rng.randint(1, n),
-                      "actions": list(zip(labels, children))}
+        nodes[nid] = Node(nid, rng.randint(1, n), tuple(zip(labels, children)))
         return nid
 
     root = build(0, force_decision=True)
 
-    terminals = [nid for nid, body in nodes.items()
-                 if body.get("payoffs", 0) is None]
+    terminals = [nid for nid, node in nodes.items() if node is None]
     pool = rng.sample(range(1, 20 * n * len(terminals) + 1), n * len(terminals))
     for z in terminals:
-        nodes[z]["payoffs"] = [pool.pop() for _ in range(n)]
-
-    built = {}
-    for nid, body in nodes.items():
-        if body.get("actions"):
-            built[nid] = Node(id=nid, player=body["player"],
-                              actions=tuple(body["actions"]))
-        else:
-            built[nid] = Node(id=nid, payoffs=tuple(body["payoffs"]))
-    tree = GameTree(built, root, [f"P{i}" for i in range(1, n + 1)])
+        nodes[z] = Node(z, payoffs=tuple(pool.pop() for _ in range(n)))
+    tree = GameTree(nodes, root, [f"P{i}" for i in range(1, n + 1)])
     utils = UtilitySystem(n)
     return tree, utils

@@ -112,7 +112,7 @@ def bracket_summary(profile: SolutionProfile) -> str:
     actions = top.actions
     family = profile.root_context
     valuation = Valuation(tree, profile.utils)
-    on_path = set(reach_nodes(tree, top))
+    on_path = reach_nodes(tree, top)
     pairs = []
     for sid, (nid, *more) in tree.info_sets.items():  # `_bracket` puts them in order
         node = tree.nodes[nid]

@@ -105,8 +105,9 @@ class SolutionProfile:
         self.utils = utils
         self.root_entry = root_entry
         self._memo = memo  # view -> {subgame root -> Entry}
-        # The audit as plain tuples: a step's fields, or one candidate's IR
-        # step's fields and its subgame root, which `_steps` reads as two steps.
+        # The audit as plain tuples: a step's fields, or one candidate's
+        # (step node, failing agent or None, union, outcome, subgame root,
+        # view, value, comparisons), which `_steps` reads as two steps.
         self._rows = tuple(rows)
         self._base = singleton_partition(tree.n_players)
         self._trace = None  # trace_steps(), made on first use
@@ -115,13 +116,17 @@ class SolutionProfile:
     def _steps(self, rows):
         movers = self.tree.movers
         for row in rows:
-            if len(row) == 9:  # its supergame-solved step, then its IR step
-                at, _, union, outcome, _, view, value, _, g = row
-                idle = ",".join(str(i) for i in union if i not in movers[g])
-                yield SolveStep(at, "supergame-solved", union, outcome,
-                                idle and "idle:" + idle, view, value, ())
-                row = row[:8]
-            yield SolveStep._make(row)
+            if isinstance(row[1], str):  # a step's kind
+                yield SolveStep._make(row)
+                continue
+            # A candidate: its supergame-solved step, then its IR step.
+            at, failing, union, outcome, g, view, value, comparisons = row
+            idle = ",".join(str(i) for i in union if i not in movers[g])
+            yield SolveStep(at, "supergame-solved", union, outcome,
+                            idle and "idle:" + idle, view, value, ())
+            kind, reason = (("ir-accepted", "strict-improvement") if failing is None
+                            else ("ir-rejected", f"blocked-by:{failing}"))
+            yield SolveStep(at, kind, union, outcome, reason, view, value, comparisons)
 
     @cached_property
     def audit(self) -> tuple:
@@ -172,15 +177,15 @@ class SolutionProfile:
                 for entry in walk_entries([top])}
 
 
-def reach_nodes(tree: GameTree, entry: Entry) -> tuple:
+def reach_nodes(tree: GameTree, entry: Entry) -> set:
     """Nodes of `entry`'s subgame reached with positive probability under
-    its actions, in preorder: those on the paths from its root to the
-    terminals of its dist."""
+    its actions: those on the paths from its root to the terminals of its
+    dist."""
     reached = {z for z, _ in entry.dist}
     for z, _ in entry.dist:
         reached.update(nid for nid, _ in tree.path_from_root(z)
                        if tree.in_subtree(nid, entry.node))
-    return tuple(sorted(reached, key=tree.position))
+    return reached
 
 
 class _Solver:
@@ -247,7 +252,7 @@ class _Solver:
                                               continuation, fixed)
                 r0 = Entry(g, {**own, **fixed, **assignment}, dist,
                            dist_payoffs(dist, tree), view, None, kids)
-            block = block_containing(view, tree.info_set_player(sid))
+            block = block_containing(view, tree.owner(sid))
             entry = self._adopt(g, view, block, r0, g if one_node else sid)
             # An index point that kept the equilibrium pins nothing, so the
             # sets above it are not pinned to a copy of it.
@@ -291,8 +296,8 @@ class _Solver:
         subgame `g` from `r0`, naming the steps `at`."""
         valuation = self.valuation
         # Rows as SolutionProfile reads them: the index point and the
-        # adoption as SolveStep's fields, each candidate as its IR step's
-        # fields and then `g`, from which its supergame-solved step is made.
+        # adoption as SolveStep's fields, each candidate as one row from
+        # which its supergame-solved step and its IR step are made.
         r0_value = block_value(block, r0.dist, r0.partition, valuation)
         steps = [(at, "index-point", None, r0.outcome, "best-response", view, r0_value, ())]
         accepted, accepted_value, accepted_coalition = r0, r0_value, None
@@ -306,11 +311,8 @@ class _Solver:
                 comparisons.append((agent, cand[agent - 1], held[agent - 1]))
                 if failing is None and not cand[agent - 1] > held[agent - 1]:
                     failing = agent
-            kind, reason = (("ir-accepted", "strict-improvement")
-                            if failing is None
-                            else ("ir-rejected", f"blocked-by:{failing}"))
-            steps.append((at, kind, union, entry.outcome, reason, view, value,
-                          tuple(comparisons), g))
+            steps.append((at, failing, union, entry.outcome, g, view, value,
+                          tuple(comparisons)))
             if failing is None:
                 accepted, accepted_value, accepted_coalition = entry, value, union
                 held = cand

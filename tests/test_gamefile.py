@@ -1,6 +1,8 @@
 """Parser and serializer for the game description format."""
 
 import json
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from cefg import (
     CefgError,
     GameFormatError,
     GameValidationError,
+    Node,
     export_dot,
     load_game_text,
     parse_game,
@@ -19,9 +22,9 @@ from cefg import (
     render_trace,
     serialize_game,
     solve_game,
+    validate_game,
 )
 from cefg.cli import main
-from cefg.gamefile import to_number
 from conftest import game_path, make_game_text
 
 BUNDLED = ("abortion.game", "example2.game", "example2-modified.game")
@@ -30,7 +33,7 @@ BUNDLED = ("abortion.game", "example2.game", "example2-modified.game")
 def test_parse_abortion_fixture():
     spec = parse_game(game_path("abortion.game").read_text())
     assert len(spec.players) == 3
-    terminals = [nid for nid, body in spec.nodes.items() if "payoffs" in body]
+    terminals = [nid for nid, node in spec.nodes.items() if node.is_terminal]
     assert len(terminals) == 6
     assert spec.utility == {"combinator": "min"}
     assert spec.feasible == "all"
@@ -38,8 +41,8 @@ def test_parse_abortion_fixture():
 
 def test_parse_example2_terminal_payoffs():
     spec = parse_game(game_path("example2.game").read_text())
-    payoffs = [tuple(body["payoffs"]) for body in spec.nodes.values()
-               if "payoffs" in body]
+    assert all(isinstance(node, Node) for node in spec.nodes.values())
+    payoffs = [node.payoffs for node in spec.nodes.values() if node.is_terminal]
     assert payoffs == [(5, 5, 3), (2, 2, 1), (4, 4, 5), (1, 6, 4),
                        (3, 1, 2), (2, 2, 6), (1, 1, 6), (6, 3, 5)]
 
@@ -109,14 +112,6 @@ def test_table_and_weighted_utilities_round_trip():
     }, players=2, utility={"combinator": "weighted", "weights": {"1": 2, "2": 1}})
     spec = parse_game(text)
     assert parse_game(serialize_game(spec)) == spec
-
-
-@pytest.mark.parametrize("value", [True, float("inf"), float("nan"), "1/0", "x", None])
-def test_to_number_rejects_what_the_parser_rejects(value):
-    # A hand-built GameSpec skips the parser; its numbers still go through
-    # the same rule and fail as a TypeError.
-    with pytest.raises(TypeError):
-        to_number(value)
 
 
 def test_rational_strings_are_exact_and_round_trip():
@@ -210,6 +205,66 @@ def test_integral_numbers_load_as_int_and_others_as_fractions(site, raw, want):
 def test_chance_probabilities_follow_the_number_contract(pair, types):
     got = READ["chance"](*load_game_text(_number_game("chance", *pair)))
     assert tuple(map(type, got)) == types and sum(got) == 1
+
+
+def _with_number(spec, site, v):
+    """`spec`, parsed from `_number_game(site, ...)`, with `v` at `site`, as
+    a spec built in code may hold it."""
+    if site == "payoff":
+        z1 = spec.nodes["z1"]
+        return replace(spec, nodes={**spec.nodes, "z1": replace(z1, payoffs=(v, 1))})
+    if site == "chance":
+        return replace(spec, chance={**spec.chance, "z1": v})
+    if site == "table":
+        return replace(spec, utility={"table": {(1, 2): {"z1": v, "z2": 0}}})
+    if site == "weights":
+        return replace(spec, utility={**spec.utility, "weights": {"1": v, "2": 1}})
+    return replace(spec, synergies=[(1, (1, 2), "z1", v)])
+
+
+@pytest.mark.parametrize("site", ["payoff", "chance", "table", "weights", "synergy"])
+@pytest.mark.parametrize("value", [True, math.inf, math.nan, "1/0", "x", None, "1/3"])
+def test_a_spec_built_in_code_holds_exact_numbers(site, value):
+    # A spec built in code skips the parser: a number that is not an int or
+    # a Fraction, as `parse_game` stores them, fails as a TypeError.
+    spec = parse_game(_number_game(site, "1/2", "1/2"))
+    assert _with_number(spec, site, Fraction(1, 2)) == spec
+    validate_game(_with_number(spec, site, Fraction(1, 2)))
+    with pytest.raises(TypeError):
+        validate_game(_with_number(spec, site, value))
+
+
+_NUMBERS = (st.integers(-10 ** 20, 10 ** 20)
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.builds("{}/{}".format, st.integers(-10 ** 6, 10 ** 6),
+                        st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def number_game_texts(draw):
+    """A two-player game text with a drawn number at every number site; the
+    parser does not ask the probabilities to sum to 1."""
+    table = {"table": {"1,2": {"z1": draw(_NUMBERS), "z2": draw(_NUMBERS)}}}
+    weighted = {"combinator": "weighted",
+                "weights": {"1": draw(_NUMBERS), "2": draw(_NUMBERS)}}
+    return make_game_text(
+        {"r": {"actions": {"a": "z1", "b": "z2"}},
+         "z1": [draw(_NUMBERS), draw(_NUMBERS)], "z2": [draw(_NUMBERS), draw(_NUMBERS)]},
+        players=2, chance={"z1": draw(_NUMBERS), "z2": draw(_NUMBERS)},
+        utility=draw(st.sampled_from([table, weighted])),
+        synergies=[{"player": 1, "block": [1, 2], "terminal": "z1",
+                    "value": draw(_NUMBERS)}])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(number_game_texts())
+def test_serialize_then_parse_is_the_identity(text):
+    spec = parse_game(text)
+    assert all(type(v) in (int, Fraction)
+               for node in spec.nodes.values() for v in node.payoffs or ())
+    out = serialize_game(spec)
+    assert parse_game(out) == spec
+    assert serialize_game(parse_game(out)) == out
 
 
 @pytest.mark.parametrize("site", ["payoff", "chance", "table", "weights", "synergy"])

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from cefg import GameTree, cli, load_game
+from cefg import GameTree, cli, load_game, parse_game, serialize_game
 from cefg.cli import main
 from conftest import game_path
 
@@ -97,3 +97,15 @@ def test_fraction_numbers_print_the_parsed_games_bytes(monkeypatch, capsys, game
     for argv, suffix in commands:
         _check_golden(capsys, path, game, argv, suffix)
     assert len(loads) == len(commands)
+
+
+@pytest.mark.parametrize("game", GAMES + CHANCE_GAMES + IMPERFECT_GAMES)
+def test_written_back_games_print_the_goldens(tmp_path, capsys, game):
+    # A game written back by `serialize_game` (its numbers exact, its
+    # fractions "p/q") is the same game: every golden, byte for byte.
+    path = game_path(f"{game}.game") if game in GAMES else GOLDEN / f"{game}.game"
+    written = tmp_path / path.name
+    written.write_text(serialize_game(parse_game(path.read_text())))
+    commands = IMPERFECT_COMMANDS if game in IMPERFECT_GAMES else COMMANDS
+    for argv, suffix in commands:
+        _check_golden(capsys, written, game, argv, suffix)

@@ -785,9 +785,16 @@ def test_each_candidate_is_a_supergame_step_then_its_ir_step():
             idle = [str(i) for i in step.coalition if i not in tree.movers[root]]
             assert step.reason == ("idle:" + ",".join(idle) if idle else "")
             assert step.comparisons == ()
-        # One stored row per candidate, and no idle note among them.
+        # One stored row per candidate. Where a step's row holds its kind, a
+        # candidate's holds its first compared agent that does not gain, or
+        # None; no row holds an idle note or a reason's text.
         assert len(prof._rows) == len(audit) - candidates
-        assert not any(str(row[4]).startswith("idle") for row in prof._rows)
+        rows = [row for row in prof._rows if not isinstance(row[1], str)]
+        assert len(rows) == candidates
+        assert all(row[1] == next((a for a, cand, held in row[7] if not cand > held), None)
+                   for row in rows)
+        assert not any(isinstance(field, str) and field.startswith(("idle", "blocked"))
+                       for row in prof._rows for field in row)
     assert wide_seen
 
 
