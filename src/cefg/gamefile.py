@@ -339,21 +339,19 @@ def validate_game(spec) -> tuple[GameTree, UtilitySystem]:
         elif not _is_player(node.player, n):
             bad.append(("BadPlayer", f"node {nid}: player {node.player!r} not in 1..{n}"))
 
-    # Reachability plus cycle detection via a walk from the root.
+    # Reachability. A node reached twice from the root has two parents or is
+    # the root, and both are reported above, so the walk skips it.
     if not any(code == "UnknownChild" for code, _ in bad):
         seen: set[str] = set()
         stack = [spec.root]
         while stack:
             nid = stack.pop()
-            if nid in seen:
-                bad.append(("CycleDetected", f"node {nid} reached twice from the root"))
-                break
-            seen.add(nid)
-            stack.extend(c for _, c in nodes[nid].actions)
-        else:
-            unreachable = sorted(set(nodes) - seen)
-            if unreachable:
-                bad.append(("UnreachableNode", f"nodes not reachable from root: {', '.join(unreachable)}"))
+            if nid not in seen:
+                seen.add(nid)
+                stack.extend(c for _, c in nodes[nid].actions)
+        unreachable = sorted(set(nodes) - seen)
+        if unreachable:
+            bad.append(("UnreachableNode", f"nodes not reachable from root: {', '.join(unreachable)}"))
 
     if bad:
         raise GameValidationError(bad)

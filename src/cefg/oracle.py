@@ -6,8 +6,9 @@ against an independent path:
 
 * `oracle_bi` enumerates every pure strategy profile and keeps the ones that
   survive the node-local argmax check at every decision node;
-* `oracle_solve` runs the recursive-induction definition literally,
-  materializing a fresh merged-player view for every supergame it visits;
+* `oracle_solve` runs the recursive-induction definition literally: it
+  builds each supergame's merged partition and reads each value from the
+  utility definitions where it compares that value;
 * `random_game` builds small random games with globally distinct payoffs so
   that no comparison anywhere can tie.
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import TooLarge
@@ -81,28 +81,18 @@ def oracle_bi(tree, utils, max_profiles=1_000_000) -> LocalSolution:
         if count > max_profiles:
             raise TooLarge(f"more than {max_profiles} pure profiles")
 
+    def value(profile, nid, child):
+        z = _playout(tree, profile, child)
+        return utils.individual_value(tree.nodes[nid].player, z, partition, tree)
+
     label_sets = [tree.nodes[nid].action_labels() for nid in nodes]
     for combo in product(*label_sets):
         profile = dict(zip(nodes, combo))
-        ok = True
-        for nid in nodes:
-            node = tree.nodes[nid]
-            block = block_containing(partition, node.player)
-            chosen = _block_value(
-                tree, utils, partition, block,
-                _playout(tree, profile, node.child(profile[nid])))
-            for _, child in node.actions:
-                if _block_value(tree, utils, partition, block,
-                                _playout(tree, profile, child)) > chosen:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            terminal = _playout(tree, profile, tree.root)
-            dist = ((terminal, Fraction(1)),)
-            actions = {nid: profile[nid] for nid in nodes}
-            return LocalSolution(actions, dist, dist_payoffs(dist, tree), partition)
+        if all(value(profile, nid, tree.nodes[nid].child(profile[nid]))
+               >= max(value(profile, nid, child) for _, child in tree.nodes[nid].actions)
+               for nid in nodes):
+            dist = ((_playout(tree, profile, tree.root), 1),)
+            return LocalSolution(profile, dist, dist_payoffs(dist, tree), partition)
     raise TooLarge("no profile survived the argmax filter")  # unreachable
 
 
@@ -110,10 +100,11 @@ def oracle_solve(tree: GameTree, utils: UtilitySystem, max_nodes=15,
                  max_players=3) -> LocalSolution:
     """The recursive-induction definition, implemented literally.
 
-    At every node it enumerates the supergames by materializing a merged
-    view, recurses without memoization, sorts the reference points, and
-    filters them by the strict-improvement test. Returns the adopted
-    solution at the root; its `partition` is the adopted partition.
+    At every node it enumerates the supergames by building each one's
+    merged partition, recurses without memoization, sorts the reference
+    points, and filters them by the strict-improvement test. Each value is
+    read from the utility definitions where it is compared. Returns the
+    adopted solution at the root; its `partition` is the adopted partition.
     """
     if tree.n_players > max_players:
         raise TooLarge(f"{tree.n_players} players exceeds the oracle limit")
@@ -124,42 +115,26 @@ def oracle_solve(tree: GameTree, utils: UtilitySystem, max_nodes=15,
     return _ri_literal(tree, utils, singleton_partition(tree.n_players), tree.root)
 
 
-def _materialize(tree, utils, partition):
-    """Merged-player copy: node owners and per-terminal utilities by block."""
-    owners = {nid: block_containing(partition, tree.nodes[nid].player)
-              for nid in tree.decision_ids}
-    values = {}
-    for block in partition:
-        for z in tree.terminal_ids:
-            values[(block, z)] = _block_value(tree, utils, partition, block, z)
-    return owners, values
-
-
 def _ri_literal(tree, utils, partition, x) -> LocalSolution:
     node = tree.nodes[x]
     if node.is_terminal:
-        dist = ((x, Fraction(1)),)
+        dist = ((x, 1),)
         return LocalSolution({}, dist, dist_payoffs(dist, tree), partition)
-    owners, values = _materialize(tree, utils, partition)
     subs = {child: _ri_literal(tree, utils, partition, child)
             for _, child in node.actions}
-    block = owners[x]
+    block = block_containing(partition, node.player)
 
-    def member_key(sol):
-        z = sol.dist[0][0]
+    def member_key(action):
+        z = subs[action[1]].dist[0][0]
         extra = tuple(utils.individual_value(i, z, partition, tree)
                       for i in block) if len(block) > 1 else ()
-        return (values[(block, z)],) + extra
+        return (_block_value(tree, utils, partition, block, z),) + extra
 
-    best_label, best_key = None, None
-    for label, child in node.actions:
-        key = member_key(subs[child])
-        if best_key is None or key > best_key:
-            best_label, best_key = label, key
+    best_label, best_child = max(node.actions, key=member_key)  # the first maximizer
     actions = {x: best_label}
     for sub in subs.values():
         actions.update(sub.actions)
-    chosen = subs[node.child(best_label)]
+    chosen = subs[best_child]
     r0 = LocalSolution(actions, chosen.dist, chosen.outcome, partition)
 
     candidates = []

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 
 from .errors import TooLarge
 from .model import Valuation, block_containing, block_value, singleton_partition
@@ -30,20 +31,6 @@ from .ri import Entry, SolutionProfile, reach_nodes, walk_entries
 def fmt_value(v) -> str:
     """A number as text: an integer when integral, else `p/q`."""
     return str(v) if type(v) in (Fraction, int) else str(Fraction(v))
-
-
-def _memo(fmt):
-    """`fmt`, made once per value object for one render call. Keyed by `id`,
-    as hashing a Fraction costs twice what formatting it does; each text is
-    kept beside its object, so no id is reused while the memo lives."""
-    seen: dict = {}
-
-    def text(v) -> str:
-        hit = seen.get(id(v))
-        if hit is None:
-            hit = seen[id(v)] = (v, fmt(v))
-        return hit[1]
-    return text
 
 
 def outcome_str(vec) -> str:
@@ -176,8 +163,8 @@ def render_trace(profile: SolutionProfile, verbosity: str = "summary") -> str:
     taken inside the supergame recursions, tagged with their view.
     """
     tree = profile.tree
-    memos = _memo(fmt_value), _memo(outcome_str), _memo(block_str)
-    view_text = _memo(partition_str)
+    memos = cache(fmt_value), cache(outcome_str), cache(block_str)
+    view_text = cache(partition_str)
     lines = []
     base = singleton_partition(tree.n_players)
     for step in profile.audit if verbosity == "full" else profile.trace_steps():
@@ -218,7 +205,7 @@ def render_solution(profile: SolutionProfile) -> str:
     tops = [root] + [profile.standalone_entry(nid) for nid in standalone]
     blocks: dict = {}
     actions: dict = {}
-    outcome = _memo(outcome_str)
+    outcome = cache(outcome_str)
     size, stack = 0, [(entry, False) for entry in reversed(tops)]
     while stack:
         entry, kids_done = stack.pop()
@@ -311,8 +298,9 @@ def export_dot(tree, profile: SolutionProfile | None = None) -> str:
 # time on deep games. Each helper gets the number of containers its value
 # sits in (`level`), which fixes its indentation. Entries and trace steps
 # fill fixed-key templates; only the objects whose keys vary sort them. A
-# `profile_to_json` call formats each value object once, in memos keyed by
-# identity that live for that call alone (`_memo`).
+# `profile_to_json` call formats each distinct value once, in memos
+# (`functools.cache`) that live for that call alone; equal values format to
+# equal text, so keying by value is sound.
 
 _str = json.encoder.encode_basestring_ascii  # the string encoder json.dumps uses
 
@@ -391,11 +379,11 @@ def profile_to_json(profile: SolutionProfile) -> str:
     contexts = profile.contexts()
     order = list(walk_entries(contexts.values()))
     ids = {id(entry): str(i) for i, entry in enumerate(order)}  # `order` keeps them alive
-    num = _memo(_num_text)
-    nums = _memo(lambda vec: _array(list(map(num, vec)), 3))
-    coalition = _memo(lambda block: _coalition_text(block, 3))
-    partition = _memo(lambda part: _partition_text(part, 3))
-    terminals = _memo(lambda dist: _object(sorted((z, num(p)) for z, p in dist), 3))
+    num = cache(_num_text)
+    nums = cache(lambda vec: _array(list(map(num, vec)), 3))
+    coalition = cache(lambda block: _coalition_text(block, 3))
+    partition = cache(lambda part: _partition_text(part, 3))
+    terminals = cache(lambda dist: _object(sorted((z, num(p)) for z, p in dist), 3))
     entries = [_ENTRY % (
         _actions_text(entry.own, 3),
         _object(sorted((node, ids[id(kid)]) for node, kid in entry.children.items()), 3),

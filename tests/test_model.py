@@ -70,6 +70,22 @@ def test_two_parents_is_a_cycle_violation():
     assert "CycleDetected" in err.value.codes()
 
 
+@pytest.mark.parametrize("nodes,violations", [
+    ({"r": {"player": 1, "actions": {"a": "x", "b": "y"}},
+      "x": {"player": 2, "actions": {"c": "z", "d": "z1"}},
+      "y": {"player": 3, "actions": {"e": "z", "f": "z2"}},
+      "z": [1, 2, 3], "z1": [2, 3, 1], "z2": [3, 1, 2], "lost": [0, 0, 0]},
+     [("CycleDetected", "node z has two parents (x and y)"),
+      ("UnreachableNode", "nodes not reachable from root: lost")]),
+    ({"r": {"player": 1, "actions": {"a": "r", "b": "z"}}, "z": [1, 2, 3]},
+     [("CycleDetected", "root r appears as a child of r")]),
+])
+def test_a_cycle_is_reported_once_and_unreachable_nodes_still_are(nodes, violations):
+    with pytest.raises(GameValidationError) as err:
+        load_game_text(make_game_text(nodes, root="r"))
+    assert err.value.violations == violations
+
+
 def test_payoff_length_mismatch():
     text = make_game_text({
         "r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},

@@ -1,10 +1,12 @@
 """Brute-force oracle: definitions re-derived, cross-checks, negative control."""
 
+import importlib.util
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,8 @@ from cefg.oracle import (
     random_game,
 )
 from conftest import game_path, make_game_text
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_oracle_bi_abortion(abortion):
@@ -251,6 +255,41 @@ def test_solver_matches_oracle_on_every_utility_kind(kind):
         profile, reference = solve_game(tree, utils), oracle_solve(tree, utils)
         assert (profile.outcome, profile.partition) == (reference.outcome,
                                                         reference.partition)
+
+
+def _perfbench_gen():
+    """The benchmark's game generator, loaded from its file without putting
+    `perfbench/` on the import path."""
+    path = PERFBENCH / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_oracle_reproduces_the_committed_benchmark_references():
+    # Seed 1's `chains` games and its `coalitions` games of at most four
+    # players: the fixtures, twelve pool games and twelve chains.
+    gen = _perfbench_gen()
+    refs = {}
+    for workload in ("coalitions", "chains"):
+        refs.update(json.loads((PERFBENCH / "refs" / f"{workload}.json").read_text()))
+    games = [load_game_text(text) + (text,)
+             for workload in ("coalitions", "chains")
+             for _, text in gen.workload_games(workload, 1)]
+    games = [g for g in games if g[0].n_players <= 4]
+    assert len(games) == 27
+    systems = [utils for _, utils, _ in games]
+    assert {u.combinator for u in systems} >= {"min", "sum", "weighted"}
+    assert any(u.table is not None for u in systems)
+    assert any(u.synergies for u in systems)
+    assert any(u.feasible is not None for u in systems)
+    for tree, utils, text in games:
+        sol = oracle_solve(tree, utils, max_nodes=len(tree.nodes),
+                           max_players=tree.n_players)
+        assert refs[gen.text_digest(text)] == {
+            "outcome": [str(v) for v in sol.outcome],
+            "partition": [list(b) for b in sol.partition]}
 
 
 def test_oracle_never_reads_solver_internals():

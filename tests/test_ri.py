@@ -604,20 +604,26 @@ def test_ir_invariants_catch_a_falling_singleton_value(example2):
         check_ir_invariants(prof)
 
 
-@pytest.mark.parametrize("corrupt,message", [
-    (lambda comparisons, owner: (), "lacks comparisons"),
-    (lambda comparisons, owner: tuple(c for c in comparisons if c[0] != owner),
+@pytest.mark.parametrize("kind,corrupt,message", [
+    ("ir-accepted", lambda comparisons, owner: (), "lacks comparisons"),
+    ("ir-accepted",
+     lambda comparisons, owner: tuple(c for c in comparisons if c[0] != owner),
      "does not compare every member of the active block"),
-    (lambda comparisons, owner: ((comparisons[0][0], comparisons[0][2],
+    ("ir-accepted",
+     lambda comparisons, owner: ((comparisons[0][0], comparisons[0][2],
                                   comparisons[0][2]),) + comparisons[1:],
      "does not strictly improve"),
-])
-def test_ir_invariants_catch_a_corrupted_accepted_step(example2, corrupt, message):
-    # The first accepted step, under the base view, changed in one way.
+    ("ir-rejected",
+     lambda comparisons, owner: tuple((i, held + 1, held) for i, _, held in comparisons),
+     "improves every agent"),
+], ids=["accepted-lacks-comparisons", "accepted-misses-a-member", "accepted-not-strict",
+        "rejected-all-strict"])
+def test_ir_invariants_catch_a_corrupted_accepted_step(example2, kind, corrupt, message):
+    # The first step of `kind` in the audit, changed in one way.
     tree, utils = example2
     prof = solve_game(tree, utils)
     rows = list(prof.audit)
-    k = next(k for k, s in enumerate(rows) if s.kind == "ir-accepted")
+    k = next(k for k, s in enumerate(rows) if s.kind == kind)
     rows[k] = rows[k]._replace(comparisons=corrupt(
         rows[k].comparisons, tree.owner(rows[k].node)))
     bad = SolutionProfile(tree, utils, prof.root_entry, prof._memo, rows)
