@@ -4,13 +4,16 @@ A change that makes one of these fail changes user-visible output. To
 re-record a golden on purpose, run the command shown in the test id with
 `-o tests/golden/<game>.<suffix>`.
 
-The bundled games are all perfect-information. Four more games live next
+The bundled games are all perfect-information. Five more games live next
 to their goldens in `tests/golden/`. Two have perfect information and a
 chance root: `chance-perfect.game`, with three branches weighted 1/3, 2/3
-and 0, and `chance-one-branch.game`, with one branch. Two have imperfect
+and 0, and `chance-one-branch.game`, with one branch. Three have imperfect
 information: `layered.game`, a stack of three simultaneous-move layers with
-a mixed one at the bottom, and `chance-layers.game`, a chance root over a
-2x2 layer with a pure equilibrium and a matching-pennies layer with none.
+a mixed one at the bottom; `chance-layers.game`, a chance root over a 2x2
+layer with a pure equilibrium and a matching-pennies layer with none; and
+`chance-mixed-stack.game`, a chance root weighted 2/7 and 5/7 over a 3x3
+cyclic layer whose only equilibrium mixes all three strategies of each
+player, with a 2x2 matching-pennies layer below one of its cells.
 """
 
 from dataclasses import replace
@@ -37,7 +40,7 @@ COMMANDS = (
     (("bi",), "bi.txt"),
     (("bi", "--format", "json"), "bi-json.json"),
 )
-IMPERFECT_GAMES = ("layered", "chance-layers")
+IMPERFECT_GAMES = ("layered", "chance-layers", "chance-mixed-stack")
 IMPERFECT_COMMANDS = tuple(c for c in COMMANDS if c[0][0] != "bi")
 
 

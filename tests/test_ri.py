@@ -702,6 +702,8 @@ _WORK_COUNTS = {
                            "ir-rejected": 39, "supergame-solved": 41}, 5, 150),
     "chance-layers": ({"adopted": 4, "index-point": 4, "ir-rejected": 2,
                        "supergame-solved": 2}, 2, 12),
+    "chance-mixed-stack": ({"adopted": 8, "index-point": 8, "ir-rejected": 4,
+                            "supergame-solved": 4}, 2, 24),
     "chance-one-branch": ({"adopted": 9, "index-point": 9, "ir-accepted": 1,
                            "ir-rejected": 10, "supergame-solved": 11}, 5, 40),
     "chance-perfect": ({"adopted": 22, "index-point": 22, "ir-accepted": 1,
