@@ -20,6 +20,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from math import lcm
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import InfeasibleCoalition
@@ -354,24 +356,26 @@ class UtilitySystem:
 # terminal id, so that mixed equilibria stay exact; a probability is an `int`
 # when integral and a `Fraction` otherwise. Its probabilities are positive
 # and sum to exactly 1: a terminal solves to ((z, 1),), chance is validated
-# exactly, mixed equilibria are exact and `make_dist` drops zeros.
-# So a one-terminal dist is pure, and `block_value` takes its value as is.
+# exactly, mixed equilibria are exact and `noncoop._layer_walk` drops zeros.
+# So a one-terminal dist is pure, and `block_value` takes its value as is;
+# over several terminals, an expected value is one `Fraction` of a sum over
+# integer weights (`_weights`).
 
 
-def make_dist(pairs) -> tuple:
-    acc: dict = {}
-    for terminal, p in pairs:
-        if p:
-            acc[terminal] = acc.get(terminal, 0) + p
-    return tuple(sorted(acc.items()))
+def _weights(dist) -> tuple:
+    """The probabilities of `dist` as integers over their lcm: (weights in
+    dist order, the lcm)."""
+    d = lcm(*(p.denominator for _, p in dist))
+    return [p.numerator * (d // p.denominator) for _, p in dist], d
 
 
 def dist_payoffs(dist, tree: GameTree) -> tuple:
     """Expected payoff vector of a terminal distribution."""
     if len(dist) == 1:
         return tree.nodes[dist[0][0]].payoffs
-    return tuple(sum(p * tree.nodes[z].payoffs[k] for z, p in dist)
-                 for k in range(tree.n_players))
+    weights, d = _weights(dist)
+    return tuple(Fraction(sum(map(mul, weights, column)), d)
+                 for column in zip(*(tree.nodes[z].payoffs for z, _ in dist)))
 
 
 class Valuation:
@@ -395,8 +399,8 @@ def block_value(block, dist, partition, valuation: Valuation) -> int | Fraction:
     the coalition's value. Every expected utility of a block is read here."""
     if len(dist) == 1 and len(block) == 1 and dist[0][0] not in valuation.synergy_terminals:
         return valuation.tree.nodes[dist[0][0]].payoffs[block[0] - 1]
-    total = 0
-    for z, p in dist:
+    values = []
+    for z, _ in dist:
         if len(block) == 1:
             value = valuation.tree.nodes[z].payoffs[block[0] - 1]
             for members, override in valuation.synergies.get((block[0], z), ()):
@@ -408,8 +412,9 @@ def block_value(block, dist, partition, valuation: Valuation) -> int | Fraction:
             valuation.coalitions[block, z] = value
         if len(dist) == 1:
             return value
-        total += p * value
-    return total
+        values.append(value)
+    weights, d = _weights(dist)
+    return Fraction(sum(map(mul, weights, values)), d)
 
 
 def individual_values(dist, partition, valuation: Valuation) -> tuple:

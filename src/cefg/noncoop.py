@@ -13,6 +13,9 @@ Selection is deterministic everywhere:
   member, strategies in declaration order) and the first one wins;
 * mixed equilibria come from two-player support enumeration (integer-scaled,
   fraction-free, results exact), supports by size then lexicographic.
+
+A layer's dist multiplies chance and mixed probabilities as integer pairs
+and makes one `Fraction` per terminal reached.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import lcm, log10, prod
+from operator import mul
 
 from .errors import ImperfectInformation, MixedEquilibriumUnsupported, TooLarge
 from .model import (
@@ -28,7 +32,6 @@ from .model import (
     block_containing,
     block_value,
     dist_payoffs,
-    make_dist,
     singleton_partition,
 )
 
@@ -73,11 +76,12 @@ def _layer_walk(tree, g, continuation, assignment) -> tuple:
     layer's information sets plays its action in `assignment`: a label or
     a mix of (label, probability) pairs. The chance root mixes its branches
     by their chance probabilities; a frontier node ends in its dist in
-    `continuation`."""
+    `continuation`. A path's probability is an integer pair until its end;
+    a tree reaches each terminal by one path, whose pair makes its `Fraction`."""
     nodes = tree.nodes
-    pairs, stack = [], [(g, 1)]
+    ends, stack = [], [(g, 1, 1)]  # (node, its path's numerator, denominator)
     while stack:
-        nid, prob = stack.pop()
+        nid, num, den = stack.pop()
         node = nodes[nid]
         # Follow pure actions down to an end (a terminal or a frontier
         # node); a mixed action, or chance, stacks its branches instead.
@@ -88,16 +92,17 @@ def _layer_walk(tree, g, continuation, assignment) -> tuple:
             else:
                 act = assignment[tree.info_set_of(nid)]
             if isinstance(act, tuple):
-                stack.extend((node.child(label), prob * p) for label, p in act if p)
+                stack.extend((node.child(label), num * p.numerator, den * p.denominator)
+                             for label, p in act if p)
                 break
             nid = node.child(act)
             node = nodes[nid]
         else:
             dist = ((nid, 1),) if node.is_terminal else continuation[nid]
-            if prob == 1 and not stack and not pairs:
+            if num == den and not stack and not ends:
                 return dist  # pure play: the only end, kept as is
-            pairs.extend((z, prob * q) for z, q in dist)
-    return make_dist(pairs)
+            ends.extend((z, num * q.numerator, den * q.denominator) for z, q in dist)
+    return tuple(sorted((z, Fraction(num, den)) for z, num, den in ends))
 
 
 def _layer_equilibrium(valuation, partition, g, continuation, fixed) -> tuple:
@@ -226,31 +231,43 @@ def _spread(solution, support, size):
 def _indifferent(M):
     """Solve sum_j M[i][j] p_j = v for all i, sum_j p_j = 1, in integers.
 
-    Fraction-free (Bareiss) Gauss-Jordan on the (k+1)x(k+1) system: every
-    division is exact, and at the end every diagonal entry equals the last
-    pivot, the determinant up to the sign of the row swaps. Returns
-    (numerators of p, numerator of v, positive common denominator), or
-    None when the system is singular.
+    Returns (numerators of p, numerator of v, positive common denominator),
+    or None when the system is singular. For k = 2 and 3, p is the cross
+    product of M's row differences (their minors), and its sum is the
+    system's determinant up to sign. Larger systems run fraction-free
+    (Bareiss) Gauss-Jordan on the (k+1)x(k+1) system: every division is
+    exact, and at the end every diagonal entry is the determinant up to sign.
     """
     k = len(M)
-    rows = [r + [-1, 0] for r in M]
-    rows.append([1] * k + [0, 1])
-    prev = 1
-    for col in range(k + 1):
-        pivot = next((r for r in range(col, k + 1) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        head = top[col]
-        for r, row in enumerate(rows):
-            if r != col:
-                f = row[col]
-                rows[r] = [(head * a - f * b) // prev for a, b in zip(row, top)]
-        prev = head
-    sign = 1 if prev > 0 else -1
-    return ([sign * rows[i][-1] for i in range(k)], sign * rows[k][-1],
-            sign * prev)
+    if k == 2:
+        (a, b), (c, d) = M
+        p = [d - b, a - c]
+    elif k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = M
+        x, y, z, u, w, t = a - d, b - e, c - f, d - g, e - h, f - i
+        p = [y * t - z * w, z * u - x * t, x * w - y * u]
+    else:
+        rows = [r + [-1, 0] for r in M]
+        rows.append([1] * k + [0, 1])
+        prev = 1
+        for col in range(k + 1):
+            pivot = next((r for r in range(col, k + 1) if rows[r][col]), None)
+            if pivot is None:
+                return None
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            top = rows[col]
+            head = top[col]
+            for r, row in enumerate(rows):
+                if r != col:
+                    f = row[col]
+                    rows[r] = [(head * a - f * b) // prev for a, b in zip(row, top)]
+            prev = head
+        p = [rows[i][-1] for i in range(k)]  # each the last pivot times p_i
+    den = sum(p)
+    if not den:
+        return None
+    sign = 1 if den > 0 else -1
+    return [sign * q for q in p], sign * sum(map(mul, M[0], p)), sign * den
 
 
 # -- subgame-perfect equilibrium ----------------------------------------------

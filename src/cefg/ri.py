@@ -107,7 +107,8 @@ class SolutionProfile:
         self._memo = memo  # view -> {subgame root -> Entry}
         # The audit as plain tuples: a step's fields, or one candidate's
         # (step node, failing agent or None, union, outcome, subgame root,
-        # view, value, comparisons), which `_steps` reads as two steps.
+        # view, value, compared block, candidate's and accepted point's
+        # individual values), which `_steps` reads as two steps.
         self._rows = tuple(rows)
         self._base = singleton_partition(tree.n_players)
         self._trace = None  # trace_steps(), made on first use
@@ -120,13 +121,14 @@ class SolutionProfile:
                 yield SolveStep._make(row)
                 continue
             # A candidate: its supergame-solved step, then its IR step.
-            at, failing, union, outcome, g, view, value, comparisons = row
+            at, failing, union, outcome, g, view, value, members, cand, held = row
             idle = ",".join(str(i) for i in union if i not in movers[g])
             yield SolveStep(at, "supergame-solved", union, outcome,
                             idle and "idle:" + idle, view, value, ())
             kind, reason = (("ir-accepted", "strict-improvement") if failing is None
                             else ("ir-rejected", f"blocked-by:{failing}"))
-            yield SolveStep(at, kind, union, outcome, reason, view, value, comparisons)
+            yield SolveStep(at, kind, union, outcome, reason, view, value, tuple([
+                (agent, cand[agent - 1], held[agent - 1]) for agent in members]))
 
     @cached_property
     def audit(self) -> tuple:
@@ -301,18 +303,24 @@ class _Solver:
         r0_value = block_value(block, r0.dist, r0.partition, valuation)
         steps = [(at, "index-point", None, r0.outcome, "best-response", view, r0_value, ())]
         accepted, accepted_value, accepted_coalition = r0, r0_value, None
-        held = individual_values(r0.dist, r0.partition, valuation)  # under `accepted`
+        # Without synergies a player's individual value is its expected
+        # payoff, which every Entry holds as `outcome`; `held` is the
+        # accepted point's.
+        synergies = valuation.synergies
+        held = individual_values(r0.dist, r0.partition, valuation) if synergies else r0.outcome
         for value, union, entry in self._candidates(g, view, block):
             # The IR test: every member of the candidate's block that holds
             # `union` must strictly gain on the accepted point.
-            cand = individual_values(entry.dist, entry.partition, valuation)
-            comparisons, failing = [], None
-            for agent in block_containing(entry.partition, union[0]):
-                comparisons.append((agent, cand[agent - 1], held[agent - 1]))
-                if failing is None and not cand[agent - 1] > held[agent - 1]:
+            cand = (individual_values(entry.dist, entry.partition, valuation)
+                    if synergies else entry.outcome)
+            members = block_containing(entry.partition, union[0])
+            failing = None
+            for agent in members:
+                if not cand[agent - 1] > held[agent - 1]:
                     failing = agent
+                    break
             steps.append((at, failing, union, entry.outcome, g, view, value,
-                          tuple(comparisons)))
+                          members, cand, held))
             if failing is None:
                 accepted, accepted_value, accepted_coalition = entry, value, union
                 held = cand

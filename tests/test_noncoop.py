@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from cefg import (
     MixedEquilibriumUnsupported,
     TooLarge,
     backward_induction,
+    load_game,
     load_game_text,
     solve_game,
     spne_in_subgame,
@@ -28,6 +30,8 @@ from cefg.model import (
 from cefg.noncoop import _layer_equilibrium, layer_play, support_enumeration
 from cefg.oracle import random_game
 from conftest import make_game_text, spanning_set_text, wide_layer_text
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_bi_abortion(abortion):
@@ -265,6 +269,94 @@ def _reference_gauss(rows, unknowns):
         if rows[r][-1] != 0:
             return None
     return [rows[r][-1] for r in range(unknowns)]
+
+
+def _reference_determinant(rows):
+    rows = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_indifference_matches_the_fraction_reference(k):
+    # Seeded integer k x k systems, each solved on its own: the closed
+    # forms (k = 2 and 3) and Bareiss (k = 4) against Fraction
+    # Gauss-Jordan. Some draws repeat a row or a column, so the tallies
+    # show singular systems as well as systems of negative determinant.
+    rng = random.Random(3000 + k)
+    seen = {"solved": 0, "singular": 0, "negative": 0}
+    for _ in range(2000):
+        M = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(k)]
+        if rng.random() < 0.2:
+            i, j = rng.sample(range(k), 2)
+            M[i] = list(M[j])
+        elif rng.random() < 0.2:
+            i, j = rng.sample(range(k), 2)
+            for row in M:
+                row[i] = row[j]
+        got = noncoop._indifferent(M)
+        want = _reference_solve_indifference([[Fraction(v) for v in row] for row in M])
+        det = _reference_determinant([row + [-1] for row in M] + [[1] * k + [0]])
+        assert (want is None) == (det == 0)
+        if want is None:
+            assert got is None, M
+            seen["singular"] += 1
+            continue
+        probs, value, den = got
+        assert den > 0
+        assert [Fraction(q, den) for q in probs] == want[0], M
+        assert Fraction(value, den) == want[1], M
+        seen["solved"] += 1
+        seen["negative"] += det < 0
+    assert min(seen.values()) > 500, seen
+
+
+def test_layer_walk_matches_its_definition():
+    # The chance root of `chance-mixed-stack` weights its branches 2/7 and
+    # 5/7; below x, a mixed 3x3 layer sits above the frontier node s, whose
+    # dist is itself mixed. A terminal's probability is the product of the
+    # probabilities on its path; a zero-probability branch reaches nothing.
+    tree, _ = load_game(GOLDEN / "chance-mixed-stack.game")
+    F = Fraction
+    s_dist = (("zHh", F(1, 12)), ("zHt", F(1, 4)), ("zTh", F(1, 6)), ("zTt", F(1, 2)))
+    assignment = {"x": (("A", F(1, 3)), ("B", F(0)), ("C", F(2, 3))),
+                  "hx": (("a", F(1, 4)), ("b", F(0)), ("c", F(3, 4)))}
+    x_dist = noncoop._layer_walk(tree, "x", {"s": s_dist}, assignment)
+    assert x_dist == (
+        ("zAa", F(1, 3) * F(1, 4)),
+        ("zAc", F(1, 3) * F(3, 4)),
+        ("zCa", F(2, 3) * F(1, 4)),
+        ("zHh", F(2, 3) * F(3, 4) * F(1, 12)),
+        ("zHt", F(2, 3) * F(3, 4) * F(1, 4)),
+        ("zTh", F(2, 3) * F(3, 4) * F(1, 6)),
+        ("zTt", F(2, 3) * F(3, 4) * F(1, 2)),
+    )
+    root_dist = noncoop._layer_walk(tree, "root", {"x": x_dist, "w": (("zwl", 1),)}, {})
+    assert root_dist == (
+        ("zAa", F(2, 7) * F(1, 3) * F(1, 4)),
+        ("zAc", F(2, 7) * F(1, 3) * F(3, 4)),
+        ("zCa", F(2, 7) * F(2, 3) * F(1, 4)),
+        ("zHh", F(2, 7) * F(2, 3) * F(3, 4) * F(1, 12)),
+        ("zHt", F(2, 7) * F(2, 3) * F(3, 4) * F(1, 4)),
+        ("zTh", F(2, 7) * F(2, 3) * F(3, 4) * F(1, 6)),
+        ("zTt", F(2, 7) * F(2, 3) * F(3, 4) * F(1, 2)),
+        ("zwl", F(5, 7)),
+    )
+    assert all(type(p) is Fraction for _, p in root_dist)
+    # Pure play down to a frontier node ends in that node's dist, as is.
+    pure = noncoop._layer_walk(tree, "x", {"s": s_dist}, {"x": "C", "hx": "c"})
+    assert pure is s_dist
 
 
 def test_support_enumeration_matches_the_fraction_reference():

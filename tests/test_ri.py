@@ -13,6 +13,7 @@ import pytest
 
 from cefg import (
     CefgError,
+    MixedEquilibriumUnsupported,
     UntimeableLayer,
     backward_induction,
     check_ir_invariants,
@@ -22,7 +23,12 @@ from cefg import (
     solve_game,
     spne_in_subgame,
 )
-from cefg.model import canon_block, canon_partition, singleton_partition
+from cefg.model import (
+    canon_block,
+    canon_partition,
+    individual_values,
+    singleton_partition,
+)
 from cefg.oracle import random_game
 from cefg.render import (
     bracket_summary,
@@ -795,15 +801,70 @@ def test_each_candidate_is_a_supergame_step_then_its_ir_step():
             assert step.comparisons == ()
         # One stored row per candidate. Where a step's row holds its kind, a
         # candidate's holds its first compared agent that does not gain, or
-        # None; no row holds an idle note or a reason's text.
+        # None, then the compared block and the candidate's and the accepted
+        # point's individual values; no row holds an idle note or a reason's
+        # text.
         assert len(prof._rows) == len(audit) - candidates
         rows = [row for row in prof._rows if not isinstance(row[1], str)]
         assert len(rows) == candidates
-        assert all(row[1] == next((a for a, cand, held in row[7] if not cand > held), None)
-                   for row in rows)
+        assert all(row[1] == next((a for a in row[7] if not row[8][a - 1] > row[9][a - 1]),
+                                  None) for row in rows)
+        ir_steps = [s for s in audit if s.kind in ("ir-accepted", "ir-rejected")]
+        assert [s.comparisons for s in ir_steps] == [
+            tuple((a, row[8][a - 1], row[9][a - 1]) for a in row[7]) for row in rows]
         assert not any(isinstance(field, str) and field.startswith(("idle", "blocked"))
                        for row in prof._rows for field in row)
     assert wide_seen
+
+
+def test_without_synergies_each_entrys_outcome_is_its_individual_values():
+    # `_adopt` reads a point's individual values from its Entry's `outcome`
+    # when the game has no synergies: a player's expected payoff. Checked on
+    # every memo entry of the goldens and of the benchmark's seed-1 `layers`
+    # games (chance roots, mixed layers), of seeded draws under each
+    # synergy-free utility kind, and of seeded imperfect-information draws.
+    from test_imperfect import _imperfect_games
+    from test_oracle import _perfbench_gen, _with_utility_kind
+    games = [load_game(p) for p in sorted(GAMES.glob("*.game"))
+             + sorted(_GOLDEN_GAMES.glob("*.game"))]
+    rng = random.Random(3030)
+    for kind in ("sum", "weighted", "table", "feasible") * 10:
+        tree, utils = random_game(rng, max_players=4, max_nodes=15)
+        games.append((tree, _with_utility_kind(rng, tree, utils, kind)))
+    games += [load_game_text(text) for _, text in _perfbench_gen().workload_games("layers", 1)]
+    games += _imperfect_games(3030, 300)
+    seen = {"entries": 0, "chance": 0, "mixed": 0}
+    for tree, utils in games:
+        assert not utils.synergies
+        solver = _Solver(tree, utils)
+        try:
+            solver.solve(tree.root, singleton_partition(tree.n_players))
+        except (MixedEquilibriumUnsupported, UntimeableLayer):
+            continue
+        for entry in (e for memo in solver.memo.values() for e in memo.values()):
+            assert entry.outcome == individual_values(entry.dist, entry.partition,
+                                                      solver.valuation)
+            seen["entries"] += 1
+            seen["chance"] += entry.node == tree.root and tree.chance_at_root is not None
+            seen["mixed"] += any(isinstance(a, tuple) for a in entry.own.values())
+    assert min(seen.values()) > 10, seen
+
+
+def test_a_synergy_decides_the_ir_test_where_it_overrides_a_payoff():
+    # P2 moves at r. Under the grand coalition a synergy makes P2's value at
+    # zb 5, not its payoff 0. The supergame {1,2} (sum) plays b, and its
+    # individual values (2, 5), not its outcome (2, 0), pass the IR test
+    # against the index point (1, 1).
+    tree, utils = load_game_text(make_game_text({
+        "r": {"player": 2, "actions": {"a": "za", "b": "zb"}},
+        "za": [1, 1], "zb": [2, 0],
+    }, players=2, combinator="sum",
+        synergies=[{"player": 2, "block": [1, 2], "terminal": "zb", "value": 5}]))
+    prof = solve_game(tree, utils)
+    assert [(s.kind, s.coalition, s.outcome, s.comparisons) for s in prof.audit
+            if s.kind.startswith("ir-")] == [
+        ("ir-accepted", (1, 2), (2, 0), ((1, 2, 1), (2, 5, 1)))]
+    assert (prof.outcome, prof.partition, prof.coalition) == ((2, 0), ((1, 2),), (1, 2))
 
 
 @pytest.mark.parametrize("restrict", ["all", "feasible", "singletons_only"])
