@@ -320,7 +320,8 @@ class UtilitySystem:
         return len(m) == 1 or self.feasible is None or m in self.feasible
 
     def restricted_to_singletons(self) -> "UtilitySystem":
-        return replace(self, feasible=frozenset())
+        # The form `gamefile` stores a parsed list in: every singleton listed.
+        return replace(self, feasible=frozenset((i,) for i in range(1, self.n_players + 1)))
 
     # -- valuations ----------------------------------------------------------
 
@@ -397,8 +398,6 @@ class Valuation:
 def block_value(block, dist, partition, valuation: Valuation) -> int | Fraction:
     """What `block` expects from `dist`: a singleton's individual value, else
     the coalition's value. Every expected utility of a block is read here."""
-    if len(dist) == 1 and len(block) == 1 and dist[0][0] not in valuation.synergy_terminals:
-        return valuation.tree.nodes[dist[0][0]].payoffs[block[0] - 1]
     values = []
     for z, _ in dist:
         if len(block) == 1:

@@ -13,8 +13,8 @@ the subgame's solution.
 Subgames are solved innermost first on an explicit stack. A supergame is
 solved by a nested walk with fewer effective players, so solves nest at most
 once per player. Solutions are memoized by view partition, then subgame
-root; the base view's memo doubles as the store of standalone per-subgame
-solutions that the trace renders.
+root; the profile keeps only the base view's memo, the standalone
+per-subgame solutions that the trace renders.
 
 Imperfect information is handled at the subgame scale: a layer containing
 non-singleton information sets is solved as a reduced normal-form game
@@ -100,18 +100,16 @@ class SolutionProfile:
     """The family of per-(context, subgame) solutions plus the solve trace."""
 
     def __init__(self, tree: GameTree, utils: UtilitySystem, root_entry: Entry,
-                 memo: dict, rows):
+                 standalone: dict, rows):
         self.tree = tree
         self.utils = utils
         self.root_entry = root_entry
-        self._memo = memo  # view -> {subgame root -> Entry}
+        self._standalone = standalone  # the base view's memo: subgame root -> Entry
         # The audit as plain tuples: a step's fields, or one candidate's
         # (step node, failing agent or None, union, outcome, subgame root,
         # view, value, compared block, candidate's and accepted point's
         # individual values), which `_steps` reads as two steps.
         self._rows = tuple(rows)
-        self._base = singleton_partition(tree.n_players)
-        self._trace = None  # trace_steps(), made on first use
         self._summary = None  # render.bracket_summary's text, made on first use
 
     def _steps(self, rows):
@@ -148,16 +146,18 @@ class SolutionProfile:
     def coalition(self) -> tuple | None:
         return self.root_entry.coalition
 
+    @cached_property
+    def _base_steps(self) -> tuple:
+        base = singleton_partition(self.tree.n_players)
+        return tuple(self._steps(r for r in self._rows if r[5] == base))
+
     def trace_steps(self) -> tuple:
         """Steps of the base-view recursion, in emission order."""
-        if self._trace is None:
-            self._trace = tuple(self._steps(r for r in self._rows
-                                            if r[5] == self._base))
-        return self._trace
+        return self._base_steps
 
     def standalone_entry(self, node: str) -> Entry:
         """The solution of the subgame at `node` solved on its own."""
-        return self._memo[self._base][node]
+        return self._standalone[node]
 
     @cached_property
     def root_context(self) -> dict:
@@ -168,10 +168,7 @@ class SolutionProfile:
     def contexts(self) -> dict:
         """Context root -> its Entry: the root context, then every subgame
         solved on its own (terminals included), in memo order."""
-        out = {self.root_entry.node: self.root_entry}
-        for node, entry in self._memo[self._base].items():
-            out.setdefault(node, entry)
-        return out
+        return {self.root_entry.node: self.root_entry, **self._standalone}
 
     def entries(self) -> dict:
         """Flat (context root, subgame root) -> Entry map over all contexts."""
@@ -349,8 +346,9 @@ def solve_game(tree: GameTree, utils: UtilitySystem, *,
     if singletons_only:
         utils = utils.restricted_to_singletons()
     solver = _Solver(tree, utils)
-    root_entry = solver.solve(tree.root, singleton_partition(tree.n_players))
-    return SolutionProfile(tree, utils, root_entry, solver.memo, solver.audit)
+    base = singleton_partition(tree.n_players)
+    root_entry = solver.solve(tree.root, base)
+    return SolutionProfile(tree, utils, root_entry, solver.memo[base], solver.audit)
 
 
 def check_ir_invariants(profile: SolutionProfile):

@@ -223,6 +223,43 @@ def test_pinned_set_index_point():
         "{C0b,R1a,mix(C2a=17/36,C2b=19/36)}; 1,2]")
 
 
+def test_pinned_set_index_point_of_a_committed_prisoners_dilemma():
+    # PD with P1's `keep` node below (C, c), so that h2 has a decision node
+    # below it. Derived from README's definition: the layer of r holds r and
+    # h2, and h2 adopts first, because it lies below r.
+    # - Layer equilibrium: (D, d) -> (1, 1), the only pure equilibrium; keep
+    #   is worth (3, 3) to P1 alone and to {1,2} alike.
+    # - h2 (P2): index point (1, 1). The {1,2} supergame maximizes
+    #   min(u1, u2) over the four cells: (C, c) -> (3, 3). P1 and P2 both
+    #   gain (3 > 1), so h2 adopts {1,2} and pins c.
+    # - r (P1): the layer re-solved with h2 pinned to c is P1's best reply to
+    #   c, D -> (5, 0). The {1,2} point (3, 3) does not improve P1 (3 <= 5),
+    #   so r adopts its index point: (5, 0) with no coalition.
+    # Starting r from the layer equilibrium instead would accept (3, 3) with
+    # {1,2}, the answer of `PD`, whose h2 has no decision node below it.
+    tree, utils = load_game_text(make_game_text({
+        "r": {"player": 1, "actions": {"C": "rc", "D": "rd"}},
+        "rc": {"player": 2, "actions": {"c": "k", "d": "z2"}},
+        "rd": {"player": 2, "actions": {"c": "z3", "d": "z4"}},
+        "k": {"player": 1, "actions": {"keep": "z1", "quit": "z0"}},
+        "z1": [3, 3], "z0": [0, 0], "z2": [0, 5], "z3": [5, 0], "z4": [1, 1],
+    }, players=2, info_sets={"h2": ["rc", "rd"]}))
+    prof = solve_game(tree, utils)
+    assert [(s.node, s.kind, s.coalition, s.outcome) for s in prof.trace_steps()
+            if s.node != "k"] == [
+        ("h2", "index-point", None, (1, 1)),
+        ("h2", "supergame-solved", (1, 2), (3, 3)),
+        ("h2", "ir-accepted", (1, 2), (3, 3)),
+        ("h2", "adopted", (1, 2), (3, 3)),
+        ("r", "index-point", None, (5, 0)),
+        ("r", "supergame-solved", (1, 2), (3, 3)),
+        ("r", "ir-rejected", (1, 2), (3, 3)),
+        ("r", "adopted", None, (5, 0)),
+    ]
+    assert (prof.outcome, prof.partition, prof.coalition) == ((5, 0), ((1,), (2,)), None)
+    assert prof.root_entry.actions == {"r": "D", "h2": "c", "k": "keep"}
+
+
 def test_pinned_set_index_point_at_the_root():
     # The root n0 (player 1) shares its layer with h0 = {n2, n7} (player 2).
     # h0 adopts first and pins its action, so n0's index point re-solves

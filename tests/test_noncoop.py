@@ -29,6 +29,7 @@ from cefg.model import (
 )
 from cefg.noncoop import _layer_equilibrium, layer_play, support_enumeration
 from cefg.oracle import random_game
+from cefg.ri import _Solver
 from conftest import make_game_text, spanning_set_text, wide_layer_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -51,7 +52,9 @@ def test_bi_example2(example2):
 def test_bi_supergame_example2(example2):
     # The solver's own entry for the {1,3} supergame: BI with 1 and 3 merged.
     tree, utils = example2
-    sol = solve_game(tree, utils)._memo[((1, 3), (2,))]["x7"]
+    solver = _Solver(tree, utils)
+    solver.solve(tree.root, singleton_partition(tree.n_players))
+    sol = solver.memo[((1, 3), (2,))]["x7"]
     assert sol.outcome == (6, 3, 5)
     assert sol.actions["x7"] == "R"
     assert sol.actions["x6"] == "d"

@@ -221,6 +221,17 @@ def test_digest_sees_every_field(base, edited):
     assert _digest(base) == _digest(json.loads(json.dumps(base)))
 
 
+def test_singletons_only_has_one_form_and_one_digest():
+    # A game whose feasible list is empty and the same game restricted to
+    # singletons in code are one game: one utility system, one digest.
+    doc = json.loads(game_path("example2.game").read_text())
+    listed = load_game_text(json.dumps(
+        {**doc, "coalitions": {**doc["coalitions"], "feasible": []}}))
+    tree, utils = load_game_text(json.dumps(doc))
+    assert game_digest(tree, utils.restricted_to_singletons()) == game_digest(*listed)
+    assert utils.restricted_to_singletons() == listed[1]
+
+
 def _with_utility_kind(rng, tree, utils, kind):
     """`random_game`'s all-feasible `min` utilities, swapped for `kind`."""
     n = tree.n_players

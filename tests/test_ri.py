@@ -1,9 +1,11 @@
 """Recursive-induction solver: fixtures, the audit's reference points and IR
 chains, properties."""
 
+import gc
 import inspect
 import random
 import sys
+import types
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -343,12 +345,36 @@ def test_memoization_is_transparent(example2):
             return super().solve(g, view)
 
     solver = Unmemoized(tree, utils)
-    root_entry = solver.solve(tree.root, singleton_partition(tree.n_players))
-    slow = SolutionProfile(tree, utils, root_entry, solver.memo, solver.audit)
+    base = singleton_partition(tree.n_players)
+    root_entry = solver.solve(tree.root, base)
+    slow = SolutionProfile(tree, utils, root_entry, solver.memo[base], solver.audit)
     assert fast.root_entry == slow.root_entry
     for nid in tree.decision_ids:
         assert fast.standalone_entry(nid).outcome == slow.standalone_entry(nid).outcome
         assert fast.standalone_entry(nid).actions == slow.standalone_entry(nid).actions
+
+
+def test_a_profile_keeps_only_the_entries_of_its_contexts(example2):
+    # Every Entry a solved profile holds alive lies in the DAG under its
+    # contexts: the solver's merged-view memos are not kept. The walk follows
+    # the profile's references, its fields made on first read included, but
+    # not into classes, functions or modules, which reach every object.
+    tree, utils = example2
+    prof = solve_game(tree, utils)
+    prof.audit, prof.trace_steps(), prof.root_context, bracket_summary(prof)
+    dag = {id(entry) for entry in prof.entries().values()}
+    seen, stack, reached = {id(prof)}, [prof], []
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) in seen or isinstance(ref, (type, types.FunctionType,
+                                                   types.ModuleType)):
+                continue
+            seen.add(id(ref))
+            stack.append(ref)
+            if isinstance(ref, Entry):
+                reached.append(ref)
+    assert len(reached) == len(dag)
+    assert all(id(entry) in dag for entry in reached)
 
 
 def test_entries_hold_only_their_own_subtree_sets(abortion, example2,
@@ -495,8 +521,9 @@ def test_positive_affine_rescaling_preserves_structure(example2):
 
 def test_recursion_shrinks_effective_players(example2):
     tree, utils = example2
-    prof = solve_game(tree, utils)
-    for view, memo in prof._memo.items():
+    solver = _Solver(tree, utils)
+    solver.solve(tree.root, singleton_partition(tree.n_players))
+    for view, memo in solver.memo.items():
         assert memo and 1 <= len(view) <= tree.n_players
 
 
@@ -632,7 +659,9 @@ def test_ir_invariants_catch_a_corrupted_accepted_step(example2, kind, corrupt, 
     k = next(k for k, s in enumerate(rows) if s.kind == kind)
     rows[k] = rows[k]._replace(comparisons=corrupt(
         rows[k].comparisons, tree.owner(rows[k].node)))
-    bad = SolutionProfile(tree, utils, prof.root_entry, prof._memo, rows)
+    # `contexts()` maps each subgame root to its base-view entry, as the
+    # solver's base memo does.
+    bad = SolutionProfile(tree, utils, prof.root_entry, prof.contexts(), rows)
     with pytest.raises(CefgError, match=message):
         check_ir_invariants(bad)
 
