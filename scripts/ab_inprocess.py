@@ -3,26 +3,31 @@
     python scripts/ab_inprocess.py CHECKOUT_A CHECKOUT_B --workload coalitions \\
         --seed 1 --repeats 7
 
-Both checkouts' `cefg` packages are loaded side by side, each from its own
-`src/`. The workload's games come from CHECKOUT_A's `perfbench/gen.py`. For
-each repeat and each game, both sides run the request that
-`perfbench/bench.request` times: parse the game text, validate it, solve it,
-run the noncooperative baseline and render the four outputs (the solve text,
-the nested listing, JSON and DOT); the side that runs first alternates per
-game and per repeat. It prints one line: each side's sum over the games of
-that game's least time, and B / A, and how many games gave different outputs
-on the two sides.
+Each checkout's own `perfbench/bench.py` is loaded, side by side, and its
+`import_program` imports that checkout's `cefg` from its own `src/`,
+refusing any other copy. The workload's games come from CHECKOUT_A's
+`perfbench/gen.py`. For each repeat and each game, both sides run their
+`bench.request`, the request the benchmark times: parse the game text,
+validate it, solve it, run the noncooperative baseline and render the four
+outputs (the solve text, the nested listing, JSON and DOT); the side that
+runs first alternates per game and per repeat. It prints one line: each
+side's sum over the games of that game's least time, and B / A, and how many
+games gave different outputs on the two sides.
 
 The two sides share one heap and one interpreter, so a ratio from this
 script sizes a lever on a noisy host; it is not a measurement to claim a
 gain from. Claims come from `scripts/bench_pairs.py`, which runs the
-benchmark itself in fresh processes.
+benchmark itself in fresh processes. What a shared heap hides can be
+large: a change that frees the solver's merged-view memos when
+`solve_game` returns, rather than with the profile, read 1.001-1.010 of its
+parent here on `layers` (seed 1), while fresh-process pairs read
+0.950-0.972 and an A/A series of two copies of the parent 0.997.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
+import importlib.util
 import sys
 import time
 from pathlib import Path
@@ -34,38 +39,19 @@ def _unload() -> dict:
 
 
 def load_side(checkout: Path):
-    """`checkout`'s cefg package, held apart from any other copy."""
-    src = checkout.resolve() / "src"
+    """`checkout`'s `perfbench/bench.py`, with the `cefg` it imported from
+    the checkout's `src/` held apart from any other copy."""
+    spec = importlib.util.spec_from_file_location(
+        "bench", checkout.resolve() / "perfbench" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    path = list(sys.path)
     _unload()
-    sys.path.insert(0, str(src))
     try:
-        cefg = importlib.import_module("cefg")
-        importlib.import_module("cefg.render")
+        spec.loader.exec_module(bench)
     finally:
-        sys.path.remove(str(src))
-    if Path(cefg.__file__).resolve().parent != src / "cefg":
-        sys.exit(f"ab_inprocess: imported cefg from {cefg.__file__}, not from {src}")
+        sys.path[:] = path
     _unload()  # the loaded modules keep their references to each other
-    return cefg
-
-
-def request(cefg, text: str) -> tuple:
-    """One benchmark request on a game text; returns its four outputs."""
-    render = cefg.render
-    tree, utils = cefg.validate_game(cefg.parse_game(text))
-    profile = cefg.solve_game(tree, utils)
-    baseline = (cefg.backward_induction if tree.is_perfect_information
-                else cefg.spne_in_subgame)
-    baseline(tree, utils)
-    text = "\n".join([
-        f"outcome: {render.outcome_str(profile.outcome)}",
-        f"partition: {render.partition_str(profile.partition)}",
-        f"summary: {cefg.bracket_summary(profile)}",
-        "trace:",
-        cefg.render_trace(profile),
-    ]) + "\n"
-    return (text, cefg.render_solution(profile), cefg.profile_to_json(profile),
-            cefg.export_dot(tree, profile))
+    return bench
 
 
 def main(argv=None) -> int:
@@ -87,7 +73,7 @@ def main(argv=None) -> int:
             first = (repeat + k) % 2
             for s in (first, 1 - first):
                 start = time.perf_counter()
-                out = request(sides[s], texts[k])
+                *_, out = sides[s].request(texts[k])
                 best[s][k] = min(best[s][k], time.perf_counter() - start)
                 outputs[s][k] = out
     differ = sum(a != b for a, b in zip(*outputs))

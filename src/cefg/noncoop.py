@@ -6,9 +6,9 @@ for the recursive solver and the `bi` CLI baseline.
 
 Selection is deterministic everywhere:
 
-* best responses scan actions in declaration order and keep the first
-  maximizer; a merged player breaks coalition-utility ties by its members'
-  individual utilities, lowest member id first;
+* a player alone in its layer, at one node or at several sets, takes its
+  first best response in declaration order; a merged player breaks ties in
+  coalition utility by its members' individual ones, lowest member first;
 * pure equilibria are enumerated row-major (players ordered by smallest
   member, strategies in declaration order) and the first one wins;
 * mixed equilibria come from two-player support enumeration (integer-scaled,
@@ -105,6 +105,24 @@ def _layer_walk(tree, g, continuation, assignment) -> tuple:
     return tuple(sorted((z, Fraction(num, den)) for z, num, den in ends))
 
 
+def _best_response(block, plays, partition, valuation) -> tuple:
+    """The first of `plays`, (choice, dist) pairs in order, with `block`'s
+    best value. A merged block breaks ties by its members' values, lowest
+    member first, read only for the plays tied at the top."""
+    def members(dist):
+        return [block_value((i,), dist, partition, valuation) for i in block]
+    best = None  # only the best play so far is kept
+    for play in plays:
+        value = block_value(block, play[1], partition, valuation)
+        if best is None or value > top:
+            best, top, key = play, value, None
+        elif value == top and len(block) > 1:
+            key = key or members(best[1])
+            if (challenger := members(play[1])) > key:
+                best, key = play, challenger
+    return best
+
+
 def _layer_equilibrium(valuation, partition, g, continuation, fixed) -> tuple:
     """Equilibrium of the reduced normal form of subgame `g`'s layer, played
     over the information sets that `fixed` does not pin: (their actions, each
@@ -113,8 +131,8 @@ def _layer_equilibrium(valuation, partition, g, continuation, fixed) -> tuple:
 
     The normal form is read on demand: a pure profile's assignment, dist
     and block values are computed the first time the pure scan, or the
-    bimatrix of support enumeration, reads that profile. A one-player
-    layer reads each strategy once, keeping only the best so far.
+    bimatrix of support enumeration, reads that profile. A layer with one
+    effective player is that player's best response, read in one pass.
     """
     tree = valuation.tree
     free = [s for s in tree.layer_info_sets(g) if s not in fixed]
@@ -133,11 +151,10 @@ def _layer_equilibrium(valuation, partition, g, continuation, fixed) -> tuple:
     owners = {s: block_containing(partition, tree.owner(s)) for s in free}
     players = sorted(set(owners.values()), key=lambda b: b[0])
     sets_of = [tuple(s for s in free if owners[s] == b) for b in players]
-    if len(players) == 1:  # its first strategy with the best value, in one pass
-        assignments = (dict(zip(sets_of[0], strategy))
-                       for strategy in product(*(labels[s] for s in sets_of[0])))
+    if len(players) == 1:  # its best response, in one pass
+        assignments = (dict(zip(free, strategy)) for strategy in product(*labels.values()))
         plays = ((a, _layer_walk(tree, g, continuation, {**fixed, **a})) for a in assignments)
-        return max(plays, key=lambda play: block_value(players[0], play[1], partition, valuation))
+        return _best_response(players[0], plays, partition, valuation)
     strategies = [list(product(*(labels[s] for s in sets))) for sets in sets_of]
     memo: dict = {}  # pure profile -> (assignment, dist, each player's block value)
 
@@ -274,30 +291,18 @@ def _indifferent(M):
 
 
 def layer_play(valuation, partition, g, continuation, fixed=None) -> tuple:
-    """The noncooperative play of subgame `g`'s layer, given each frontier
-    node's solved dist in `continuation`: (the actions of its information
-    sets that `fixed` does not pin, the dist reached). A one-node layer is
-    its owner's best response; any other layer, the chance root's included,
-    is its normal form's equilibrium, with the sets in `fixed` playing their
-    pinned (pure or mixed) actions."""
+    """The noncooperative play of subgame `g`'s layer, given each frontier node's solved
+    dist in `continuation`: (the actions of its information sets that `fixed` does not
+    pin, the dist reached). A layer with one effective player is that player's best
+    response; any other, the chance root's included, is its normal form's equilibrium,
+    with the sets in `fixed` (only a wider layer has any) playing their pinned actions."""
     tree = valuation.tree
-    if fixed or g not in tree.one_node_layers:
-        return _layer_equilibrium(valuation, partition, g, continuation,
-                                  fixed or {})
+    if g not in tree.one_node_layers:
+        return _layer_equilibrium(valuation, partition, g, continuation, fixed or {})
     node = tree.nodes[g]
-    # The owner's best response, selected as the module docstring says;
-    # members' values are read only where the block's own value ties.
-    block = block_containing(partition, node.player)
-    values = [block_value(block, continuation[child], partition, valuation)
-              for _, child in node.actions]
-    top = max(values)
-    label, child = node.actions[values.index(top)]
-    if len(block) > 1 and values.count(top) > 1:
-        tied = [a for a, v in zip(node.actions, values) if v == top]
-        label, child = max(tied, key=lambda a: tuple(
-            block_value((i,), continuation[a[1]], partition, valuation)
-            for i in block))
-    return {tree.info_set_of(g): label}, continuation[child]
+    plays = ((label, continuation[child]) for label, child in node.actions)
+    label, dist = _best_response(block_containing(partition, node.player), plays, partition, valuation)
+    return {tree.info_set_of(g): label}, dist
 
 
 def spne_in_subgame(tree, utils, root=None) -> LocalSolution:

@@ -202,6 +202,17 @@ def test_min_combinator_exhaustive(example2):
                 assert utils.coalition_value(members, z, tree) == expected
 
 
+def test_an_unknown_combinator_is_refused_where_a_coalition_is_valued(example2):
+    # The parser refuses an unknown combinator; a `UtilitySystem` built in
+    # code with one fails at the first merged value, and a singleton's value
+    # never reads the combinator.
+    tree, utils = example2
+    odd = replace(utils, combinator="max")
+    assert odd.coalition_value({2}, "z8", tree) == 3
+    with pytest.raises(ValueError, match="unknown combinator 'max'"):
+        odd.coalition_value({1, 3}, "z8", tree)
+
+
 def test_infeasible_coalition_rejected():
     text = make_game_text({
         "r": {"player": 1, "actions": {"a": "z1", "b": "z2"}},

@@ -130,12 +130,40 @@ def test_best_response_merged_tie_goes_to_the_lowest_member(payoffs, want):
     assert action == want and value == min(payoffs[0][:2])
 
 
+def test_merged_tie_in_a_wider_layer_goes_to_the_lowest_member():
+    # P1 moves at g, then P2 moves at x or y without seeing P1's move. The
+    # coalition {1,2} values each outcome at its members' minimum: La and Rb
+    # both give it 2, and Lb and Ra 0. Its members break the tie, member 1
+    # first: Rb gives member 1 5, La only 2. So the one player of this
+    # two-set layer picks (R, b), as a one-node layer of its own would.
+    tree, utils = load_game_text(make_game_text({
+        "g": {"player": 1, "actions": {"L": "x", "R": "y"}},
+        "x": {"player": 2, "actions": {"a": "zLa", "b": "zLb"}},
+        "y": {"player": 2, "actions": {"a": "zRa", "b": "zRb"}},
+        "zLa": [2, 5], "zLb": [0, 0], "zRa": [0, 0], "zRb": [5, 2],
+    }, players=2, info_sets={"h": ["x", "y"]}))
+    assert layer_play(Valuation(tree, utils), ((1, 2),), "g", {}) == \
+        ({"g": "R", "h": "b"}, (("zRb", 1),))
+
+
+def _partitions(n):
+    """Every partition of players 1..n, each block sorted and the blocks
+    ordered by their least member."""
+    parts = [()]
+    for i in range(1, n + 1):
+        parts = [p[:k] + (b + (i,),) + p[k + 1:] for p in parts for k, b in enumerate(p)] \
+            + [p + ((i,),) for p in parts]
+    return parts
+
+
 def test_one_node_layer_game_equals_best_response(abortion, example2,
                                                   example2_modified):
     # `layer_play` answers a one-node layer by its owner's best response
     # instead of playing its normal form; both must pick the same action and
-    # dist. random_game payoffs are distinct, so a game with a tie at every
-    # node checks that both take the first maximizer.
+    # dist under every view. random_game payoffs are distinct, so a game with
+    # a tie at every node checks that both take the first maximizer, and,
+    # under a merged view, that both break the coalition's ties by its
+    # members' values.
     ties = load_game_text(make_game_text({
         "r": {"player": 1, "actions": {"a": "m1", "b": "m2"}},
         "m1": {"player": 2, "actions": {"x": "z1", "y": "z2"}},
@@ -146,13 +174,14 @@ def test_one_node_layer_game_equals_best_response(abortion, example2,
     games = [abortion, example2, example2_modified, ties]
     games += [random_game(rng) for _ in range(60)]
     for tree, utils in games:
-        base = singleton_partition(tree.n_players)
+        valuation = Valuation(tree, utils)
+        views = [p for p in _partitions(tree.n_players) if all(map(utils.is_feasible, p))]
         for g in tree.decision_ids:
             continuation = {y: spne_in_subgame(tree, utils, root=y).dist
                             for y in tree.frontier_of(g)}
-            valuation = Valuation(tree, utils)
-            assert layer_play(valuation, base, g, continuation) == \
-                _layer_equilibrium(valuation, base, g, continuation, {})
+            for partition in views:
+                assert layer_play(valuation, partition, g, continuation) == \
+                    _layer_equilibrium(valuation, partition, g, continuation, {})
 
 
 MATCHING_PENNIES = make_game_text({

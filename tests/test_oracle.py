@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cefg import TooLarge, backward_induction, load_game_text, solve_game
+from cefg import TooLarge, backward_induction, load_game, load_game_text, solve_game
 from cefg.model import Synergy
 from cefg.oracle import (
     OracleReport,
@@ -23,6 +23,7 @@ from cefg.oracle import (
 from conftest import game_path, make_game_text
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_oracle_bi_abortion(abortion):
@@ -56,6 +57,23 @@ def test_oracle_bi_too_large_guard():
     }))
     with pytest.raises(TooLarge):
         oracle_bi(tree, utils, max_profiles=1)
+
+
+@pytest.mark.parametrize("game, refusal", [
+    ("layered", "perfect information only"),  # two simultaneous-move layers
+    ("chance-perfect", "does not handle chance moves"),  # perfect information
+])
+def test_oracle_bi_refuses_what_it_does_not_enumerate(game, refusal):
+    tree, utils = load_game(GOLDEN / f"{game}.game")
+    with pytest.raises(TooLarge, match=refusal):
+        oracle_bi(tree, utils)
+
+
+@pytest.mark.parametrize("game", ["layered", "chance-perfect"])
+def test_oracle_solve_refuses_imperfect_information_and_chance(game):
+    tree, utils = load_game(GOLDEN / f"{game}.game")
+    with pytest.raises(TooLarge, match="handles perfect information, no chance"):
+        oracle_solve(tree, utils, max_nodes=len(tree.nodes))
 
 
 def test_oracle_solve_example2(example2):
@@ -118,6 +136,25 @@ def test_equivalence_check_corrupted_stub(example2):
     report = equivalence_check(tree, utils, solver=corrupted)
     assert not report.match
     assert report.first_divergence == ("x7", "outcome")
+
+
+def test_equivalence_check_without_standalone_entries_keeps_the_root(example2):
+    # A stub profile with no `standalone_entry` cannot be searched below the
+    # root, so the divergence stays where the outcomes differ.
+    tree, utils = example2
+
+    def corrupted(t, u):
+        profile = solve_game(t, u)
+
+        class Fake:
+            outcome = tuple(v + 1 for v in profile.outcome)
+            partition = profile.partition
+
+        return Fake()
+
+    report = equivalence_check(tree, utils, solver=corrupted)
+    assert not report.match
+    assert report.first_divergence == (tree.root, "outcome")
 
 
 @pytest.mark.parametrize("field,value", [

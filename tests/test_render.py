@@ -237,12 +237,13 @@ def _naive_entry_json(entry):
 
 
 def _naive_profile_json(profile):
-    """One `json.dumps` over the full "context/subgame" entry map."""
+    """One `json.dumps` over the full "context/subgame" entry map; the
+    summary comes from a fresh solve, not from the one `profile` keeps."""
     body = {
         "outcome": [_num_json(v) for v in profile.outcome],
         "partition": [list(b) for b in profile.partition],
         "coalition": list(profile.coalition) if profile.coalition else None,
-        "summary": bracket_summary(profile),
+        "summary": bracket_summary(solve_game(profile.tree, profile.utils)),
         "entries": {f"{ctx}/{g}": _naive_entry_json(entry)
                     for (ctx, g), entry in profile.entries().items()},
         "trace": [
