@@ -148,8 +148,8 @@ def _step_line(tree, step, num, outcome, block) -> str:
             for i, cand, held in step.comparisons)
         return f"{where} ir-accepted {coal} -> {outcome(step.outcome)}: {gains}"
     if step.kind == "ir-rejected":
-        blocker = int(step.reason.split(":", 1)[1])
-        cand, held = next((c, h) for i, c, h in step.comparisons if i == blocker)
+        # The blocker is the first compared member that does not gain.
+        blocker, cand, held = next(c for c in step.comparisons if not c[1] > c[2])
         return (f"{where} ir-rejected {coal} -> {outcome(step.outcome)}: "
                 f"blocked by {tree.player_name(blocker)} "
                 f"({num(cand)} <= {num(held)})")

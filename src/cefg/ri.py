@@ -105,28 +105,29 @@ class SolutionProfile:
         self.utils = utils
         self.root_entry = root_entry
         self._standalone = standalone  # the base view's memo: subgame root -> Entry
-        # The audit as plain tuples: a step's fields, or one candidate's
-        # (step node, failing agent or None, union, outcome, subgame root,
-        # view, value, compared block, candidate's and accepted point's
-        # individual values), which `_steps` reads as two steps.
-        self._rows = tuple(rows)
+        # The audit as plain tuples, one row per adoption: (step node,
+        # subgame root, view, index point's outcome and value, candidates,
+        # adopted coalition, outcome and value), each candidate (failing
+        # agent or None, union, outcome, value, compared block, its and the
+        # accepted point's individual values). `_steps` writes every step.
+        self._rows = rows
         self._summary = None  # render.bracket_summary's text, made on first use
 
     def _steps(self, rows):
         movers = self.tree.movers
-        for row in rows:
-            if isinstance(row[1], str):  # a step's kind
-                yield SolveStep._make(row)
-                continue
-            # A candidate: its supergame-solved step, then its IR step.
-            at, failing, union, outcome, g, view, value, members, cand, held = row
-            idle = ",".join(str(i) for i in union if i not in movers[g])
-            yield SolveStep(at, "supergame-solved", union, outcome,
-                            idle and "idle:" + idle, view, value, ())
-            kind, reason = (("ir-accepted", "strict-improvement") if failing is None
-                            else ("ir-rejected", f"blocked-by:{failing}"))
-            yield SolveStep(at, kind, union, outcome, reason, view, value, tuple([
-                (agent, cand[agent - 1], held[agent - 1]) for agent in members]))
+        for at, g, view, r0_outcome, r0_value, candidates, coalition, outcome, value in rows:
+            yield SolveStep(at, "index-point", None, r0_outcome, "best-response",
+                            view, r0_value, ())
+            for failing, union, c_outcome, c_value, members, cand, held in candidates:
+                idle = ",".join(str(i) for i in union if i not in movers[g])
+                yield SolveStep(at, "supergame-solved", union, c_outcome,
+                                idle and "idle:" + idle, view, c_value, ())
+                kind, reason = (("ir-accepted", "strict-improvement") if failing is None
+                                else ("ir-rejected", f"blocked-by:{failing}"))
+                yield SolveStep(at, kind, union, c_outcome, reason, view, c_value, tuple([
+                    (agent, cand[agent - 1], held[agent - 1]) for agent in members]))
+            yield SolveStep(at, "adopted", coalition, outcome,
+                            "greatest-ir" if coalition else "index", view, value, ())
 
     @cached_property
     def audit(self) -> tuple:
@@ -149,7 +150,7 @@ class SolutionProfile:
     @cached_property
     def _base_steps(self) -> tuple:
         base = singleton_partition(self.tree.n_players)
-        return tuple(self._steps(r for r in self._rows if r[5] == base))
+        return tuple(self._steps(r for r in self._rows if r[2] == base))
 
     def trace_steps(self) -> tuple:
         """Steps of the base-view recursion, in emission order."""
@@ -292,19 +293,17 @@ class _Solver:
     def _adopt(self, g: str, view: tuple, block: tuple, r0: Entry,
                at: str) -> Entry:
         """Run the reference-point sequence and IR chain of `block` in
-        subgame `g` from `r0`, naming the steps `at`."""
+        subgame `g` from `r0`, and record them as one audit row whose steps
+        are named `at`."""
         valuation = self.valuation
-        # Rows as SolutionProfile reads them: the index point and the
-        # adoption as SolveStep's fields, each candidate as one row from
-        # which its supergame-solved step and its IR step are made.
         r0_value = block_value(block, r0.dist, r0.partition, valuation)
-        steps = [(at, "index-point", None, r0.outcome, "best-response", view, r0_value, ())]
         accepted, accepted_value, accepted_coalition = r0, r0_value, None
         # Without synergies a player's individual value is its expected
         # payoff, which every Entry holds as `outcome`; `held` is the
         # accepted point's.
         synergies = valuation.synergies
         held = individual_values(r0.dist, r0.partition, valuation) if synergies else r0.outcome
+        candidates = []
         for value, union, entry in self._candidates(g, view, block):
             # The IR test: every member of the candidate's block that holds
             # `union` must strictly gain on the accepted point.
@@ -316,16 +315,14 @@ class _Solver:
                 if not cand[agent - 1] > held[agent - 1]:
                     failing = agent
                     break
-            steps.append((at, failing, union, entry.outcome, g, view, value,
-                          members, cand, held))
+            candidates.append((failing, union, entry.outcome, value, members, cand, held))
             if failing is None:
                 accepted, accepted_value, accepted_coalition = entry, value, union
                 held = cand
-        steps.append((at, "adopted", accepted_coalition, accepted.outcome,
-                      "greatest-ir" if accepted_coalition else "index",
-                      view, accepted_value, ()))
-        # The nested supergame solves emitted their steps first.
-        self.audit.extend(steps)
+        # Numbers only, in SolutionProfile's row shape; the nested supergame
+        # solves appended their rows first.
+        self.audit.append((at, g, view, r0.outcome, r0_value, candidates,
+                           accepted_coalition, accepted.outcome, accepted_value))
         if accepted_coalition is None:
             return r0
         return Entry(g, accepted.own, accepted.dist, accepted.outcome,
@@ -368,42 +365,32 @@ def check_ir_invariants(profile: SolutionProfile):
     first violated invariant.
     """
     tree = profile.tree
-    groups: list[list[SolveStep]] = []
-    current_key = None
+    groups = accepted_total = 0
+    value = None
     for step in profile.audit:
-        key = (step.node, step.view)
-        if key != current_key:
-            groups.append([])
-            current_key = key
-        groups[-1].append(step)
-    accepted_total = 0
-    for group in groups:
-        block = block_containing(group[0].view, tree.owner(group[0].node))
-        value = None
-        for step in group:
-            if step.kind == "index-point":
-                value = step.active_value
-            elif step.kind == "ir-accepted":
-                accepted_total += 1
-                if (len(block) == 1 and value is not None
-                        and not step.active_value > value):
+        if step.kind == "index-point":  # opens its (node, view) group
+            groups += 1
+            value = step.active_value
+        elif step.kind == "ir-accepted":
+            accepted_total += 1
+            block = block_containing(step.view, tree.owner(step.node))
+            if len(block) == 1 and value is not None and not step.active_value > value:
+                raise CefgError(
+                    f"accepted point at {step.node} does not increase the "
+                    f"active player's value ({step.active_value} <= {value})")
+            value = step.active_value
+            if not step.comparisons:
+                raise CefgError(f"accepted step at {step.node} lacks comparisons")
+            compared = {agent for agent, _, _ in step.comparisons}
+            if not compared.issuperset(block):
+                raise CefgError(
+                    f"accepted step at {step.node} does not compare every "
+                    f"member of the active block {block}")
+            for agent, cand, held in step.comparisons:
+                if not cand > held:
                     raise CefgError(
-                        f"accepted point at {step.node} does not increase the "
-                        f"active player's value ({step.active_value} <= {value})")
-                value = step.active_value
-                if not step.comparisons:
-                    raise CefgError(f"accepted step at {step.node} lacks comparisons")
-                compared = {agent for agent, _, _ in step.comparisons}
-                if not compared.issuperset(block):
-                    raise CefgError(
-                        f"accepted step at {step.node} does not compare every "
-                        f"member of the active block {block}")
-                for agent, cand, held in step.comparisons:
-                    if not cand > held:
-                        raise CefgError(
-                            f"agent {agent} does not strictly improve at {step.node}")
-            elif step.kind == "ir-rejected":
-                if all(cand > held for _, cand, held in step.comparisons):
-                    raise CefgError(
-                        f"rejected point at {step.node} improves every agent")
-    return len(groups), accepted_total
+                        f"agent {agent} does not strictly improve at {step.node}")
+        elif step.kind == "ir-rejected" and all(
+                cand > held for _, cand, held in step.comparisons):
+            raise CefgError(f"rejected point at {step.node} improves every agent")
+    return groups, accepted_total

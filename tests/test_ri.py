@@ -659,11 +659,9 @@ def test_ir_invariants_catch_a_corrupted_accepted_step(example2, kind, corrupt, 
     k = next(k for k, s in enumerate(rows) if s.kind == kind)
     rows[k] = rows[k]._replace(comparisons=corrupt(
         rows[k].comparisons, tree.owner(rows[k].node)))
-    # `contexts()` maps each subgame root to its base-view entry, as the
-    # solver's base memo does.
-    bad = SolutionProfile(tree, utils, prof.root_entry, prof.contexts(), rows)
+    prof.audit = tuple(rows)
     with pytest.raises(CefgError, match=message):
-        check_ir_invariants(bad)
+        check_ir_invariants(prof)
 
 
 def test_steps_and_entries_are_immutable_named_tuples(example2):
@@ -800,11 +798,46 @@ def _golden_and_restricted_games(seed):
     return games
 
 
+def _solved_definition_games(seed):
+    """Every golden game, 40 restricted 4-5 player draws and seeded
+    imperfect-information draws, each solved; refused draws are skipped."""
+    from test_imperfect import _imperfect_games
+    for tree, utils in (_golden_and_restricted_games(seed)
+                        + list(_imperfect_games(seed, 1000))):
+        try:
+            yield tree, solve_game(tree, utils)
+        except (MixedEquilibriumUnsupported, UntimeableLayer):
+            continue
+
+
+def test_trace_steps_are_the_base_views_steps_of_the_audit():
+    solved = 0
+    for tree, prof in _solved_definition_games(3434):
+        base = singleton_partition(tree.n_players)
+        assert prof.trace_steps() == tuple(s for s in prof.audit if s.view == base)
+        solved += 1
+    assert solved > 100, solved
+
+
+def test_ir_invariants_count_the_consecutive_node_view_groups_and_acceptances():
+    # The reference groups the audit by runs of equal (node, view), as the
+    # paper's step at one subgame root under one view is one run.
+    accepted = 0
+    for _, prof in _solved_definition_games(3535):
+        keys = [(s.node, s.view) for s in prof.audit]
+        runs = sum(k == 0 or key != keys[k - 1] for k, key in enumerate(keys))
+        acceptances = sum(s.kind == "ir-accepted" for s in prof.audit)
+        assert check_ir_invariants(prof) == (runs, acceptances)
+        accepted += acceptances
+    assert accepted > 20
+
+
 def test_each_candidate_is_a_supergame_step_then_its_ir_step():
     # A candidate's supergame-solved step and its IR step are read from one
-    # row; checked here from their definition. A step is named after its
-    # subgame root in a one-node layer and after its information set in a
-    # wider one (`layered`, `chance-layers`), so its root comes from the set.
+    # candidate of its adoption's row; checked here from their definition. A
+    # step is named after its subgame root in a one-node layer and after its
+    # information set in a wider one (`layered`, `chance-layers`), so its
+    # root comes from the set.
     wide_seen = 0
     for tree, utils in _golden_and_restricted_games(2626):
         layer_root = {sid: g for g in tree.subgame_roots
@@ -828,21 +861,27 @@ def test_each_candidate_is_a_supergame_step_then_its_ir_step():
             idle = [str(i) for i in step.coalition if i not in tree.movers[root]]
             assert step.reason == ("idle:" + ",".join(idle) if idle else "")
             assert step.comparisons == ()
-        # One stored row per candidate. Where a step's row holds its kind, a
-        # candidate's holds its first compared agent that does not gain, or
-        # None, then the compared block and the candidate's and the accepted
-        # point's individual values; no row holds an idle note or a reason's
-        # text.
-        assert len(prof._rows) == len(audit) - candidates
-        rows = [row for row in prof._rows if not isinstance(row[1], str)]
-        assert len(rows) == candidates
-        assert all(row[1] == next((a for a in row[7] if not row[8][a - 1] > row[9][a - 1]),
-                                  None) for row in rows)
+        # One stored row per adoption: as many as index points and as
+        # adopted steps. Each candidate in a row holds its first compared
+        # agent that does not gain, or None, then the compared block and the
+        # candidate's and the accepted point's individual values, from which
+        # its IR step's comparisons are made; no row holds an idle note or a
+        # reason's text.
+        kinds = Counter(s.kind for s in audit)
+        assert len(prof._rows) == kinds["index-point"] == kinds["adopted"]
+        cands = [c for row in prof._rows for c in row[5]]
+        assert len(cands) == candidates
+        assert all(failing == next((a for a in members if not cand[a - 1] > held[a - 1]),
+                                   None)
+                   for failing, _, _, _, members, cand, held in cands)
         ir_steps = [s for s in audit if s.kind in ("ir-accepted", "ir-rejected")]
         assert [s.comparisons for s in ir_steps] == [
-            tuple((a, row[8][a - 1], row[9][a - 1]) for a in row[7]) for row in rows]
+            tuple((a, cand[a - 1], held[a - 1]) for a in members)
+            for _, _, _, _, members, cand, held in cands]
+        fields = [f for row in prof._rows for f in (*row[:5], *row[6:])] + [
+            f for c in cands for f in c]
         assert not any(isinstance(field, str) and field.startswith(("idle", "blocked"))
-                       for row in prof._rows for field in row)
+                       for field in fields)
     assert wide_seen
 
 
