@@ -1,12 +1,18 @@
 """Paired benchmark runs of two checkouts, alternating which side runs first.
 
-    python scripts/bench_pairs.py PARENT CHANGE --workload chains --seed 1 \\
+    python scripts/bench_pairs.py HEAD~1 HEAD --workload chains --seed 1 \\
         --pairs 10 --seconds 25 --label pr22
 
-Each pair runs `perfbench/run.py --trace 0` once in each checkout, each run
-in a fresh process with the same arguments; odd pairs run PARENT first, even
-pairs CHANGE first. The final JSON line of every run, with its pair, seed,
-length and the side that ran first, is added to
+PARENT and CHANGE each name a directory holding a checkout or, when no such
+directory exists, a git revision of the repository in the current
+directory. A revision is exported with `git archive` into a temporary
+directory made for this invocation and removed after it, so no
+`__pycache__`, `perfbench/out` or other untracked file of a working copy
+carries over. Each pair runs `perfbench/run.py --trace 0` once in each
+checkout, each run in a fresh process with the same arguments; odd pairs
+run PARENT first, even pairs CHANGE first. The final JSON line of every
+run, with its pair, seed, length, the side that ran first and the side's
+commit (`revision`, null for a directory), is added to
 `BENCH_<label>_<workload>_parent.json` or `..._change.json` in the current
 directory (one record a line; a file that exists keeps its records). Then,
 for each end-to-end metric in BENCHMARK.json, it prints each side's median
@@ -21,6 +27,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +41,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def export(spec: str, into: Path) -> tuple:
+    """(checkout, revision): the directory `spec` as is with revision None,
+    or else the commit `spec` names in the current directory's repository,
+    its tree extracted by `git archive` into the new directory `into`."""
+    if Path(spec).is_dir():
+        return Path(spec), None
+    found = subprocess.run(["git", "rev-parse", "--verify", "--quiet", spec + "^{commit}"],
+                           capture_output=True, text=True)
+    if found.returncode:
+        sys.exit(f"bench_pairs: {spec!r} is neither a directory nor a commit")
+    revision = found.stdout.strip()
+    into.mkdir()
+    archive = subprocess.run(["git", "archive", revision], capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+    return into, revision
 
 
 def quartiles(values) -> tuple:
@@ -72,25 +96,28 @@ def _save(path: Path, records: list) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
+    parser.add_argument("parent")
+    parser.add_argument("change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--label", required=True)
     args = parser.parse_args(argv)
-    checkouts = {"parent": args.parent, "change": args.change}
     seconds = int(args.seconds) if args.seconds.is_integer() else args.seconds
     records: dict = {side: [] for side in SIDES}
-    for pair in range(1, args.pairs + 1):
-        first = SIDES[(pair - 1) % 2]
-        for side in (first, SIDES[pair % 2]):
-            result = run_once(checkouts[side], args.workload, args.seed, seconds)
-            records[side].append({"first": first, "pair": pair, "result": result,
-                                  "seconds": seconds, "seed": args.seed, "trace": 0})
-            print(f"pair {pair} {side}: games_per_s "
-                  f"{result['metrics']['games_per_s']['value']:.2f}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        checkouts = {side: export(getattr(args, side), Path(tmp) / side) for side in SIDES}
+        for pair in range(1, args.pairs + 1):
+            first = SIDES[(pair - 1) % 2]
+            for side in (first, SIDES[pair % 2]):
+                checkout, revision = checkouts[side]
+                result = run_once(checkout, args.workload, args.seed, seconds)
+                records[side].append({"first": first, "pair": pair, "result": result,
+                                      "revision": revision, "seconds": seconds,
+                                      "seed": args.seed, "trace": 0})
+                print(f"pair {pair} {side}: games_per_s "
+                      f"{result['metrics']['games_per_s']['value']:.2f}", flush=True)
     for side in SIDES:
         _save(Path(f"BENCH_{args.label}_{args.workload}_{side}.json"), records[side])
     config = json.loads((ROOT / "BENCHMARK.json").read_text())

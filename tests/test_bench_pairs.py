@@ -1,6 +1,7 @@
-"""The summary of `scripts/bench_pairs.py`, on synthetic runs, and a smoke run
-of `scripts/ab_inprocess.py`."""
+"""The summary of `scripts/bench_pairs.py`, on synthetic runs, its export of
+git revisions, and a smoke run of `scripts/ab_inprocess.py`."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import bench_pairs  # noqa: E402
 from bench_pairs import quartiles, summarize  # noqa: E402
 
 
@@ -50,3 +52,54 @@ def test_in_process_ab_of_a_checkout_against_itself():
     assert len(lines) == 1
     assert lines[0].startswith("chains seed 1, ")
     assert lines[0].endswith("outputs differ in 0 games")
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=repo, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_revisions_run_from_fresh_exports_and_directories_as_they_are(
+        tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    _git(repo, "init", "-q")
+    commits = []
+    for version in ("old", "new"):
+        (repo / "perfbench" / "run.py").write_text(version)
+        _git(repo, "add", "-A")
+        _git(repo, "commit", "-q", "-m", version)
+        commits.append(_git(repo, "rev-parse", "HEAD"))
+    # Untracked leftovers of earlier runs in the working copy.
+    (repo / "perfbench" / "out").mkdir()
+    (repo / "perfbench" / "__pycache__").mkdir()
+    seen = []
+
+    def stub_run(checkout, workload, seed, seconds):
+        files = sorted(str(f.relative_to(checkout)) for f in checkout.rglob("*"))
+        seen.append((checkout, (checkout / "perfbench" / "run.py").read_text(), files))
+        return {"correct": True, "failed": 0, "metrics": {
+            m: {"value": 1.0} for m in ("games_per_s", "game_ms.p50", "game_ms.p90",
+                                        "output_bytes", "peak_rss_mb", "setup_s")}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", stub_run)
+    monkeypatch.chdir(repo)
+    assert bench_pairs.main(["HEAD~1", "HEAD", "--workload", "chains", "--seed", "1",
+                             "--pairs", "2", "--seconds", "1", "--label", "t"]) == 0
+    assert [text for _, text, _ in seen] == ["old", "new", "new", "old"]
+    for checkout, _, files in seen:
+        assert checkout != repo and not checkout.exists()  # removed after the runs
+        assert files == ["perfbench", "perfbench/run.py"]
+    for side, commit in zip(("parent", "change"), commits):
+        records = json.loads((repo / f"BENCH_t_chains_{side}.json").read_text())
+        assert [r["revision"] for r in records] == [commit, commit]
+    # A directory is run where it is, with no revision.
+    seen.clear()
+    assert bench_pairs.main([str(repo), "HEAD", "--workload", "chains", "--seed", "1",
+                             "--pairs", "1", "--seconds", "1", "--label", "d"]) == 0
+    assert seen[0][0] == repo and seen[1][1] == "new"
+    records = json.loads((repo / "BENCH_d_chains_parent.json").read_text())
+    assert records[0]["revision"] is None
+    with pytest.raises(SystemExit, match="neither a directory nor a commit"):
+        bench_pairs.main(["no-such-revision", "HEAD", "--workload", "chains", "--seed", "1",
+                          "--pairs", "1", "--seconds", "1", "--label", "x"])

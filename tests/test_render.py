@@ -390,8 +390,49 @@ def test_json_expands_to_naive_on_fixtures(fixture, request):
 def test_json_expands_to_naive_on_random_games():
     rng = random.Random(6)
     for _ in range(30):
-        _assert_json_matches_naive(
-            solve_game(*random_game(rng, max_players=4, max_nodes=20)))
+        prof = solve_game(*random_game(rng, max_players=4, max_nodes=20))
+        _assert_json_matches_naive(prof)
+        assert render_solution(prof) == _naive_render_solution(prof)
+
+
+def test_listing_merges_a_kids_sets_before_a_later_own_set():
+    # r's layer holds r (P1) and h (P2), whose first node y1 comes after
+    # the subgame at k, which holds P2's set k and P1's set k1: P2's
+    # actions in r's bracket are k's, then h's, and P1's are r's, then k1's.
+    nodes = {
+        "top": {"player": 1, "actions": {"out": "z9", "in": "r"}},
+        "r": {"player": 1, "actions": {"L": "k", "M": "y1", "R": "y2"}},
+        "k": {"player": 2, "actions": {"a": "k1", "b": "z1"}},
+        "k1": {"player": 1, "actions": {"c": "z2", "d": "z3"}},
+        "y1": {"player": 2, "actions": {"l": "z4", "r": "z5"}},
+        "y2": {"player": 2, "actions": {"l": "z6", "r": "z7"}},
+        "z9": [0, 0], "z1": [1, 5], "z2": [6, 2], "z3": [3, 3],
+        "z4": [2, 1], "z5": [4, 4], "z6": [5, 0], "z7": [1, 6],
+    }
+    text = make_game_text(nodes, players=2, root="top", info_sets={"h": ["y1", "y2"]})
+    prof = solve_game(*load_game_text(text))
+    assert "k" in prof.tree.subgame_roots and "y1" not in prof.tree.subgame_roots
+    listing = render_solution(prof)
+    assert "\n  r: [{M,c},{b,r}; 1,2] -> (4, 4)\n" in listing
+    assert listing == _naive_render_solution(prof)
+
+
+def test_listing_omits_a_block_that_never_moves_under_a_coalition():
+    # {1,2} adopt the path a, c at x0; under that view only P3 moves at x2,
+    # so x2's bracket lists the block 3 alone.
+    nodes = {
+        "x0": {"player": 1, "actions": {"a": "x1", "b": "z0"}},
+        "x1": {"player": 2, "actions": {"c": "x2", "d": "z1"}},
+        "x2": {"player": 3, "actions": {"e": "z2", "f": "z3"}},
+        "z0": [1, 1, 1], "z1": [0, 4, 0], "z2": [3, 3, 5], "z3": [0, 0, 4],
+    }
+    prof = solve_game(*load_game_text(make_game_text(nodes, players=3)))
+    inner = prof.root_context["x2"]
+    assert prof.coalition == (1, 2)
+    assert inner.partition == ((1, 2), (3,)) and inner.coalition is None
+    listing = render_solution(prof)
+    assert "\n    x2: [{e}; 3] -> (3, 3, 5)\n" in listing
+    assert listing == _naive_render_solution(prof)
 
 
 def test_json_lists_each_distinct_entry_once(example2):
