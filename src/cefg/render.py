@@ -77,7 +77,7 @@ def _bracket(tree, entry, pairs) -> str:
 
 def bracket_entry(tree, entry: Entry) -> str:
     """Bracket line for one solved subgame entry, sorted from its full
-    action map: the reference `render_solution`'s merged brackets match."""
+    action map: the reference that `render_solution`'s merged brackets match."""
     actions = entry.actions
     if entry.coalition is None:
         return _bracket(tree, entry, actions.items())
