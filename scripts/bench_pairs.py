@@ -16,8 +16,10 @@ commit (`revision`, null for a directory), is added to
 `BENCH_<label>_<workload>_parent.json` or `..._change.json` in the current
 directory (one record a line; a file that exists keeps its records). Then,
 for each end-to-end metric in BENCHMARK.json, it prints each side's median
-[quartiles] over this invocation's runs and how many pairs the change won,
-ties counting for neither.
+[quartiles] over this invocation's runs, how many pairs the change won,
+ties counting for neither, and two verdicts read with the metric's `better`
+and `bound` (see `summarize`): whether a claimed gain is met, and whether
+the change stays within the bound.
 """
 
 from __future__ import annotations
@@ -69,22 +71,41 @@ def quartiles(values) -> tuple:
 
 
 def summarize(records: dict, metrics) -> dict:
-    """Each metric's quartiles per side, and the pairs the change won.
+    """Each metric's quartiles per side, the pairs the change won and the
+    verdicts.
 
     `records` maps "parent" and "change" to their run records (each with
-    "pair" and the run's "result"); `metrics` is (name, "higher" or
-    "lower", the better direction) pairs. Returns {name: {"parent": (q1,
-    median, q3), "change": (q1, median, q3), "wins": k, "pairs": n}}.
+    "pair" and the run's "result"); `metrics` is (name, better, bound)
+    triples as in BENCHMARK.json: "higher" or "lower" is the better
+    direction, and the bound is the largest loss allowed, relative to the
+    parent's median. Returns {name: {"parent": (q1, median, q3), "change":
+    (q1, median, q3), "wins": k, "pairs": n, "claim": ..., "bound": ...}}.
+
+    The claim is "met" when at least ten pairs ran, the change won at least
+    nine tenths of them and its median is better than the parent's by more
+    than the parent's quartile width, else "not met". The bound is
+    "exceeded" when the change's median is worse than the parent's by more
+    than the bound; else "unresolved" when the parent's quartile width is
+    wider than the bound, unless every run of the change beats every run of
+    the parent; else "ok".
     """
     out = {}
-    for name, better in metrics:
+    for name, better, bound in metrics:
         values = {side: {r["pair"]: r["result"]["metrics"][name]["value"]
                          for r in records[side]} for side in SIDES}
         pairs = sorted(values["parent"].keys() & values["change"].keys())
         sign = 1 if better == "higher" else -1
         wins = sum(sign * (values["change"][k] - values["parent"][k]) > 0 for k in pairs)
-        out[name] = {side: quartiles(values[side].values()) for side in SIDES}
-        out[name].update(wins=wins, pairs=len(pairs))
+        row = out[name] = {side: quartiles(values[side].values()) for side in SIDES}
+        (p1, parent, p3), change = row["parent"], row["change"][1]
+        gain, spread, allowed = sign * (change - parent), p3 - p1, bound * parent
+        beats_all = all(sign * (c - p) > 0 for c in values["change"].values()
+                        for p in values["parent"].values())
+        row.update(wins=wins, pairs=len(pairs),
+                   claim="met" if len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                   and gain > spread else "not met",
+                   bound="exceeded" if -gain > allowed
+                   else "unresolved" if spread > allowed and not beats_all else "ok")
     return out
 
 
@@ -121,12 +142,13 @@ def main(argv=None) -> int:
     for side in SIDES:
         _save(Path(f"BENCH_{args.label}_{args.workload}_{side}.json"), records[side])
     config = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["better"]) for m in config["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in config["end_to_end"]]
     for name, row in summarize(records, metrics).items():
         (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
         ratio = f"{cm / pm:.3f}x" if pm else "-"
         print(f"{name}: parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
-              f"[{c1:.6g}, {c3:.6g}]  {ratio}  wins {row['wins']}/{row['pairs']}")
+              f"[{c1:.6g}, {c3:.6g}]  {ratio}  wins {row['wins']}/{row['pairs']}  "
+              f"claim {row['claim']}  bound {row['bound']}")
     for side in SIDES:
         runs = records[side]
         print(f"{side}: {sum(r['result']['correct'] for r in runs)}/{len(runs)} runs "

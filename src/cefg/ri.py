@@ -83,6 +83,26 @@ class Entry(NamedTuple):
         return {sid: act for entry in walk_entries([self])
                 for sid, act in entry.own.items()}
 
+    def __eq__(self, other):
+        """Tuple equality, with `children` walked on a stack, not recursively."""
+        if not isinstance(other, tuple):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (not isinstance(a, Entry) and a == b):
+                continue
+            if not (isinstance(a, Entry) and isinstance(b, tuple) and len(b) == len(a)
+                    and a[:-1] == b[:-1] and isinstance(b[-1], dict)
+                    and a.children.keys() == b[-1].keys()):
+                return False
+            stack.extend((kid, b[-1][key]) for key, kid in a.children.items())
+        return True
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
 
 def walk_entries(tops):
     """Each distinct Entry under `tops` once, preorder, children in stored order."""

@@ -1,5 +1,5 @@
-"""The summary of `scripts/bench_pairs.py`, on synthetic runs, its export of
-git revisions, and a smoke run of `scripts/ab_inprocess.py`."""
+"""The summary and verdicts of `scripts/bench_pairs.py`, on synthetic runs,
+and its export of git revisions."""
 
 import json
 import subprocess
@@ -22,13 +22,13 @@ def test_summary_gives_quartiles_per_side_and_counts_the_change_wins():
     parent = [100, 104, 101, 103, 102]
     change = [110, 103, 101, 120, 115]  # loses pair 2, ties pair 3
     records = {"parent": _runs(parent, "games_per_s"), "change": _runs(change, "games_per_s")}
-    row = summarize(records, [("games_per_s", "higher")])["games_per_s"]
+    row = summarize(records, [("games_per_s", "higher", 0.15)])["games_per_s"]
     assert row["parent"] == (101, 102, 103)
     assert row["change"] == (103, 110, 115)
     assert (row["wins"], row["pairs"]) == (3, 5)
     # Lower is better: the same numbers as latencies give the change one win.
     records = {"parent": _runs(parent, "game_ms.p50"), "change": _runs(change, "game_ms.p50")}
-    row = summarize(records, [("game_ms.p50", "lower")])["game_ms.p50"]
+    row = summarize(records, [("game_ms.p50", "lower", 0.25)])["game_ms.p50"]
     assert (row["wins"], row["pairs"]) == (1, 5)
 
 
@@ -41,17 +41,33 @@ def test_quartiles_of_few_runs(values, expected):
     assert quartiles(values) == expected
 
 
-def test_in_process_ab_of_a_checkout_against_itself():
-    root = Path(__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "ab_inprocess.py"), str(root), str(root),
-         "--workload", "chains", "--repeats", "1"],
-        capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("chains seed 1, ")
-    assert lines[0].endswith("outputs differ in 0 games")
+def _verdicts(parent, change, better, bound):
+    records = {"parent": _runs(parent, "m"), "change": _runs(change, "m")}
+    row = summarize(records, [("m", better, bound)])["m"]
+    return row["claim"], row["bound"]
+
+
+@pytest.mark.parametrize("parent,change,better,bound,expected", [
+    # 9 wins and a tie of 10 pairs, a median 10 above a quartile width of 4.5.
+    (list(range(100, 110)), [110, *range(111, 119), 109], "higher", 0.15, ("met", "ok")),
+    # A tie is no win: 8 wins and 2 ties fall short of nine tenths.
+    (list(range(100, 110)), [110, *range(111, 118), 108, 109], "higher", 0.15,
+     ("not met", "ok")),
+    # Every pair won, but the median moves less than the parent's spread.
+    ([100, 104, 108, 112], [101, 105, 109, 113], "higher", 0.15, ("not met", "ok")),
+    # Lower is better: 20% worse against a bound of 10%.
+    ([100] * 4, [120] * 4, "lower", 0.1, ("not met", "exceeded")),
+    # The parent's quartile width (15) is wider than the bound (6.25).
+    ([10, 20, 30, 40], [11, 21, 31, 41], "lower", 0.25, ("not met", "unresolved")),
+    # ... unless every run of the change beats every run of the parent; but
+    # four pairs are too few for a claim.
+    ([10, 20, 30, 40], [1, 2, 3, 4], "lower", 0.25, ("not met", "ok")),
+    # A median worse by more than the bound is exceeded, however wide the spread.
+    ([10, 20, 30, 40], [40, 50, 60, 70], "lower", 0.25, ("not met", "exceeded")),
+])
+def test_verdicts_follow_the_claim_rule_and_the_bound(parent, change, better, bound,
+                                                     expected):
+    assert _verdicts(parent, change, better, bound) == expected
 
 
 def _git(repo, *args):
@@ -60,7 +76,7 @@ def _git(repo, *args):
 
 
 def test_revisions_run_from_fresh_exports_and_directories_as_they_are(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, capsys):
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     _git(repo, "init", "-q")
@@ -87,6 +103,10 @@ def test_revisions_run_from_fresh_exports_and_directories_as_they_are(
     assert bench_pairs.main(["HEAD~1", "HEAD", "--workload", "chains", "--seed", "1",
                              "--pairs", "2", "--seconds", "1", "--label", "t"]) == 0
     assert [text for _, text, _ in seen] == ["old", "new", "new", "old"]
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if "  claim " in line]
+    assert len(verdicts) == 6  # one per end-to-end metric of BENCHMARK.json
+    assert verdicts[0] == ("games_per_s: parent 1 [1, 1]  change 1 [1, 1]  1.000x  "
+                           "wins 0/2  claim not met  bound ok")
     for checkout, _, files in seen:
         assert checkout != repo and not checkout.exists()  # removed after the runs
         assert files == ["perfbench", "perfbench/run.py"]

@@ -332,6 +332,22 @@ def test_solvers_and_renderers_do_not_recurse_down_the_tree():
     assert games[1][0].n_players == 4
 
 
+def test_deep_entries_compare_without_a_depth_limit():
+    # Tuple equality recursed through `children` and raised RecursionError
+    # from about 500 levels of chain.
+    a, b = (solve_game(*load_game_text(chain_text(5000))) for _ in range(2))
+    assert a.root_entry == b.root_entry
+    assert not a.root_entry != b.root_entry
+    assert a.root_entry == tuple(a.root_entry) and tuple(b.root_entry) == a.root_entry
+    above = b.root_entry
+    for _ in range(4000):
+        above = above.children[f"c{int(above.node[1:]) + 1}"]
+    kid = above.children["t" + above.node[1:]]
+    above.children[kid.node] = kid._replace(outcome=(0, 0))
+    assert a.root_entry != b.root_entry
+    assert not a.root_entry == b.root_entry
+
+
 def test_memoization_is_transparent(example2):
     tree, utils = example2
     fast = solve_game(tree, utils)
