@@ -333,8 +333,8 @@ def test_solvers_and_renderers_do_not_recurse_down_the_tree():
 
 
 def test_deep_entries_compare_without_a_depth_limit():
-    # Tuple equality recursed through `children` and raised RecursionError
-    # from about 500 levels of chain.
+    # A 5,000-level chain nests deeper than Python's recursion limit, so
+    # equality may not recurse through `children`.
     a, b = (solve_game(*load_game_text(chain_text(5000))) for _ in range(2))
     assert a.root_entry == b.root_entry
     assert not a.root_entry != b.root_entry
